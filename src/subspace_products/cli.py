@@ -3,7 +3,7 @@
 Every command emits a JSON run report (command echo, parameters, seed,
 results, timing) on stdout; kappa-table can emit the raw matrix as text or
 CSV instead.  Exit codes: 0 success, 2 usage, 3 budget exceeded (partial
-result reported), 4 invariant violation.
+result reported) or out of memory, 4 invariant violation.
 """
 
 from __future__ import annotations
@@ -308,6 +308,12 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except AssertionError as exc:
+        print(f"error: invariant violated: {exc}", file=sys.stderr)
+        return EXIT_VIOLATION
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
     if isinstance(results, str):
         print(results)
         return code

@@ -136,24 +136,6 @@ class Subspace:
         self._check_ambient(other)
         return span(self.field, self.rows + other.rows)
 
-    def intersect(self, other: "Subspace") -> "Subspace":
-        """Zassenhaus: row-reduce [[U U], [V 0]]; zero-left rows carry the
-        intersection in their right block."""
-        self._check_ambient(other)
-        f = self.field
-        n = f.n
-        if f.p == 2:
-            mask = (1 << n) - 1
-            stacked = [u | (u << n) for u in self.rows] + list(other.rows)
-            reduced = _rref_bits(stacked)
-            inter = [r >> n for r in reduced if not r & mask]
-            return span(f, inter)
-        stacked = [list(f.coeffs(u)) * 2 for u in self.rows]
-        stacked += [list(f.coeffs(v)) + [0] * n for v in other.rows]
-        reduced = _rref_modp(stacked, f.p)
-        inter = [f.from_coeffs_unchecked(row[n:]) for row in reduced if not any(row[:n])]
-        return span(f, inter)
-
     def elements(self):
         """Iterate all p^dim members (meant for small subspaces only)."""
         f = self.field
@@ -217,51 +199,3 @@ def whole_space(field: ExtensionField) -> Subspace:
 
 def one_subspace(field: ExtensionField) -> Subspace:
     return span(field, [1])
-
-
-def left_kernel(field: ExtensionField, rows) -> list[int]:
-    """Dependencies among rows: all x with sum_i x_i * rows[i] = 0, returned as
-    packed coordinate vectors of length len(rows).
-
-    Each row gets an identity tag appended; elimination picks pivots in the
-    leading n columns only, so rows whose leading block vanishes carry a
-    kernel vector in their tag.
-    """
-    m = len(rows)
-    n = field.n
-    if field.p == 2:
-        mask = (1 << n) - 1
-        pivot_rows: list[int] = []
-        kernel: list[int] = []
-        for i, r in enumerate(rows):
-            v = (r & mask) | (1 << (n + i))
-            for b in pivot_rows:
-                if v & ((b & mask) & -(b & mask)):
-                    v ^= b
-            if v & mask:
-                insort(pivot_rows, v, key=lambda row: (row & mask) & -(row & mask))
-            else:
-                kernel.append(v >> n)
-        return kernel
-    p = field.p
-    pivot_vecs: list[list[int]] = []
-    pivots: list[int] = []
-    kernel_vecs: list[int] = []
-    for i, r in enumerate(rows):
-        tag = [0] * m
-        tag[i] = 1
-        v = list(field.coeffs(r)) + tag
-        for b, piv in zip(pivot_vecs, pivots):
-            c = v[piv]
-            if c:
-                v = [(x - c * y) % p for x, y in zip(v, b)]
-        piv = next((j for j, c in enumerate(v[:n]) if c), -1)
-        if piv >= 0:
-            inv = pow(v[piv], -1, p)
-            v = [x * inv % p for x in v]
-            at = next((k for k, q in enumerate(pivots) if q > piv), len(pivots))
-            pivot_vecs.insert(at, v)
-            pivots.insert(at, piv)
-        else:
-            kernel_vecs.append(sum(c * p ** j for j, c in enumerate(v[n:])))
-    return kernel_vecs

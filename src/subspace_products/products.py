@@ -4,11 +4,11 @@ constructions that realize the minimum dimension exactly."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .fields import ExtensionField
 from .kappa import KappaResult, divisors, kappa_rs
-from .linalg import (Subspace, _ech_insert_bits, _ech_insert_modp, left_kernel,
-                     span, whole_space)
+from .linalg import Subspace, _ech_insert_bits, _ech_insert_modp, span
 
 
 def _require_nonzero(*spaces: Subspace) -> None:
@@ -68,19 +68,23 @@ class StabilizerReport:
 
 
 def stabilizer(v: Subspace) -> StabilizerReport:
-    """Compute H = {x : x*V in V} by intersecting, over the basis vectors w of
-    V, the solution spaces of the linear condition x*w in V."""
+    """Compute H = {x : x*V in V} from the subfield lattice.
+
+    H is a subfield F_{p^g} and V is an H-space, so g | gcd(n, dim V).  The
+    subfield F_{p^d} = F_p[gamma_d] lies in H iff gamma_d*w is in V for every
+    basis row w; the d that pass are exactly the divisors of g, so g is the
+    largest divisor of gcd(n, dim V) that passes.
+    """
     _require_nonzero(v)
     field = v.field
     n = field.n
-    h = whole_space(field)
-    basis_elems = [field.p ** i for i in range(n)]
-    for w in v.rows:
-        conditions = [v.reduce(field.mul(e, w)) for e in basis_elems]
-        solutions = span(field, left_kernel(field, conditions))
-        h = h.intersect(solutions)
-        if h.dim == 1:
+    degree, gamma = 1, 1
+    for d in reversed(divisors(gcd(n, v.dim)).degrees[1:]):
+        gamma_d = field.subfield_generator(d)
+        if all(v.contains(field.mul(gamma_d, w)) for w in v.rows):
+            degree, gamma = d, gamma_d
             break
+    h = span(field, [field.pow(gamma, i) for i in range(degree)])
     g = h.dim
     verified = h.contains(1) and n % g == 0
     if verified:

@@ -183,6 +183,22 @@ def test_mu_group_usage_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("exc, code, message", [
+    (AssertionError("rank drifted"), 4, "error: invariant violated: rank drifted"),
+    (MemoryError("pair table"), 3, "error: out of memory: pair table"),
+], ids=["assertion", "memory"])
+def test_handler_failures_map_to_exit_codes(capsys, monkeypatch, exc, code, message):
+    import subspace_products.cli as cli
+
+    def failing(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "_cmd_kappa", failing)
+    got, out, err = run(capsys, "kappa", "--n", "4", "--r", "2", "--s", "2")
+    assert got == code and out == ""
+    assert err.strip() == message
+
+
 def test_version_flag(capsys):
     code, out, _ = run(capsys, "--version")
     assert code == 0

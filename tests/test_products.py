@@ -131,6 +131,21 @@ def test_stabilizer_properties_random(field_cache):
             assert product_span(ha, hb) == ab
 
 
+def test_stabilizer_without_log_tables(field_cache):
+    # GF(2^40) has no log tables: mul and subfield_generator run carry-less
+    f = field_cache(2, 40)
+    rng = random.Random(6)
+    gamma8 = f.subfield_generator(8)
+    f256 = [f.pow(gamma8, i) for i in range(8)]
+    for k in (1, 2, 3):
+        bs = [rng.randrange(1, f.q) for _ in range(k)]
+        v = span(f, [f.mul(x, b) for x in f256 for b in bs])
+        st = stabilizer(v)
+        assert st.g % 8 == 0 and 40 % st.g == 0 and st.is_subfield_verified
+        gamma = f.subfield_generator(st.g)
+        assert st.h == span(f, [f.pow(gamma, i) for i in range(st.g)])
+
+
 def test_kneser_trivial_cases(field_cache):
     f = field_cache(2, 6)
     w = whole_space(f)
