@@ -136,15 +136,6 @@ class Subspace:
         self._check_ambient(other)
         return span(self.field, self.rows + other.rows)
 
-    def elements(self):
-        """Iterate all p^dim members (meant for small subspaces only)."""
-        f = self.field
-        members = [0]
-        for r in self.rows:
-            scaled = [f.scale(c, r) for c in range(f.p)]
-            members = [f.add(m, s) for m in members for s in scaled]
-        return members
-
     def to_text(self) -> str:
         return "\n".join(",".join(str(c) for c in row) for row in self.basis_coeffs())
 

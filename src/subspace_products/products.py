@@ -8,7 +8,7 @@ from math import gcd
 
 from .fields import ExtensionField
 from .kappa import KappaResult, divisors, kappa_rs
-from .linalg import Subspace, _ech_insert_bits, _ech_insert_modp, span
+from .linalg import Subspace, span
 
 
 def _require_nonzero(*spaces: Subspace) -> None:
@@ -24,38 +24,6 @@ def product_span(a: Subspace, b: Subspace) -> Subspace:
     field = a.field
     mul = field.mul
     return span(field, [mul(x, y) for x in a.rows for y in b.rows])
-
-
-def element_degree(field: ExtensionField, alpha: int) -> int:
-    """Degree of alpha over F_p: length of the longest independent power run."""
-    acc: list[int] = []
-    power = 1
-    d = 0
-    if field.p == 2:
-        while _ech_insert_bits(acc, power):
-            d += 1
-            power = field.mul(power, alpha)
-    else:
-        pivots: list[int] = []
-        coeff_acc: list[list[int]] = []
-        while _ech_insert_modp(coeff_acc, pivots, list(field.coeffs(power)), field.p):
-            d += 1
-            power = field.mul(power, alpha)
-    return d
-
-
-def power_basis_subspace(field: ExtensionField, alpha: int, r: int) -> Subspace:
-    """Span of 1, alpha, ..., alpha^(r-1); requires the powers independent."""
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
-    d = element_degree(field, alpha)
-    if r > d:
-        raise ValueError(f"r={r} exceeds the degree {d} of alpha over the base field")
-    powers = [field.pow(alpha, j) for j in range(r)]
-    result = span(field, powers)
-    if result.dim != r:
-        raise AssertionError("independent powers spanned an unexpected dimension")
-    return result
 
 
 @dataclass(frozen=True)

@@ -4,12 +4,15 @@ Subspaces are enumerated through their RREF profiles (pivot column set plus
 free entries), which visits every subspace exactly once.  The pair search
 normalizes both subspaces to contain 1 -- multiplying A by a^-1 and B by b^-1
 is an F_p-linear bijection that preserves dim<AB> -- and prunes with a proven
-lower bound, so early exit never changes the reported minimum.
+lower bound, so early exit never changes the reported minimum.  When the
+pair count exceeds the budget the run is truncated: it scans the A-major
+prefix of `budget` pairs and is exact only if it reaches the proven floor.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 import random
 from dataclasses import dataclass
 from multiprocessing import get_context
@@ -133,143 +136,117 @@ class MuResult:
     pairs_examined: int
 
 
+# Most subspace rows a scan may hold in memory (the B list, plus the A list
+# when the scan is split across worker processes).
+MAX_HELD_ROWS = 2 ** 20
+
+
+def _scan(field, a_rows, b_list, floor, budget):
+    """First pair, in A-major order, with the least capped product dimension.
+
+    Returns (value, a_rows, b_rows, pairs examined).  Stops as soon as the
+    value reaches `floor` or `budget` pairs have been examined."""
+    best = field.n + 1
+    best_a = best_b = None
+    processed = 0
+    for ar in a_rows:
+        for br in b_list:
+            d = product_dim_capped(field, ar, br, best)
+            processed += 1
+            if d < best:
+                best, best_a, best_b = d, ar, br
+            if best <= floor or processed >= budget:
+                return best, best_a, best_b, processed
+    return best, best_a, best_b, processed
+
+
 # Worker globals, set once per process by the pool initializer.
 _W: dict = {}
 
 
-def _init_worker(p, n, modulus, a_list, b_list, floor):
-    _W["field"] = ExtensionField(p, n, modulus)
-    _W["a"] = a_list
-    _W["b"] = b_list
-    _W["floor"] = floor
+def _init_worker(p, n, modulus, a_list, b_list, floor, budget):
+    _W.update(field=ExtensionField(p, n, modulus), a=a_list, b=b_list,
+              floor=floor, budget=budget)
 
 
 def _scan_chunk(bounds):
     start, end = bounds
-    field = _W["field"]
-    a_list, b_list, floor = _W["a"], _W["b"], _W["floor"]
-    best = field.n + 1
-    best_ai = best_bi = -1
-    processed = 0
-    for ai in range(start, end):
-        ar = a_list[ai]
-        for bi, br in enumerate(b_list):
-            d = product_dim_capped(field, ar, br, best)
-            processed += 1
-            if d < best:
-                best, best_ai, best_bi = d, ai, bi
-                if best <= floor:
-                    return best, best_ai, best_bi, processed
-    return best, best_ai, best_bi, processed
+    return _scan(_W["field"], _W["a"][start:end], _W["b"], _W["floor"], _W["budget"])
 
 
 def mu_exact(field: ExtensionField, r: int, s: int,
              options: SearchOptions | None = None) -> MuResult:
     """Exact minimum of dim<AB> over all pairs with dim A = r, dim B = s.
 
-    The enumeration is truncated (exhaustive=False) if it would exceed the
-    pair budget; otherwise the reported value is the exact minimum even when
-    floor pruning stops the scan early.
+    When the number of pairs exceeds the budget the run is truncated: it
+    scans the A-major prefix of `budget` pairs and reports exhaustive=True
+    only if that prefix reaches the proven floor.  Otherwise the reported
+    value is the exact minimum even when floor pruning stops the scan early.
+    Raises ValueError when the scan would hold more than MAX_HELD_ROWS
+    subspaces in memory.
     """
     opts = options or SearchOptions()
-    n = field.n
+    n, p = field.n, field.p
     if not (1 <= r <= n and 1 <= s <= n):
         raise ValueError(f"r={r}, s={s} must lie in [1, {n}]")
     if opts.budget < 1:
         raise ValueError("budget must be >= 1")
     floor = (kappa_rs(r, s, divisors(n)).value if opts.use_kappa_floor
              else max(r, s))
-    if opts.canonicalize:
-        est_pairs = (gaussian_binomial(n - 1, r - 1, field.p)
-                     * gaussian_binomial(n - 1, s - 1, field.p))
-    else:
-        est_pairs = gaussian_binomial(n, r, field.p) * gaussian_binomial(n, s, field.p)
-    if est_pairs > opts.budget:
-        return _mu_truncated(field, r, s, opts, floor)
 
-    a_list = [sp.rows for sp in enumerate_subspaces(field, r, opts.canonicalize)]
-    b_list = (a_list if s == r
-              else [sp.rows for sp in enumerate_subspaces(field, s, opts.canonicalize)])
+    def count(k):
+        if opts.canonicalize:
+            return gaussian_binomial(n - 1, k - 1, p)
+        return gaussian_binomial(n, k, p)
 
-    if opts.workers <= 1:
-        best, best_ai, best_bi, processed = _scan_serial(field, a_list, b_list, floor)
-    else:
-        best, best_ai, best_bi, processed = _scan_parallel(field, a_list, b_list,
-                                                           floor, opts.workers)
-    return MuResult(value=best,
-                    witness_a=span(field, a_list[best_ai]),
-                    witness_b=span(field, b_list[best_bi]),
-                    exhaustive=True,
-                    pairs_examined=processed)
+    a_count, b_count = count(r), count(s)
+    truncated = a_count * b_count > opts.budget
+    parallel = opts.workers > 1 and not truncated
+    held = min(b_count, opts.budget) + (a_count if parallel else 0)
+    if held > MAX_HELD_ROWS:
+        raise ValueError(f"the scan would hold {held} subspaces, more than "
+                         f"{MAX_HELD_ROWS}; lower the budget")
 
-
-def _scan_serial(field, a_list, b_list, floor):
-    best = field.n + 1
-    best_ai = best_bi = -1
-    processed = 0
-    for ai, ar in enumerate(a_list):
-        for bi, br in enumerate(b_list):
-            d = product_dim_capped(field, ar, br, best)
-            processed += 1
-            if d < best:
-                best, best_ai, best_bi = d, ai, bi
-                if best <= floor:
-                    return best, best_ai, best_bi, processed
-    return best, best_ai, best_bi, processed
-
-
-def _scan_parallel(field, a_list, b_list, floor, workers):
-    chunk = max(1, -(-len(a_list) // (workers * 4)))
-    bounds = [(k, min(k + chunk, len(a_list))) for k in range(0, len(a_list), chunk)]
-    best = field.n + 1
-    best_ai = best_bi = -1
-    processed = 0
-    ctx = get_context()
-    with ctx.Pool(workers, initializer=_init_worker,
-                  initargs=(field.p, field.n, field.modulus, a_list, b_list, floor)) as pool:
-        # Consuming chunk results in submission order makes the reduction
-        # independent of scheduling.
-        for value, ai, bi, done in pool.imap(_scan_chunk, bounds):
-            processed += done
-            if value < best:
-                best, best_ai, best_bi = value, ai, bi
-            if best <= floor:
-                pool.terminate()
-                break
-    return best, best_ai, best_bi, processed
-
-
-def _mu_truncated(field, r, s, opts, floor):
-    """Deterministic prefix scan when the full pair count exceeds the budget.
-    Hitting the proven floor still certifies the value as exact."""
-    best = field.n + 1
-    best_a = best_b = None
-    processed = 0
-    if opts.canonicalize:
-        b_count = gaussian_binomial(field.n - 1, s - 1, field.p)
-    else:
-        b_count = gaussian_binomial(field.n, s, field.p)
     b_list = [sp.rows for sp in
               itertools.islice(enumerate_subspaces(field, s, opts.canonicalize),
-                               min(b_count, opts.budget))]
-    done = False
-    for a_sp in enumerate_subspaces(field, r, opts.canonicalize):
-        ar = a_sp.rows
-        for br in b_list:
-            d = product_dim_capped(field, ar, br, best)
-            processed += 1
-            if d < best:
-                best, best_a, best_b = d, ar, br
-            if processed >= opts.budget or best <= floor:
-                done = True
-                break
-        if done:
-            break
+                               opts.budget)]
+    a_rows = (sp.rows for sp in enumerate_subspaces(field, r, opts.canonicalize))
+    if parallel:
+        best, best_a, best_b, processed = _scan_parallel(
+            field, list(a_rows), b_list, floor, opts.budget, opts.workers)
+    else:
+        best, best_a, best_b, processed = _scan(field, a_rows, b_list, floor,
+                                                opts.budget)
     return MuResult(value=best,
                     witness_a=span(field, best_a),
                     witness_b=span(field, best_b),
-                    exhaustive=best <= floor,
+                    exhaustive=not truncated or best <= floor,
                     pairs_examined=processed)
+
+
+def _scan_parallel(field, a_list, b_list, floor, budget, workers):
+    chunk = max(1, -(-len(a_list) // (workers * 4)))
+    bounds = [(k, min(k + chunk, len(a_list))) for k in range(0, len(a_list), chunk)]
+    best = field.n + 1
+    best_a = best_b = None
+    processed = 0
+    ctx = get_context()
+    # The chunking follows the requested worker count, so results do not
+    # depend on how many processes the machine can run.
+    with ctx.Pool(min(workers, len(bounds), os.cpu_count() or 1),
+                  initializer=_init_worker,
+                  initargs=(field.p, field.n, field.modulus, a_list, b_list,
+                            floor, budget)) as pool:
+        # Consuming chunk results in submission order makes the reduction
+        # independent of scheduling.
+        for value, ar, br, done in pool.imap(_scan_chunk, bounds):
+            processed += done
+            if value < best:
+                best, best_a, best_b = value, ar, br
+            if best <= floor:
+                pool.terminate()
+                break
+    return best, best_a, best_b, processed
 
 
 def mu_randomized(field: ExtensionField, r: int, s: int, trials: int,

@@ -85,13 +85,18 @@ def test_criterion_02_prime_degree_formula():
 
 def test_criterion_03_mu_equals_kappa_desk_scale(field_cache):
     def check():
+        # floor-free: pruning stops only at the trivial bound max(r, s), so
+        # mu >= kappa is checked rather than assumed
+        opts = SearchOptions(use_kappa_floor=False)
         cases = [(2, n) for n in (2, 3, 4, 6)] + [(3, 4)]
         for p, n in cases:
             f = field_cache(p, n)
             degs = divisors(n)
             for r in range(1, n + 1):
                 for s in range(1, n + 1):
-                    assert mu_exact(f, r, s).value == kappa_rs(r, s, degs).value, (p, n, r, s)
+                    res = mu_exact(f, r, s, opts)
+                    assert res.exhaustive
+                    assert res.value == kappa_rs(r, s, degs).value, (p, n, r, s)
 
     _run(3, "exhaustive minimum equals integer bound", 1800.0, check)
 
@@ -151,12 +156,14 @@ def test_criterion_06_tower_construction(field_cache):
 
 def test_criterion_07_galois_cross_check(field_cache):
     def check():
+        opts = SearchOptions(use_kappa_floor=False)
         for n in (4, 6):
             f = field_cache(2, n)
             g = builtin_group(f"cyclic:{n}")
             for r in range(1, n + 1):
                 for s in range(1, n + 1):
-                    assert mu_exact(f, r, s).value == mu_group_exact(g, r, s).value, (n, r, s)
+                    assert mu_exact(f, r, s, opts).value == mu_group_exact(g, r, s).value, \
+                        (n, r, s)
 
     _run(7, "field minimum equals cyclic-group minimum", 1800.0, check)
 

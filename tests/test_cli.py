@@ -81,6 +81,13 @@ def test_mu_field_budget_exit(capsys):
     assert rep["results"]["pairs_examined"] == 4
 
 
+def test_mu_field_refuses_oversized_scan(capsys):
+    code, out, err = run(capsys, "mu-field", "--field", "2^16", "--r", "8", "--s", "8",
+                         "--exhaustive")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_mu_field_randomized_replay(capsys):
     argv = ("mu-field", "--field", "2^6", "--r", "3", "--s", "3",
             "--trials", "200", "--seed", "7")

@@ -127,11 +127,3 @@ def test_text_round_trip(field_cache):
     with pytest.raises(ValueError):
         Subspace.from_text(f, "1,0,0,0,0,oops\n")
 
-
-def test_elements_enumerates_the_subspace(field_cache):
-    f = field_cache(3, 4)
-    g = f.subfield_generator(2)
-    sub = span(f, [1, g])
-    elems = set(sub.elements())
-    assert len(elems) == 3 ** 2
-    assert all(sub.contains(e) for e in elems)

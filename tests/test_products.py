@@ -5,8 +5,7 @@ import pytest
 from subspace_products.fields import ExtensionField
 from subspace_products.kappa import divisors, kappa_rs
 from subspace_products.linalg import one_subspace, span, whole_space
-from subspace_products.products import (TowerSpec, element_degree, kneser_check,
-                                        optimal_pair, power_basis_subspace,
+from subspace_products.products import (TowerSpec, kneser_check, optimal_pair,
                                         product_span, stabilizer, tower_construction)
 
 
@@ -69,28 +68,9 @@ def test_scaling_invariance(field_cache):
         assert stabilizer(product_span(ca, b)).h == stabilizer(product_span(a, b)).h
 
 
-def test_element_degree(field_cache):
-    f = field_cache(2, 6)
-    assert element_degree(f, f.primitive) == 6
-    assert element_degree(f, 1) == 1
-    g = f.subfield_generator(2)
-    assert element_degree(f, g) == 2
-
-
-def test_power_basis_subspace(field_cache):
-    f = field_cache(2, 4)
-    assert power_basis_subspace(f, 2, 4) == whole_space(f)
-    assert power_basis_subspace(f, 2, 1) == one_subspace(f)
-    g = f.subfield_generator(2)
-    with pytest.raises(ValueError):
-        power_basis_subspace(f, g, 3)  # degree of g is 2
-    with pytest.raises(ValueError):
-        power_basis_subspace(f, 2, 0)
-
-
 def test_power_span_product_dimension(field_cache):
     f = field_cache(2, 6)
-    a = power_basis_subspace(f, f.primitive, 3)
+    a = span(f, [f.pow(f.primitive, j) for j in range(3)])
     assert product_span(a, a).dim == 5
 
 

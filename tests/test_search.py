@@ -1,6 +1,10 @@
+import os
 import random
+import time
 
 import pytest
+
+import subspace_products.search as search
 
 from subspace_products.fields import ExtensionField
 from subspace_products.kappa import divisors, kappa_rs
@@ -116,6 +120,59 @@ def test_mu_exact_worker_determinism(field_cache):
     assert runs[0].value == runs[1].value
     assert runs[0].witness_a == runs[1].witness_a
     assert runs[0].witness_b == runs[1].witness_b
+
+
+def test_mu_exact_refuses_scans_too_large_to_hold(field_cache):
+    # GF(2^16) has about 2.5e17 canonical 8-dimensional subspaces; the default
+    # budget would have the truncated scan hold 10^9 of them
+    f = field_cache(2, 16)
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="would hold"):
+        mu_exact(f, 8, 8)
+    assert time.perf_counter() - t0 < 1.0
+    res = mu_exact(f, 8, 8, SearchOptions(budget=1000))
+    assert not res.exhaustive and res.pairs_examined == 1000
+
+
+class _FakePool:
+    """In-process stand-in for multiprocessing.Pool that starts no process."""
+
+    def __init__(self, processes, initializer, initargs):
+        _FakeContext.processes.append(processes)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def imap(self, func, items):
+        return map(func, items)
+
+    def terminate(self):
+        pass
+
+
+class _FakeContext:
+    processes: list = []
+    Pool = _FakePool
+
+
+def test_mu_exact_caps_worker_processes(field_cache, monkeypatch):
+    monkeypatch.setattr(search, "get_context", lambda: _FakeContext)
+    monkeypatch.setattr(search, "_W", {})
+    monkeypatch.setattr(_FakeContext, "processes", [])
+    f = field_cache(2, 5)
+    opts = SearchOptions(use_kappa_floor=False)
+    serial = mu_exact(f, 3, 3, opts)
+    for workers in (2, 5000):
+        res = mu_exact(f, 3, 3, SearchOptions(workers=workers, use_kappa_floor=False))
+        assert (res.value, res.witness_a, res.witness_b) == \
+            (serial.value, serial.witness_a, serial.witness_b)
+    # 15 canonical 3-dimensional subspaces of GF(2^5) give at most 15 chunks
+    assert _FakeContext.processes == [min(2, os.cpu_count() or 1),
+                                      min(15, os.cpu_count() or 1)]
 
 
 def test_mu_randomized_is_reproducible_and_upper_bound(field_cache):
