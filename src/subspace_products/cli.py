@@ -110,14 +110,13 @@ def _cmd_mu_field(args):
 def _cmd_construct(args):
     field = _load_field(args)
     a, b, cert = optimal_pair(field, args.r, args.s)
-    ab = product_span(a, b)
     report = kneser_check(a, b)
     results = {
         "field": field.spec_str(),
         "modulus": field.modulus_str(),
         "kappa": {"value": cert.value, "h0": cert.h0, "r0": cert.r0, "s0": cert.s0},
-        "dim_ab": ab.dim,
-        "achieves_kappa": ab.dim == cert.value,
+        "dim_ab": report.dim_ab,
+        "achieves_kappa": report.dim_ab == cert.value,
         "witness_a": _subspace_rows(a),
         "witness_b": _subspace_rows(b),
         "kneser": {"slack": report.slack, "dim_h": report.dim_h, "holds": report.holds},
@@ -150,6 +149,10 @@ def _cmd_stabilizer(args):
 
 def _cmd_verify_kneser(args):
     field = _load_field(args)
+    if not (1 <= args.r <= field.n and 1 <= args.s <= field.n):
+        raise ValueError(f"r={args.r}, s={args.s} must lie in [1, {field.n}]")
+    if args.pairs < 1:
+        raise ValueError("--pairs must be >= 1")
     seed = _seed_of(args)
     import random as _random
     rng = _random.Random(seed)

@@ -2,14 +2,13 @@
 
 Subsets are bitmasks over element indices (orders up to 64), and product sets
 are accumulated through precomputed translation rows, so |AB| evaluations stay
-cheap inside the exhaustive scan.
+cheap inside the exhaustive search.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import math
 import random
 from dataclasses import dataclass
 
@@ -17,6 +16,11 @@ from .kappa import AdmissibleDegreeSet, KappaResult, kappa_rs
 from .search import MuResult
 
 MAX_ORDER = 64
+
+
+def _check_order(order: int) -> None:
+    if order < 1 or order > MAX_ORDER:
+        raise ValueError(f"group order must be in [1, {MAX_ORDER}], got {order}")
 
 
 def _closure(cayley, gens, identity) -> frozenset:
@@ -64,8 +68,7 @@ class GroupSpec:
     def from_cayley(cls, cayley, name: str = "custom") -> "GroupSpec":
         table = tuple(tuple(int(x) for x in row) for row in cayley)
         order = len(table)
-        if order < 1 or order > MAX_ORDER:
-            raise ValueError(f"group order must be in [1, {MAX_ORDER}], got {order}")
+        _check_order(order)
         rng = range(order)
         if any(len(row) != order or any(x not in rng for x in row) for row in table):
             raise ValueError("Cayley table is not a square of valid element indices")
@@ -106,14 +109,17 @@ def group_from_json(text: str) -> GroupSpec:
 
 
 def builtin_group(name: str) -> GroupSpec:
-    """Named groups: cyclic:n, product:n,m, Z7xZ3semidirect."""
+    """Named groups: cyclic:n, product:n,m, Z7xZ3semidirect.  The order is
+    checked before the Cayley table is built."""
     if name.startswith("cyclic:"):
         n = int(name.split(":", 1)[1])
+        _check_order(n)
         table = [[(i + j) % n for j in range(n)] for i in range(n)]
         return GroupSpec.from_cayley(table, name=name)
     if name.startswith("product:"):
         n, m = (int(t) for t in name.split(":", 1)[1].split(","))
-        order = n * m
+        order = n * m if n > 0 and m > 0 else 0
+        _check_order(order)
         def mul(i, j):
             a1, b1 = divmod(i, m)
             a2, b2 = divmod(j, m)
@@ -160,42 +166,49 @@ def _translate_masks(cayley, a_elems, order) -> list[int]:
 def mu_group_exact(group: GroupSpec, r: int, s: int,
                    budget: int = 10 ** 9) -> MuResult:
     """Exact min |AB| over subsets with |A| = r, |B| = s, normalized so that
-    both subsets contain the identity (translation preserves |AB|)."""
+    both subsets contain the identity (translation preserves |AB|).
+
+    For each A, in lexicographic order, B = (e, b_1 < ... < b_{s-1}) grows one
+    element at a time, depth first in lexicographic order.  A branch is cut
+    once |AB'| reaches the best value found, since |AB'| only grows with B';
+    every prefix of the first minimal pair in A-major order stays below the
+    best value found before it, so that pair is never cut.
+    `pairs_examined` counts search nodes (one |AB'| per partial or complete
+    B'); `budget` caps it once a first complete pair is found.
+    """
     k = group.order
     if not (1 <= r <= k and 1 <= s <= k):
         raise ValueError(f"r={r}, s={s} must lie in [1, {k}]")
     if budget < 1:
         raise ValueError("budget must be >= 1")
     e = group.identity
-    others = [g for g in range(k) if g != e]
-    est = math.comb(k - 1, r - 1) * math.comb(k - 1, s - 1)
+    elems = [e] + [g for g in range(k) if g != e]
     floor = max(r, s)
-    cayley = group.cayley
-    b_list = [(e, *combo) for combo in itertools.combinations(others, s - 1)]
     best = k + 1
     best_a = best_b = None
-    processed = 0
-    done = False
-    for a_combo in itertools.combinations(others, r - 1):
+    path = [e] * s
+    nodes = 0
+    for a_combo in itertools.combinations(elems[1:], r - 1):
         a_elems = (e, *a_combo)
-        masks = _translate_masks(cayley, a_elems, k)
-        for b_elems in b_list:
-            mask = 0
-            for b in b_elems:
-                mask |= masks[b]
-            processed += 1
-            v = mask.bit_count()
-            if v < best:
-                best, best_a, best_b = v, a_elems, b_elems
-            if best <= floor or processed >= budget:
-                done = True
-                break
-        if done:
+        masks = _translate_masks(group.cayley, a_elems, k)
+        stack = [(masks[e], 1, 0)]   # (mask of AB', |B'|, index of B''s last element)
+        while stack and best > floor and (nodes < budget or best_a is None):
+            acc, depth, i = stack.pop()
+            nodes += 1
+            v = acc.bit_count()
+            if v >= best:
+                continue
+            path[depth - 1] = elems[i]
+            if depth == s:
+                best, best_a, best_b = v, a_elems, tuple(path)
+                continue
+            for j in range(k - s + depth, i, -1):   # reversed: pops in lex order
+                stack.append((acc | masks[elems[j]], depth + 1, j))
+        if stack or best <= floor:   # the floor or the budget stopped the search
             break
-    exhaustive = processed >= est or best <= floor
     return MuResult(value=best, witness_a=tuple(sorted(best_a)),
                     witness_b=tuple(sorted(best_b)),
-                    exhaustive=exhaustive, pairs_examined=processed)
+                    exhaustive=not stack or best <= floor, pairs_examined=nodes)
 
 
 def mu_group_randomized(group: GroupSpec, r: int, s: int, trials: int,

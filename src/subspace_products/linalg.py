@@ -121,7 +121,7 @@ class Subspace:
         f = self.field
         if f.p == 2:
             return _reduce_bits(self.rows, elem)
-        v = _reduce_modp([list(f.coeffs(r)) for r in self.rows], self._pivots,
+        v = _reduce_modp([f.coeffs(r) for r in self.rows], self._pivots,
                          list(f.coeffs(elem)), f.p)
         return f.from_coeffs_unchecked(v)
 

@@ -88,6 +88,8 @@ def random_subspace(field: ExtensionField, r: int, rng: random.Random,
     """Uniformly random r-dimensional subspace (spanning sets of full rank are
     equidistributed over subspaces)."""
     fixed = [1] if containing_one else []
+    if not len(fixed) <= r <= field.n:
+        raise ValueError(f"r={r} out of range [{len(fixed)}, {field.n}]")
     k = r - len(fixed)
     while True:
         sp = span(field, fixed + [rng.randrange(field.q) for _ in range(k)])

@@ -1,13 +1,18 @@
-"""Reference stabilizer by plain linear algebra, for comparison in tests.
+"""Reference implementations, for comparison in tests.
 
-H = {x : x*V in V} is the intersection, over the basis rows w of V, of the
-solution spaces of the linear condition x*w in V.  Each solution space is a
-left kernel, and the spaces are met by Zassenhaus intersection.  This makes
-no use of the fact that H is a subfield, so it checks the subfield-lattice
-stabilizer in the library independently.
+The stabilizer by plain linear algebra: H = {x : x*V in V} is the
+intersection, over the basis rows w of V, of the solution spaces of the
+linear condition x*w in V.  Each solution space is a left kernel, and the
+spaces are met by Zassenhaus intersection.  This makes no use of the fact
+that H is a subfield, so it checks the subfield-lattice stabilizer in the
+library independently.
+
+The group subset minimum by a plain double loop, with no pruning and no
+early exit, checks the library's branch-and-bound search.
 """
 
 from bisect import insort
+from itertools import combinations
 
 from subspace_products.linalg import Subspace, _rref_bits, _rref_modp, span, whole_space
 from subspace_products.products import StabilizerReport, product_span
@@ -100,3 +105,20 @@ def stabilizer_oracle(v: Subspace) -> StabilizerReport:
     if verified:
         verified = product_span(h, v) == v
     return StabilizerReport(h=h, g=g, is_subfield_verified=verified)
+
+
+def mu_group_brute(group, r, s):
+    """(value, A, B) for the first pair, in A-major lexicographic order over
+    identity-containing subsets, with the least |AB|; |AB| is counted as a
+    set of Cayley entries and every pair is visited."""
+    e = group.identity
+    others = [g for g in range(group.order) if g != e]
+    best = None
+    for a_combo in combinations(others, r - 1):
+        a = (e, *a_combo)
+        for b_combo in combinations(others, s - 1):
+            b = (e, *b_combo)
+            value = len({group.cayley[x][y] for x in a for y in b})
+            if best is None or value < best[0]:
+                best = (value, a, b)
+    return best

@@ -1,14 +1,10 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-Run with `pytest tests/test_acceptance.py -v -s`.  Criterion 9's exhaustive
-order-21 confirmation takes minutes and only runs with RUN_LONG_SEARCHES=1.
+Run with `pytest tests/test_acceptance.py -v -s`.
 """
 
-import os
 import time
 from pathlib import Path
-
-import pytest
 
 from subspace_products.cli import format_table_text, main
 from subspace_products.groups import builtin_group, kappa_group, mu_group_exact, \
@@ -197,9 +193,6 @@ def test_criterion_09_nonabelian_gap():
     _run(9, "order-21 group beats its bound by one", 60.0, check)
 
 
-@pytest.mark.long
-@pytest.mark.skipif(os.environ.get("RUN_LONG_SEARCHES") != "1",
-                    reason="exhaustive order-21 scan; set RUN_LONG_SEARCHES=1")
 def test_criterion_09_long_exhaustive_order21():
     def check():
         g = builtin_group("Z7xZ3semidirect")
@@ -207,7 +200,7 @@ def test_criterion_09_long_exhaustive_order21():
         assert res.exhaustive
         assert res.value == 13
 
-    _run(9, "order-21 exhaustive confirmation", 100000.0, check)
+    _run(9, "order-21 exhaustive confirmation", 30.0, check)
 
 
 def test_criterion_10_infrastructure(field_cache):

@@ -152,6 +152,22 @@ def test_verify_kneser_command(capsys):
     assert sum(res["slack_histogram"].values()) == 200
 
 
+@pytest.mark.parametrize("r, s", [(9, 3), (2, 9)])
+def test_verify_kneser_refuses_dimension_past_n(run_python, r, s):
+    # no 9-dimensional subspace of GF(2^8) exists, so sampling one never ends
+    proc = run_python("-m", "subspace_products.cli", "verify-kneser", "--field", "2^8",
+                      "--r", str(r), "--s", str(s), "--pairs", "1", "--seed", "1")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error:")
+
+
+@pytest.mark.parametrize("r, s, pairs", [(0, 3, 1), (2, 3, -5), (2, 3, 0)])
+def test_verify_kneser_usage_errors(capsys, r, s, pairs):
+    code, out, err = run(capsys, "verify-kneser", "--field", "2^8", "--r", str(r),
+                         "--s", str(s), "--pairs", str(pairs), "--seed", "1")
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
 def test_mu_group_exhaustive(capsys):
     code, rep, _ = run_report(capsys, "mu-group", "--group", "cyclic:6",
                               "--r", "3", "--s", "3", "--exhaustive")
@@ -188,6 +204,9 @@ def test_mu_group_usage_errors(capsys):
     code, _, _ = run(capsys, "mu-group", "--group", "unknown:1",
                      "--r", "2", "--s", "2", "--exhaustive")
     assert code == 2
+    code, out, err = run(capsys, "mu-group", "--group", "cyclic:100000",
+                         "--r", "2", "--s", "2", "--exhaustive")
+    assert code == 2 and out == "" and err.startswith("error: group order")
 
 
 @pytest.mark.parametrize("exc, code, message", [

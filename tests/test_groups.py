@@ -1,5 +1,9 @@
+import time
+import tracemalloc
+
 import pytest
 
+from oracle import mu_group_brute
 from subspace_products.groups import (GroupSpec, builtin_group, group_from_json,
                                       kappa_group, mu_group_exact, mu_group_randomized,
                                       subgroup_orders_of)
@@ -44,6 +48,16 @@ def test_order21_semidirect_structure():
 def test_builtin_unknown_name():
     with pytest.raises(ValueError):
         builtin_group("dihedral:4")
+
+
+def test_builtin_refuses_order_before_building_table():
+    # an order^2 table is never built for an order past MAX_ORDER
+    for name in ("cyclic:100000", "product:1000,1000", "cyclic:0", "product:-2,-3"):
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="group order"):
+            builtin_group(name)
+        assert time.perf_counter() - t0 < 0.1, name
+    assert builtin_group("cyclic:64").order == 64
 
 
 def test_validation_rejects_bad_tables():
@@ -111,6 +125,50 @@ def test_mu_group_exact_budget():
     res = mu_group_exact(z8, 4, 4, budget=5)
     assert res.pairs_examined <= 5
     assert res.value >= 4
+
+
+def test_mu_group_exact_matches_brute_force():
+    groups = [builtin_group(f"cyclic:{n}") for n in range(1, 9)]
+    groups += [builtin_group("product:2,2"), builtin_group("product:2,4")]
+    cells = [(g, r, s) for g in groups
+             for r in range(1, g.order + 1) for s in range(1, g.order + 1)]
+    z21 = builtin_group("Z7xZ3semidirect")
+    cells += [(z21, r, s) for r in range(1, 4) for s in range(1, 4)]
+    for g, r, s in cells:
+        res = mu_group_exact(g, r, s)
+        assert res.exhaustive
+        assert (res.value, res.witness_a, res.witness_b) == mu_group_brute(g, r, s), \
+            (g.name, r, s)
+
+
+def test_mu_group_exact_small_budget_holds_no_b_list():
+    z20 = builtin_group("cyclic:20")
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        res = mu_group_exact(z20, 2, 10, budget=1)
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the first descent to a complete B always finishes: s search nodes
+    assert not res.exhaustive and res.pairs_examined == 10
+    assert len(_product_set(z20, res.witness_a, res.witness_b)) == res.value
+    assert elapsed < 0.05 and peak < 2 ** 20
+
+
+def test_mu_group_exact_budget_reproduces_full_run():
+    # cells whose minimum lies above the floor max(r, s): the search runs out
+    for name, r, s in (("cyclic:8", 3, 3), ("product:2,4", 3, 5), ("Z7xZ3semidirect", 3, 4)):
+        g = builtin_group(name)
+        full = mu_group_exact(g, r, s)
+        assert full.exhaustive and full.value > max(r, s)
+        for budget in (full.pairs_examined, full.pairs_examined + 1):
+            assert mu_group_exact(g, r, s, budget=budget) == full
+        for budget in (1, full.pairs_examined // 2, full.pairs_examined - 1):
+            cut = mu_group_exact(g, r, s, budget=budget)
+            assert not cut.exhaustive and cut.pairs_examined <= max(budget, s)
+            assert cut.value >= full.value
 
 
 def test_mu_group_exact_validates():

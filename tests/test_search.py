@@ -59,6 +59,26 @@ def test_random_subspace_dimension_and_membership(field_cache):
         assert sp.dim == 3
         sp1 = random_subspace(f, 3, rng, containing_one=True)
         assert sp1.dim == 3 and sp1.contains(1)
+    assert random_subspace(f, 0, rng).dim == 0
+    assert random_subspace(f, 8, rng, containing_one=True).dim == 8
+
+
+def test_random_subspace_rejects_impossible_dimensions(run_python):
+    # in a child process: sampling a dimension no subspace has never ends
+    code = """if True:
+        import random
+        from subspace_products.fields import ExtensionField
+        from subspace_products.search import random_subspace
+        f = ExtensionField(2, 4)
+        for r, one in ((5, False), (-1, False), (0, True)):
+            try:
+                random_subspace(f, r, random.Random(0), containing_one=one)
+            except ValueError:
+                continue
+            raise SystemExit(f"no error for r={r}, containing_one={one}")
+    """
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_mu_exact_trivial(field_cache):
