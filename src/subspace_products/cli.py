@@ -3,7 +3,7 @@
 Every command emits a JSON run report (command echo, parameters, seed,
 results, timing) on stdout; kappa-table can emit the raw matrix as text or
 CSV instead.  Exit codes: 0 success, 2 usage, 3 budget exceeded (partial
-result reported) or out of memory, 4 invariant violation.
+result reported), out of memory or interrupted, 4 invariant violation.
 """
 
 from __future__ import annotations
@@ -67,14 +67,14 @@ def _cmd_kappa(args):
 
 
 def _cmd_kappa_table(args):
-    degrees = _degree_set(args)
-    if degrees.n != args.n:
-        raise ValueError("--degrees must come with a matching --n for tables")
+    # Without --degrees, kappa_table refuses a large n before listing its divisors.
+    degrees = _degree_set(args) if args.degrees is not None else None
     table = kappa_table(args.n, degrees)
     if args.format == "text":
         return format_table_text(table), EXIT_OK, None
     if args.format == "csv":
         return "\n".join(",".join(str(v) for v in row) for row in table), EXIT_OK, None
+    degrees = degrees or divisors(args.n)
     return {"n": args.n, "degrees": list(degrees.degrees), "table": table}, EXIT_OK, None
 
 
@@ -316,6 +316,9 @@ def main(argv=None) -> int:
         return EXIT_VIOLATION
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
         return EXIT_BUDGET
     if isinstance(results, str):
         print(results)

@@ -112,8 +112,17 @@ def kappa_rs(r: int, s: int, degrees: AdmissibleDegreeSet) -> KappaResult:
     return kappa(KappaQuery(r, s, degrees))
 
 
+#: Largest n kappa_table accepts: the table has n^2 entries, so n = 1024
+#: already takes seconds and tens of megabytes.
+MAX_TABLE_N = 2048
+
+
 def kappa_table(n: int, degrees: AdmissibleDegreeSet | None = None) -> list[list[int]]:
-    """n x n matrix with entry (r, s) = kappa(r, s); symmetric by construction."""
+    """n x n matrix with entry (r, s) = kappa(r, s); symmetric by construction.
+
+    Raises ValueError for n > MAX_TABLE_N before any work is done."""
+    if n > MAX_TABLE_N:
+        raise ValueError(f"n={n} is past the table limit {MAX_TABLE_N}")
     if degrees is None:
         degrees = divisors(n)
     if degrees.n != n:

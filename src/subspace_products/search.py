@@ -1,11 +1,18 @@
 """Ground-truth minimum of dim<AB> by enumeration of subspace pairs.
 
 Subspaces are enumerated through their RREF profiles (pivot column set plus
-free entries), which visits every subspace exactly once.  The pair search
-normalizes both subspaces to contain 1 -- multiplying A by a^-1 and B by b^-1
-is an F_p-linear bijection that preserves dim<AB> -- and prunes with a proven
+free entries), which visits every subspace exactly once; within a profile
+each basis row takes its values from a precomputed list, and the subspaces
+are the product of those lists.  The pair search normalizes both subspaces
+to contain 1 -- multiplying A by a^-1 and B by b^-1 is an F_p-linear
+bijection that preserves dim<AB> -- and, for each A, walks B depth first
+over its rows: the echelon basis of A*b_0 + ... + A*b_i is shared by every
+B that starts with b_0..b_i, and a prefix whose rank already reaches the
+best value found is skipped with all its completions, since dim<AB> only
+grows with B.  Skipped pairs count as examined, so the value, witnesses and
+pair count are those of a pair-by-pair scan.  The search stops at a proven
 lower bound, so early exit never changes the reported minimum.  When the
-pair count exceeds the budget the run is truncated: it scans the A-major
+pair count exceeds the budget the run is truncated: it decides the A-major
 prefix of `budget` pairs and is exact only if it reaches the proven floor.
 """
 
@@ -37,18 +44,33 @@ def gaussian_binomial(n: int, r: int, p: int) -> int:
     return q
 
 
-def pivot_profiles(n: int, r: int, containing_one: bool = False):
-    """RREF profiles: (pivot columns, free cells).  Each r-dim subspace matches
-    exactly one profile with one assignment of F_p values to the free cells."""
+def _row_tables(field: ExtensionField, r: int, containing_one: bool = False):
+    """Per RREF profile (pivot column set), in profile order: (pivots, rows,
+    sizes).  Each r-dim subspace matches exactly one profile with one
+    assignment of F_p values to its free cells, the non-pivot columns right of
+    each row's pivot; with containing_one, row 0 is the vector 1 itself.
+
+    rows[i] lists the values basis row i takes, pivot bit plus every
+    assignment of its free cells, and sizes[i] = len(rows[i+1]) * ... *
+    len(rows[r-1]) counts the subspaces of the profile that share one choice
+    of rows 0..i.  The profile's subspaces are itertools.product(*rows), in
+    that order."""
+    p, n = field.p, field.n
     for pivots in itertools.combinations(range(n), r):
         if containing_one and pivots[0] != 0:
             continue
-        pivset = set(pivots)
-        free = [(i, j)
-                for i, pi in enumerate(pivots)
-                for j in range(pi + 1, n)
-                if j not in pivset and not (containing_one and i == 0)]
-        yield pivots, free
+        rows = []
+        for i, pi in enumerate(pivots):
+            values = [p ** pi]
+            if not (containing_one and i == 0):
+                for j in range(pi + 1, n):
+                    if j not in pivots:
+                        values = [v + c * p ** j for v in values for c in range(p)]
+            rows.append(values)
+        sizes = [1] * r
+        for i in range(r - 2, -1, -1):
+            sizes[i] = sizes[i + 1] * len(rows[i + 1])
+        yield pivots, rows, sizes
 
 
 def enumerate_subspaces(field: ExtensionField, r: int, containing_one: bool = False):
@@ -61,26 +83,9 @@ def enumerate_subspaces(field: ExtensionField, r: int, containing_one: bool = Fa
     if r == 0:
         yield Subspace(field, (), ())
         return
-    p = field.p
-    if p == 2:
-        for pivots, free in pivot_profiles(n, r, containing_one):
-            base = [1 << pi for pi in pivots]
-            for values in itertools.product((0, 1), repeat=len(free)):
-                rows = base.copy()
-                for (i, j), val in zip(free, values):
-                    if val:
-                        rows[i] |= 1 << j
-                yield Subspace(field, tuple(rows), pivots)
-    else:
-        ppows = [p ** i for i in range(n)]
-        for pivots, free in pivot_profiles(n, r, containing_one):
-            base = [ppows[pi] for pi in pivots]
-            for values in itertools.product(range(p), repeat=len(free)):
-                rows = base.copy()
-                for (i, j), val in zip(free, values):
-                    if val:
-                        rows[i] += val * ppows[j]
-                yield Subspace(field, tuple(rows), pivots)
+    for pivots, rows, _ in _row_tables(field, r, containing_one):
+        for combo in itertools.product(*rows):
+            yield Subspace(field, combo, pivots)
 
 
 def random_subspace(field: ExtensionField, r: int, rng: random.Random,
@@ -97,28 +102,39 @@ def random_subspace(field: ExtensionField, r: int, rng: random.Random,
             return sp
 
 
-def product_dim_capped(field: ExtensionField, arows, brows, cap: int) -> int:
-    """dim of span{a*b} computed incrementally; returns cap as soon as the
-    running rank reaches it (the exact value is only needed below cap)."""
+def _extend(field: ExtensionField, ech, arows, y: int, cap: int):
+    """Insert x*y for each x in arows into a copy of the echelon basis `ech`
+    until its rank reaches cap; returns (new basis, rank).  The rank is exact
+    when below cap.  Over F_2 a basis is a list of bitmask rows, over odd p a
+    pair (coefficient rows, pivot columns); None is the empty basis."""
     mul = field.mul
     if field.p == 2:
-        acc: list[int] = []
-        dim = 0
+        basis = ech.copy() if ech else []
+        rank = len(basis)
         for x in arows:
-            for y in brows:
-                dim += _ech_insert_bits(acc, mul(x, y))
-                if dim >= cap:
-                    return cap
-        return dim
-    coeffs = field.coeffs
-    p = field.p
-    acc2: list[list[int]] = []
-    pivots: list[int] = []
+            if rank >= cap:
+                break
+            rank += _ech_insert_bits(basis, mul(x, y))
+        return basis, rank
+    coeffs, p = field.coeffs, field.p
+    rows, pivots = (ech[0].copy(), ech[1].copy()) if ech else ([], [])
+    rank = len(rows)
     for x in arows:
-        for y in brows:
-            if _ech_insert_modp(acc2, pivots, list(coeffs(mul(x, y))), p) and len(acc2) >= cap:
-                return cap
-    return len(acc2)
+        if rank >= cap:
+            break
+        rank += _ech_insert_modp(rows, pivots, coeffs(mul(x, y)), p)
+    return (rows, pivots), rank
+
+
+def product_dim_capped(field: ExtensionField, arows, brows, cap: int) -> int:
+    """min(dim span{a*b}, cap), built B row by B row; stops as soon as the
+    running rank reaches cap (the exact value is only needed below cap)."""
+    ech, rank = None, 0
+    for y in brows:
+        ech, rank = _extend(field, ech, arows, y, cap)
+        if rank >= cap:
+            return cap
+    return rank
 
 
 @dataclass(frozen=True)
@@ -138,13 +154,39 @@ class MuResult:
     pairs_examined: int
 
 
-# Most subspace rows a scan may hold in memory (the B list, plus the A list
-# when the scan is split across worker processes).
+# Largest scan mu_exact accepts, in subspaces: the B subspaces the budget lets
+# it reach, plus the A list when the scan is split across worker processes.
 MAX_HELD_ROWS = 2 ** 20
 
 
-def _scan(field, a_rows, b_list, floor, budget):
+class _Replayed:
+    """Iterable over `items` that draws each item on first demand and keeps
+    it, so every later pass reuses what earlier passes drew."""
+
+    def __init__(self, items):
+        self._items = iter(items)
+        self._kept: list = []
+
+    def __iter__(self):
+        yield from self._kept
+        for item in self._items:
+            self._kept.append(item)
+            yield item
+
+
+def _scan(field, a_rows, b_tables, floor, budget):
     """First pair, in A-major order, with the least capped product dimension.
+
+    For each A, B is walked depth first over the rows of `b_tables` (from
+    _row_tables), so B's come in enumeration order.  A node at depth i
+    holds the echelon basis of A*b_0 + ... + A*b_i, its parent's basis
+    extended by A*b_i alone, built with cap = the best value found.  Since
+    dim<AB'> only grows with B', a node whose rank reaches that value is
+    skipped with its subtree, and its sizes[i] pairs count as examined:
+    a pair-by-pair scan would have examined and rejected each of them.  The
+    first minimal pair is never skipped, as every prefix of it has rank at
+    most its value, so value, witnesses and the pair count are those of the
+    pair-by-pair scan.
 
     Returns (value, a_rows, b_rows, pairs examined).  Stops as soon as the
     value reaches `floor` or `budget` pairs have been examined."""
@@ -152,13 +194,29 @@ def _scan(field, a_rows, b_list, floor, budget):
     best_a = best_b = None
     processed = 0
     for ar in a_rows:
-        for br in b_list:
-            d = product_dim_capped(field, ar, br, best)
-            processed += 1
-            if d < best:
-                best, best_a, best_b = d, ar, br
-            if best <= floor or processed >= budget:
-                return best, best_a, best_b, processed
+        for _, rows, sizes in b_tables:
+            last = len(rows) - 1
+            path = [0] * len(rows)
+            stack = [(None, iter(rows[0]))]   # (parent's basis, values left for this row)
+            while stack:
+                depth = len(stack) - 1
+                ech, values = stack[-1]
+                y = next(values, 0)       # row values are never 0
+                if not y:
+                    stack.pop()
+                    continue
+                path[depth] = y
+                child, rank = _extend(field, ech, ar, y, best)
+                if rank >= best:
+                    processed += sizes[depth]
+                elif depth < last:
+                    stack.append((child, iter(rows[depth + 1])))
+                    continue
+                else:
+                    processed += 1
+                    best, best_a, best_b = rank, ar, tuple(path)
+                if best <= floor or processed >= budget:
+                    return best, best_a, best_b, min(processed, budget)
     return best, best_a, best_b, processed
 
 
@@ -166,8 +224,10 @@ def _scan(field, a_rows, b_list, floor, budget):
 _W: dict = {}
 
 
-def _init_worker(p, n, modulus, a_list, b_list, floor, budget):
-    _W.update(field=ExtensionField(p, n, modulus), a=a_list, b=b_list,
+def _init_worker(p, n, modulus, a_list, s, canonicalize, floor, budget):
+    field = ExtensionField(p, n, modulus)
+    _W.update(field=field, a=a_list,
+              b=_Replayed(_row_tables(field, s, canonicalize)),
               floor=floor, budget=budget)
 
 
@@ -184,8 +244,8 @@ def mu_exact(field: ExtensionField, r: int, s: int,
     scans the A-major prefix of `budget` pairs and reports exhaustive=True
     only if that prefix reaches the proven floor.  Otherwise the reported
     value is the exact minimum even when floor pruning stops the scan early.
-    Raises ValueError when the scan would hold more than MAX_HELD_ROWS
-    subspaces in memory.
+    Raises ValueError when the scan would reach more than MAX_HELD_ROWS
+    subspaces of B (plus A when parallel).
     """
     opts = options or SearchOptions()
     n, p = field.n, field.p
@@ -209,15 +269,15 @@ def mu_exact(field: ExtensionField, r: int, s: int,
         raise ValueError(f"the scan would hold {held} subspaces, more than "
                          f"{MAX_HELD_ROWS}; lower the budget")
 
-    b_list = [sp.rows for sp in
-              itertools.islice(enumerate_subspaces(field, s, opts.canonicalize),
-                               opts.budget)]
     a_rows = (sp.rows for sp in enumerate_subspaces(field, r, opts.canonicalize))
     if parallel:
         best, best_a, best_b, processed = _scan_parallel(
-            field, list(a_rows), b_list, floor, opts.budget, opts.workers)
+            field, list(a_rows), s, opts.canonicalize, floor, opts.budget,
+            opts.workers)
     else:
-        best, best_a, best_b, processed = _scan(field, a_rows, b_list, floor,
+        # Each profile's row table is built when the first A reaches it.
+        b_tables = _Replayed(_row_tables(field, s, opts.canonicalize))
+        best, best_a, best_b, processed = _scan(field, a_rows, b_tables, floor,
                                                 opts.budget)
     return MuResult(value=best,
                     witness_a=span(field, best_a),
@@ -226,7 +286,7 @@ def mu_exact(field: ExtensionField, r: int, s: int,
                     pairs_examined=processed)
 
 
-def _scan_parallel(field, a_list, b_list, floor, budget, workers):
+def _scan_parallel(field, a_list, s, canonicalize, floor, budget, workers):
     chunk = max(1, -(-len(a_list) // (workers * 4)))
     bounds = [(k, min(k + chunk, len(a_list))) for k in range(0, len(a_list), chunk)]
     best = field.n + 1
@@ -237,8 +297,8 @@ def _scan_parallel(field, a_list, b_list, floor, budget, workers):
     # depend on how many processes the machine can run.
     with ctx.Pool(min(workers, len(bounds), os.cpu_count() or 1),
                   initializer=_init_worker,
-                  initargs=(field.p, field.n, field.modulus, a_list, b_list,
-                            floor, budget)) as pool:
+                  initargs=(field.p, field.n, field.modulus, a_list, s,
+                            canonicalize, floor, budget)) as pool:
         # Consuming chunk results in submission order makes the reduction
         # independent of scheduling.
         for value, ar, br, done in pool.imap(_scan_chunk, bounds):

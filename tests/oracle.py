@@ -8,7 +8,10 @@ that H is a subfield, so it checks the subfield-lattice stabilizer in the
 library independently.
 
 The group subset minimum by a plain double loop, with no pruning and no
-early exit, checks the library's branch-and-bound search.
+early exit, checks the library's branch-and-bound search.  The field minimum
+by a plain double loop over subspace pairs, with full product spans, checks
+the library's depth-first walk over B's rows: its value, witnesses, exact
+flag and pair count.
 """
 
 from bisect import insort
@@ -16,6 +19,7 @@ from itertools import combinations
 
 from subspace_products.linalg import Subspace, _rref_bits, _rref_modp, span, whole_space
 from subspace_products.products import StabilizerReport, product_span
+from subspace_products.search import enumerate_subspaces
 
 
 def left_kernel(field, rows) -> list[int]:
@@ -122,3 +126,22 @@ def mu_group_brute(group, r, s):
             if best is None or value < best[0]:
                 best = (value, a, b)
     return best
+
+
+def mu_field_brute(field, r, s, canonicalize, floor, budget):
+    """(value, A rows, B rows, exhaustive, pairs) for the first pair, in
+    A-major enumeration order, with the least dim<AB>, each pair's product
+    span computed in full.  Stops before the next pair once the value
+    reaches `floor` or `budget` pairs are done; the run is exhaustive when it
+    saw every pair or reached the floor."""
+    value, a_rows, b_rows = field.n + 1, None, None
+    pairs = 0
+    for a in enumerate_subspaces(field, r, canonicalize):
+        for b in enumerate_subspaces(field, s, canonicalize):
+            if value <= floor or pairs == budget:
+                return value, a_rows, b_rows, value <= floor, pairs
+            pairs += 1
+            dim = product_span(a, b).dim
+            if dim < value:
+                value, a_rows, b_rows = dim, a.rows, b.rows
+    return value, a_rows, b_rows, True, pairs

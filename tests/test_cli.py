@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -51,6 +52,18 @@ def test_kappa_table_text_and_csv(capsys):
     assert out.splitlines()[0] == "1,2,3,4"
     code, rep, _ = run_report(capsys, "kappa-table", "--n", "4", "--format", "json")
     assert rep["results"]["table"][0] == [1, 2, 3, 4]
+    assert rep["results"]["degrees"] == [1, 2, 4]
+    code, rep, _ = run_report(capsys, "kappa-table", "--n", "4", "--degrees", "1,4",
+                              "--format", "json")
+    assert rep["results"]["degrees"] == [1, 4] and rep["results"]["table"][1][1] == 3
+
+
+@pytest.mark.parametrize("n", ["100000", str(10 ** 12)])
+def test_kappa_table_refuses_large_n(capsys, n):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "kappa-table", "--n", n)
+    assert time.perf_counter() - t0 < 0.1
+    assert code == 2 and out == "" and err.startswith("error: n=")
 
 
 def test_mu_field_exhaustive(capsys):
@@ -212,7 +225,8 @@ def test_mu_group_usage_errors(capsys):
 @pytest.mark.parametrize("exc, code, message", [
     (AssertionError("rank drifted"), 4, "error: invariant violated: rank drifted"),
     (MemoryError("pair table"), 3, "error: out of memory: pair table"),
-], ids=["assertion", "memory"])
+    (KeyboardInterrupt(), 3, "error: interrupted"),
+], ids=["assertion", "memory", "interrupt"])
 def test_handler_failures_map_to_exit_codes(capsys, monkeypatch, exc, code, message):
     import subspace_products.cli as cli
 

@@ -1,7 +1,10 @@
+import time
+
 import pytest
 
 from subspace_products.kappa import (AdmissibleDegreeSet, INFINITE, KappaQuery,
-                                     divisors, f_h, kappa, kappa_rs, kappa_table)
+                                     MAX_TABLE_N, divisors, f_h, kappa, kappa_rs,
+                                     kappa_table)
 
 
 def test_f_h_with_trivial_degree_is_r_plus_s_minus_1():
@@ -135,6 +138,15 @@ def test_kappa_table_basics():
         t = kappa_table(n)
         assert t[0] == list(range(1, n + 1))
         assert all(t[r][s] == t[s][r] for r in range(n) for s in range(n))
+
+
+def test_kappa_table_refuses_large_n_at_once():
+    # the table has n^2 entries: n = 100000 would run for hours
+    for n in (MAX_TABLE_N + 1, 100000, 10 ** 12):
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="table limit"):
+            kappa_table(n)
+        assert time.perf_counter() - t0 < 0.1
 
 
 def test_kappa_table_degree_mismatch():

@@ -3,9 +3,11 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import subspace_products.search as search
 
+from oracle import mu_field_brute
 from subspace_products.fields import ExtensionField
 from subspace_products.kappa import divisors, kappa_rs
 from subspace_products.products import product_span
@@ -150,8 +152,48 @@ def test_mu_exact_refuses_scans_too_large_to_hold(field_cache):
     with pytest.raises(ValueError, match="would hold"):
         mu_exact(f, 8, 8)
     assert time.perf_counter() - t0 < 1.0
+    # a truncated run builds B's row tables only as far as it walks
+    t0 = time.perf_counter()
     res = mu_exact(f, 8, 8, SearchOptions(budget=1000))
+    assert time.perf_counter() - t0 < 1.0
     assert not res.exhaustive and res.pairs_examined == 1000
+
+
+def _check_against_oracle(f, r, s, canonicalize, use_kappa_floor, budget):
+    floor = kappa_rs(r, s, divisors(f.n)).value if use_kappa_floor else max(r, s)
+    res = mu_exact(f, r, s, SearchOptions(budget=budget, canonicalize=canonicalize,
+                                          use_kappa_floor=use_kappa_floor))
+    got = (res.value, res.witness_a.rows, res.witness_b.rows, res.exhaustive,
+           res.pairs_examined)
+    assert got == mu_field_brute(f, r, s, canonicalize, floor, budget), \
+        (f.p, f.n, r, s, canonicalize, use_kappa_floor, budget)
+
+
+def test_mu_exact_matches_brute_force(field_cache):
+    # the walk skips subtrees; the oracle computes every product span in full
+    cells = [(2, 4, r, s, canon) for r in range(1, 5) for s in range(1, 5)
+             for canon in (True, False)]
+    cells += [(3, 3, r, s, canon) for r in range(1, 4) for s in range(1, 4)
+              for canon in (True, False)]
+    cells += [(2, 5, r, s, True) for r in range(1, 4) for s in range(1, 4)]
+    for p, n, r, s, canon in cells:
+        for use_kappa_floor in (True, False):
+            _check_against_oracle(field_cache(p, n), r, s, canon, use_kappa_floor, 10 ** 9)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_mu_exact_truncated_runs_match_brute_force(field_cache, data):
+    p, n, canon = data.draw(st.sampled_from([(2, 4, True), (2, 4, False), (3, 3, True),
+                                             (3, 3, False), (2, 5, True)]))
+    r = data.draw(st.integers(1, min(n, 3)))
+    s = data.draw(st.integers(1, min(n, 3)))
+    total = 1
+    for k in (r, s):
+        total *= (gaussian_binomial(n - 1, k - 1, p) if canon
+                  else gaussian_binomial(n, k, p))
+    budget = data.draw(st.integers(1, total))
+    _check_against_oracle(field_cache(p, n), r, s, canon, data.draw(st.booleans()), budget)
 
 
 class _FakePool:
