@@ -67,14 +67,12 @@ def _cmd_kappa(args):
 
 
 def _cmd_kappa_table(args):
-    # Without --degrees, kappa_table refuses a large n before listing its divisors.
-    degrees = _degree_set(args) if args.degrees is not None else None
+    degrees = _degree_set(args)
     table = kappa_table(args.n, degrees)
     if args.format == "text":
         return format_table_text(table), EXIT_OK, None
     if args.format == "csv":
         return "\n".join(",".join(str(v) for v in row) for row in table), EXIT_OK, None
-    degrees = degrees or divisors(args.n)
     return {"n": args.n, "degrees": list(degrees.degrees), "table": table}, EXIT_OK, None
 
 

@@ -384,20 +384,6 @@ class ExtensionField:
         p = self.p
         return self.from_coeffs_unchecked([-x % p for x in self.coeffs(a)])
 
-    def sub(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
-        return self.add(a, self.neg(b))
-
-    def scale(self, c: int, a: int) -> int:
-        """Multiply by the base-field scalar c (an int mod p)."""
-        if self.p == 2:
-            return a if c & 1 else 0
-        if self.n == 1:
-            return c * a % self.p
-        p = self.p
-        return self.from_coeffs_unchecked([c * x % p for x in self.coeffs(a)])
-
     def mul(self, a: int, b: int) -> int:
         log = self._log
         if log is not None:

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .fields import prime_factors
+
 #: Sentinel for "infinite extension degree" in AdmissibleDegreeSet.n.
 INFINITE = 0
 
@@ -60,11 +62,14 @@ class AdmissibleDegreeSet:
 
 
 def divisors(n: int) -> AdmissibleDegreeSet:
-    """All divisors of n, as the degree set of a full subfield lattice."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    ds = [d for d in range(1, n + 1) if n % d == 0]
-    return AdmissibleDegreeSet(n=n, degrees=tuple(ds))
+    """All divisors of n, as the degree set of a full subfield lattice, built
+    from the prime factors of n; n must lie below 2^64, where they are exact."""
+    if not 1 <= n < 1 << 64:
+        raise ValueError(f"n={n} must lie in [1, 2^64)")
+    ds = [1]
+    for f in prime_factors(n):
+        ds = [d * f ** e for d in ds for e in range(n.bit_length()) if n % f ** e == 0]
+    return AdmissibleDegreeSet(n=n, degrees=tuple(sorted(ds)))
 
 
 @dataclass(frozen=True)

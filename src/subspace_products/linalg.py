@@ -1,110 +1,94 @@
 """Canonical subspaces of GF(p^n) as F_p-row spaces in reduced row echelon form.
 
 Basis rows are stored as element indices of the ambient field, so a row is
-simultaneously a field element and its coordinate vector.  Over F_2 a row is
-a machine-word bitmask and elimination is XOR; over odd p rows are unpacked
-to residue vectors and eliminated with modular inverses.  Both paths produce
-the same canonical RREF, so two subspaces are equal as sets iff their row
-tuples are identical.
+simultaneously a field element and its coordinate vector.  Elimination keeps
+an echelon basis as a dict from pivot (first nonzero coordinate, scaled to 1)
+to row.  Over F_2 a row is held as the element's bitmask, keyed by its lowest
+set bit; over odd p as its residue vector, keyed by column.  The canonical
+RREF is finished from either the same way, so two subspaces are equal as sets
+iff their row tuples are identical.
 """
 
 from __future__ import annotations
 
-from bisect import insort
+from functools import lru_cache
 
 from .fields import ExtensionField
 
 
-# ----------------------------------------------------------------------------
-# F_2 kernel: rows are ints, pivot = lowest set bit.
-# ----------------------------------------------------------------------------
-
-def _ech_insert_bits(basis: list[int], v: int) -> int:
-    """Reduce v against an ascending-pivot echelon basis; insert the remainder
-    if nonzero.  Returns 1 if the dimension grew, else 0."""
-    for r in basis:
-        if v & (r & -r):
-            v ^= r
-    if not v:
-        return 0
-    insort(basis, v, key=lambda row: row & -row)
-    return 1
-
-
-def _rref_bits(vectors) -> tuple[int, ...]:
-    basis: list[int] = []
-    for v in vectors:
-        _ech_insert_bits(basis, v)
-    for i in range(len(basis) - 1, 0, -1):
-        piv = basis[i] & -basis[i]
-        for j in range(i):
-            if basis[j] & piv:
-                basis[j] ^= basis[i]
-    return tuple(basis)
-
-
-def _reduce_bits(rows, v: int) -> int:
-    for r in rows:
-        if v & (r & -r):
-            v ^= r
+def _same(v: int) -> int:
     return v
 
 
-# ----------------------------------------------------------------------------
-# F_p kernel: rows are lists of residues; pivot entries normalized to 1.
-# ----------------------------------------------------------------------------
-
-def _ech_insert_modp(basis: list[list[int]], pivots: list[int], v: list[int], p: int) -> int:
-    for row, piv in zip(basis, pivots):
-        c = v[piv]
-        if c:
-            v = [(x - c * y) % p for x, y in zip(v, row)]
-    piv = next((j for j, c in enumerate(v) if c), -1)
-    if piv < 0:
-        return 0
-    inv = pow(v[piv], -1, p)
-    v = [x * inv % p for x in v]
-    at = next((k for k, q in enumerate(pivots) if q > piv), len(pivots))
-    basis.insert(at, v)
-    pivots.insert(at, piv)
-    return 1
+def _insert_bits(basis: dict[int, int], v: int) -> int:
+    while v:
+        low = v & -v
+        row = basis.get(low)
+        if row is None:
+            basis[low] = v
+            return 1
+        v ^= row
+    return 0
 
 
-def _rref_modp(vectors, p: int) -> list[list[int]]:
-    basis: list[list[int]] = []
-    pivots: list[int] = []
-    for v in vectors:
-        _ech_insert_modp(basis, pivots, list(v), p)
-    for i in range(len(basis) - 1, 0, -1):
-        piv = pivots[i]
-        for j in range(i):
-            c = basis[j][piv]
+def _reduce_bits(basis: dict[int, int], v: int) -> int:
+    for low, row in basis.items():
+        if v & low:
+            v ^= row
+    return v
+
+
+@lru_cache(maxsize=None)
+def _modp_kernel(p: int):
+    def insert(basis: dict, v) -> int:
+        for j in range(len(v)):
+            c = v[j]
             if c:
-                basis[j] = [(x - c * y) % p for x, y in zip(basis[j], basis[i])]
-    return basis
+                row = basis.get(j)
+                if row is None:
+                    inv = pow(c, -1, p)
+                    basis[j] = [x * inv % p for x in v]
+                    return 1
+                v = [(x - c * y) % p for x, y in zip(v, row)]
+        return 0
+
+    def reduce(basis: dict, v):
+        for j, row in basis.items():
+            c = v[j]
+            if c:
+                v = [(x - c * y) % p for x, y in zip(v, row)]
+        return v
+
+    return insert, reduce
 
 
-def _reduce_modp(rows_coeffs, pivots, v: list[int], p: int) -> list[int]:
-    for row, piv in zip(rows_coeffs, pivots):
-        c = v[piv]
-        if c:
-            v = [(x - c * y) % p for x, y in zip(v, row)]
-    return v
+def echelon_ops(field: ExtensionField) -> tuple:
+    """(vector, element, insert, reduce) for the field's characteristic.
+
+    vector(e) is the form in which a basis holds the element e, and element(v)
+    turns it back.  insert(basis, v) stores v's remainder under its pivot and
+    returns 1, or returns 0 when v lies in the span.  reduce(basis, v)
+    subtracts each row at its pivot, which fully reduces v against a fully
+    reduced basis in any row order."""
+    if field.p == 2:
+        return _same, _same, _insert_bits, _reduce_bits
+    return (field.coeffs, field.from_coeffs_unchecked) + _modp_kernel(field.p)
 
 
 class Subspace:
     """An F_p-subspace of GF(p^n) held by its canonical RREF basis.
 
     Immutable value type: construction goes through span(); rows are element
-    indices sorted by ascending pivot column.
+    indices sorted by ascending pivot column.  The pivot-indexed basis that
+    reduce() works on is built on first use.
     """
 
-    __slots__ = ("field", "rows", "_pivots")
+    __slots__ = ("field", "rows", "_basis")
 
-    def __init__(self, field: ExtensionField, rows: tuple[int, ...], pivots: tuple[int, ...]):
+    def __init__(self, field: ExtensionField, rows: tuple[int, ...]):
         self.field = field
         self.rows = rows
-        self._pivots = pivots
+        self._basis = None
 
     @property
     def dim(self) -> int:
@@ -118,12 +102,13 @@ class Subspace:
 
     def reduce(self, elem: int) -> int:
         """Remainder of an element after reduction against the basis."""
-        f = self.field
-        if f.p == 2:
-            return _reduce_bits(self.rows, elem)
-        v = _reduce_modp([f.coeffs(r) for r in self.rows], self._pivots,
-                         list(f.coeffs(elem)), f.p)
-        return f.from_coeffs_unchecked(v)
+        vector, element, insert, reduce = echelon_ops(self.field)
+        basis = self._basis
+        if basis is None:
+            basis = self._basis = {}
+            for r in self.rows:
+                insert(basis, vector(r))
+        return element(reduce(basis, vector(elem)))
 
     def contains(self, elem: int) -> bool:
         return self.reduce(elem) == 0
@@ -164,24 +149,20 @@ class Subspace:
         return f"Subspace(dim={self.dim} of {self.field!r})"
 
 
-def _pivots_of(field: ExtensionField, rows) -> tuple[int, ...]:
-    if field.p == 2:
-        return tuple((r & -r).bit_length() - 1 for r in rows)
-    out = []
-    for r in rows:
-        cs = field.coeffs(r)
-        out.append(next(j for j, c in enumerate(cs) if c))
-    return tuple(out)
-
-
 def span(field: ExtensionField, elements) -> Subspace:
-    """Canonical RREF span of arbitrary field elements (possibly dependent)."""
-    if field.p == 2:
-        rows = _rref_bits(elements)
-    else:
-        reduced = _rref_modp([list(field.coeffs(e)) for e in elements], field.p)
-        rows = tuple(field.from_coeffs_unchecked(v) for v in reduced)
-    return Subspace(field, rows, _pivots_of(field, rows))
+    """Canonical RREF span of arbitrary field elements (possibly dependent).
+
+    The echelon basis is finished into RREF by reducing each row against the
+    rows already finished, in descending pivot order; the rows are then
+    emitted by ascending pivot."""
+    vector, element, insert, reduce = echelon_ops(field)
+    basis: dict = {}
+    for e in elements:
+        insert(basis, vector(e))
+    done: dict = {}
+    for piv in sorted(basis, reverse=True):
+        done[piv] = reduce(done, basis[piv])
+    return Subspace(field, tuple(element(done[piv]) for piv in sorted(done)))
 
 
 def whole_space(field: ExtensionField) -> Subspace:

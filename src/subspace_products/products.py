@@ -115,8 +115,8 @@ def optimal_pair(field: ExtensionField, r: int, s: int) -> tuple[Subspace, Subsp
 
     a0 = h_span_of_powers(cert.r0)
     b0 = a0 if cert.s0 == cert.r0 else h_span_of_powers(cert.s0)
-    a = Subspace(field, a0.rows[:r], a0._pivots[:r])
-    b = Subspace(field, b0.rows[:s], b0._pivots[:s])
+    a = Subspace(field, a0.rows[:r])
+    b = Subspace(field, b0.rows[:s])
     return a, b, cert
 
 

@@ -27,7 +27,7 @@ from typing import Any
 
 from .fields import ExtensionField
 from .kappa import divisors, kappa_rs
-from .linalg import Subspace, _ech_insert_bits, _ech_insert_modp, span
+from .linalg import Subspace, echelon_ops, span
 
 
 def gaussian_binomial(n: int, r: int, p: int) -> int:
@@ -45,10 +45,10 @@ def gaussian_binomial(n: int, r: int, p: int) -> int:
 
 
 def _row_tables(field: ExtensionField, r: int, containing_one: bool = False):
-    """Per RREF profile (pivot column set), in profile order: (pivots, rows,
-    sizes).  Each r-dim subspace matches exactly one profile with one
-    assignment of F_p values to its free cells, the non-pivot columns right of
-    each row's pivot; with containing_one, row 0 is the vector 1 itself.
+    """Per RREF profile (pivot column set), in profile order: (rows, sizes).
+    Each r-dim subspace matches exactly one profile with one assignment of
+    F_p values to its free cells, the non-pivot columns right of each row's
+    pivot; with containing_one, row 0 is the vector 1 itself.
 
     rows[i] lists the values basis row i takes, pivot bit plus every
     assignment of its free cells, and sizes[i] = len(rows[i+1]) * ... *
@@ -70,7 +70,7 @@ def _row_tables(field: ExtensionField, r: int, containing_one: bool = False):
         sizes = [1] * r
         for i in range(r - 2, -1, -1):
             sizes[i] = sizes[i + 1] * len(rows[i + 1])
-        yield pivots, rows, sizes
+        yield rows, sizes
 
 
 def enumerate_subspaces(field: ExtensionField, r: int, containing_one: bool = False):
@@ -81,11 +81,11 @@ def enumerate_subspaces(field: ExtensionField, r: int, containing_one: bool = Fa
     if r < 0 or r > n:
         raise ValueError(f"r={r} out of range [0, {n}]")
     if r == 0:
-        yield Subspace(field, (), ())
+        yield Subspace(field, ())
         return
-    for pivots, rows, _ in _row_tables(field, r, containing_one):
+    for rows, _ in _row_tables(field, r, containing_one):
         for combo in itertools.product(*rows):
-            yield Subspace(field, combo, pivots)
+            yield Subspace(field, combo)
 
 
 def random_subspace(field: ExtensionField, r: int, rng: random.Random,
@@ -102,36 +102,27 @@ def random_subspace(field: ExtensionField, r: int, rng: random.Random,
             return sp
 
 
-def _extend(field: ExtensionField, ech, arows, y: int, cap: int):
-    """Insert x*y for each x in arows into a copy of the echelon basis `ech`
-    until its rank reaches cap; returns (new basis, rank).  The rank is exact
-    when below cap.  Over F_2 a basis is a list of bitmask rows, over odd p a
-    pair (coefficient rows, pivot columns); None is the empty basis."""
-    mul = field.mul
-    if field.p == 2:
-        basis = ech.copy() if ech else []
-        rank = len(basis)
-        for x in arows:
-            if rank >= cap:
-                break
-            rank += _ech_insert_bits(basis, mul(x, y))
-        return basis, rank
-    coeffs, p = field.coeffs, field.p
-    rows, pivots = (ech[0].copy(), ech[1].copy()) if ech else ([], [])
-    rank = len(rows)
+def _extend(ops, mul, ech, arows, y: int, cap: int):
+    """Insert x*y for each x in arows into a copy of the pivot-indexed echelon
+    basis `ech` (see linalg) until its rank reaches cap; returns (new basis,
+    rank).  The rank is exact when below cap."""
+    vector, _, insert, _ = ops
+    basis = ech.copy()
+    rank = len(basis)
     for x in arows:
         if rank >= cap:
             break
-        rank += _ech_insert_modp(rows, pivots, coeffs(mul(x, y)), p)
-    return (rows, pivots), rank
+        rank += insert(basis, vector(mul(x, y)))
+    return basis, rank
 
 
 def product_dim_capped(field: ExtensionField, arows, brows, cap: int) -> int:
     """min(dim span{a*b}, cap), built B row by B row; stops as soon as the
     running rank reaches cap (the exact value is only needed below cap)."""
-    ech, rank = None, 0
+    ops, mul = echelon_ops(field), field.mul
+    ech, rank = {}, 0
     for y in brows:
-        ech, rank = _extend(field, ech, arows, y, cap)
+        ech, rank = _extend(ops, mul, ech, arows, y, cap)
         if rank >= cap:
             return cap
     return rank
@@ -190,14 +181,15 @@ def _scan(field, a_rows, b_tables, floor, budget):
 
     Returns (value, a_rows, b_rows, pairs examined).  Stops as soon as the
     value reaches `floor` or `budget` pairs have been examined."""
+    ops, mul = echelon_ops(field), field.mul
     best = field.n + 1
     best_a = best_b = None
     processed = 0
     for ar in a_rows:
-        for _, rows, sizes in b_tables:
+        for rows, sizes in b_tables:
             last = len(rows) - 1
             path = [0] * len(rows)
-            stack = [(None, iter(rows[0]))]   # (parent's basis, values left for this row)
+            stack = [({}, iter(rows[0]))]   # (parent's basis, values left for this row)
             while stack:
                 depth = len(stack) - 1
                 ech, values = stack[-1]
@@ -206,7 +198,7 @@ def _scan(field, a_rows, b_tables, floor, budget):
                     stack.pop()
                     continue
                 path[depth] = y
-                child, rank = _extend(field, ech, ar, y, best)
+                child, rank = _extend(ops, mul, ech, ar, y, best)
                 if rank >= best:
                     processed += sizes[depth]
                 elif depth < last:

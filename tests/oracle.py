@@ -12,14 +12,116 @@ early exit, checks the library's branch-and-bound search.  The field minimum
 by a plain double loop over subspace pairs, with full product spans, checks
 the library's depth-first walk over B's rows: its value, witnesses, exact
 flag and pair count.
+
+Row reduction by the list-based elimination the library used before its
+pivot-indexed echelon basis: an ascending-pivot list of rows, kept sorted by
+insertion.  It checks `span` and `Subspace.reduce`, and gives `intersect` an
+elimination that is not the one under test.
 """
 
 from bisect import insort
 from itertools import combinations
 
-from subspace_products.linalg import Subspace, _rref_bits, _rref_modp, span, whole_space
+from subspace_products.linalg import Subspace, span, whole_space
 from subspace_products.products import StabilizerReport, product_span
 from subspace_products.search import enumerate_subspaces
+
+
+# F_2: rows are ints, pivot = lowest set bit.
+
+def _ech_insert_bits(basis: list[int], v: int) -> int:
+    """Reduce v against an ascending-pivot echelon basis; insert the remainder
+    if nonzero.  Returns 1 if the dimension grew, else 0."""
+    for r in basis:
+        if v & (r & -r):
+            v ^= r
+    if not v:
+        return 0
+    insort(basis, v, key=lambda row: row & -row)
+    return 1
+
+
+def _rref_bits(vectors) -> tuple[int, ...]:
+    basis: list[int] = []
+    for v in vectors:
+        _ech_insert_bits(basis, v)
+    for i in range(len(basis) - 1, 0, -1):
+        piv = basis[i] & -basis[i]
+        for j in range(i):
+            if basis[j] & piv:
+                basis[j] ^= basis[i]
+    return tuple(basis)
+
+
+def _reduce_bits(rows, v: int) -> int:
+    for r in rows:
+        if v & (r & -r):
+            v ^= r
+    return v
+
+
+# F_p: rows are lists of residues; pivot entries normalized to 1.
+
+def _ech_insert_modp(basis: list[list[int]], pivots: list[int], v: list[int], p: int) -> int:
+    for row, piv in zip(basis, pivots):
+        c = v[piv]
+        if c:
+            v = [(x - c * y) % p for x, y in zip(v, row)]
+    piv = next((j for j, c in enumerate(v) if c), -1)
+    if piv < 0:
+        return 0
+    inv = pow(v[piv], -1, p)
+    v = [x * inv % p for x in v]
+    at = next((k for k, q in enumerate(pivots) if q > piv), len(pivots))
+    basis.insert(at, v)
+    pivots.insert(at, piv)
+    return 1
+
+
+def _rref_modp(vectors, p: int) -> list[list[int]]:
+    basis: list[list[int]] = []
+    pivots: list[int] = []
+    for v in vectors:
+        _ech_insert_modp(basis, pivots, list(v), p)
+    for i in range(len(basis) - 1, 0, -1):
+        piv = pivots[i]
+        for j in range(i):
+            c = basis[j][piv]
+            if c:
+                basis[j] = [(x - c * y) % p for x, y in zip(basis[j], basis[i])]
+    return basis
+
+
+def _reduce_modp(rows_coeffs, pivots, v: list[int], p: int) -> list[int]:
+    for row, piv in zip(rows_coeffs, pivots):
+        c = v[piv]
+        if c:
+            v = [(x - c * y) % p for x, y in zip(v, row)]
+    return v
+
+
+def rref_rows(field, elements) -> tuple[int, ...]:
+    """Canonical RREF rows of the span of `elements`, as element indices."""
+    if field.p == 2:
+        return _rref_bits(elements)
+    reduced = _rref_modp([list(field.coeffs(e)) for e in elements], field.p)
+    return tuple(field.from_coeffs_unchecked(v) for v in reduced)
+
+
+def reduce_against(field, rows, elem) -> int:
+    """Remainder of elem against canonical RREF rows."""
+    if field.p == 2:
+        return _reduce_bits(rows, elem)
+    coeffs = [field.coeffs(r) for r in rows]
+    pivots = [next(j for j, c in enumerate(cs) if c) for cs in coeffs]
+    v = _reduce_modp(coeffs, pivots, list(field.coeffs(elem)), field.p)
+    return field.from_coeffs_unchecked(v)
+
+
+def scale(field, c, a):
+    """The element a times the base-field scalar c (an int mod p)."""
+    p = field.p
+    return field.from_coeffs_unchecked([c * x % p for x in field.coeffs(a)])
 
 
 def left_kernel(field, rows) -> list[int]:

@@ -42,6 +42,15 @@ def test_kappa_usage_errors(capsys):
     assert code == 2
 
 
+def test_kappa_large_n(capsys):
+    t0 = time.perf_counter()
+    code, rep, _ = run_report(capsys, "kappa", "--n", "1000000000", "--r", "1", "--s", "1")
+    assert time.perf_counter() - t0 < 1
+    assert code == 0 and rep["results"]["value"] == 1 and len(rep["results"]["terms"]) == 100
+    code, out, err = run(capsys, "kappa", "--n", str(2 ** 64), "--r", "1", "--s", "1")
+    assert code == 2 and out == "" and err.startswith("error: n=")
+
+
 def test_kappa_table_text_and_csv(capsys):
     code, out, _ = run(capsys, "kappa-table", "--n", "1")
     assert code == 0 and out == "1\n"

@@ -44,6 +44,28 @@ def test_divisors():
     assert divisors(6).degrees == (1, 2, 3, 6)
 
 
+def test_divisors_match_trial_division():
+    for n in range(1, 2001):
+        assert divisors(n).degrees == tuple(d for d in range(1, n + 1) if n % d == 0), n
+
+
+@pytest.mark.parametrize("n, count", [(2 ** 61 - 1, 2), (10 ** 18, 361),
+                                      (4294967279 * 4294967291, 4)])
+def test_divisors_of_large_n_are_fast(n, count):
+    t0 = time.perf_counter()
+    degrees = divisors(n).degrees
+    assert time.perf_counter() - t0 < 1
+    assert len(degrees) == count and degrees[-1] == n
+    assert all(n % d == 0 for d in degrees)
+
+
+def test_divisors_refuse_n_past_2_64():
+    divisors(2 ** 64 - 1)
+    for n in (2 ** 64, 10 ** 30):
+        with pytest.raises(ValueError, match="2\\^64"):
+            divisors(n)
+
+
 def test_degree_set_validation():
     with pytest.raises(ValueError):
         AdmissibleDegreeSet(n=6, degrees=())

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from oracle import intersect
+from oracle import intersect, reduce_against, rref_rows, scale
 from subspace_products.fields import ExtensionField
 from subspace_products.linalg import Subspace, span, whole_space
 
@@ -14,7 +14,7 @@ def _random_span(field, rng, k):
 def test_span_of_scalar_multiples_is_a_line():
     f = ExtensionField(5, 2)
     v = 7
-    assert span(f, [v, f.scale(2, v), f.scale(3, v)]).dim == 1
+    assert span(f, [v, scale(f, 2, v), scale(f, 3, v)]).dim == 1
 
 
 def test_span_empty_is_zero():
@@ -61,9 +61,35 @@ def test_rref_canonicity_under_generator_mixing(field_cache):
             for _ in range(2):
                 acc = 0
                 for g in gens:
-                    acc = f.add(acc, f.scale(rng.randrange(f.p), g))
+                    acc = f.add(acc, scale(f, rng.randrange(f.p), g))
                 mixed.append(acc)
             assert span(f, mixed) == base
+
+
+# GF(2^40) multiplies carry-less; GF(3^11), GF(7^6) and GF(257^2) are past the
+# coefficient cache, and 257 needs pow(c, -1, p) beyond small residues.
+REFERENCE_FIELDS = ((2, 8), (2, 40), (3, 4), (5, 2), (3, 11), (7, 6), (257, 2))
+
+
+@pytest.mark.parametrize("p, n", REFERENCE_FIELDS)
+def test_span_matches_reference_elimination(field_cache, p, n):
+    f = field_cache(p, n)
+    rng = random.Random(p * 1000 + n)
+    for _ in range(300):
+        gens = [rng.randrange(f.q) for _ in range(rng.randrange(0, n + 3))]
+        if gens and rng.random() < 0.5:
+            # dependent sets: repeats, zero, and combinations of earlier rows
+            acc = 0
+            for g in gens:
+                acc = f.add(acc, scale(f, rng.randrange(p), g))
+            gens += [acc, 0, rng.choice(gens)]
+            rng.shuffle(gens)
+        sp = span(f, gens)
+        assert sp.rows == rref_rows(f, gens), (p, n, gens)
+        probes = gens + [rng.randrange(f.q) for _ in range(3)]
+        for e in probes:
+            assert sp.reduce(e) == reduce_against(f, sp.rows, e), (p, n, gens, e)
+    assert span(f, []).rows == rref_rows(f, []) == ()
 
 
 def test_contains_every_generator(field_cache):
@@ -79,7 +105,7 @@ def test_contains_every_generator(field_cache):
             # elements matches reduction
             acc = 0
             for g in gens:
-                acc = f.add(acc, f.scale(rng.randrange(f.p), g))
+                acc = f.add(acc, scale(f, rng.randrange(f.p), g))
             assert sp.contains(acc)
 
 
