@@ -7,11 +7,9 @@ __version__ = "0.1.0"
 from .kappa import (
     INFINITE,
     AdmissibleDegreeSet,
-    KappaQuery,
     KappaResult,
     divisors,
     f_h,
-    kappa,
     kappa_rs,
     kappa_table,
 )
@@ -19,11 +17,9 @@ from .kappa import (
 __all__ = [
     "INFINITE",
     "AdmissibleDegreeSet",
-    "KappaQuery",
     "KappaResult",
     "divisors",
     "f_h",
-    "kappa",
     "kappa_rs",
     "kappa_table",
     "__version__",

@@ -11,6 +11,7 @@ O(1) on the hot search paths.
 from __future__ import annotations
 
 import random
+from math import gcd
 
 MAX_PRIME = 1 << 16
 MAX_FIELD_SIZE = 1 << 63
@@ -23,7 +24,7 @@ def is_prime(m: int) -> bool:
     """Deterministic Miller-Rabin, exact for everything below 3.3e24."""
     if m < 2:
         return False
-    for sp in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for sp in _MR_WITNESSES:
         if m % sp == 0:
             return m == sp
     d, r = m - 1, 0
@@ -52,15 +53,9 @@ def _pollard_rho(m: int, rng: random.Random) -> int:
             x = (x * x + c) % m
             y = (y * y + c) % m
             y = (y * y + c) % m
-            d = _gcd(abs(x - y), m)
+            d = gcd(x - y, m)
         if d != m:
             return d
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def prime_factors(m: int) -> tuple[int, ...]:
@@ -367,23 +362,6 @@ class ExtensionField:
 
     # -- field operations -------------------------------------------------------
 
-    def add(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
-        if self.n == 1:
-            return (a + b) % self.p
-        p = self.p
-        ca, cb = self.coeffs(a), self.coeffs(b)
-        return self.from_coeffs_unchecked([(x + y) % p for x, y in zip(ca, cb)])
-
-    def neg(self, a: int) -> int:
-        if self.p == 2:
-            return a
-        if self.n == 1:
-            return -a % self.p
-        p = self.p
-        return self.from_coeffs_unchecked([-x % p for x in self.coeffs(a)])
-
     def mul(self, a: int, b: int) -> int:
         log = self._log
         if log is not None:
@@ -418,15 +396,6 @@ class ExtensionField:
         if e < 0:
             return self._pow_raw(self.inv(a), -e)
         return self._pow_raw(a, e)
-
-    def multiplicative_order(self, a: int) -> int:
-        if a == 0:
-            raise ValueError("zero has no multiplicative order")
-        order = self.q - 1
-        for f in prime_factors(order) if order > 1 else ():
-            while order % f == 0 and self.pow(a, order // f) == 1:
-                order //= f
-        return order
 
     def subfield_generator(self, d: int) -> int:
         """Generator of the unique subfield of order p^d (requires d | n)."""

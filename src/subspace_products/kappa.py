@@ -5,6 +5,8 @@ dimensions (r, s) is
 
     kappa(r, s) = min over h in D of (ceil(r/h) + ceil(s/h) - 1) * h.
 
+`kappa_rs(r, s, degrees)` is the one place that evaluates it; `divisors(n)`
+gives D for GF(p^n) over F_p, and `kappa_table` fills the matrix from it.
 Everything here is exact integer arithmetic; ceilings are computed by
 ceiling division, never through floats.
 """
@@ -73,20 +75,6 @@ def divisors(n: int) -> AdmissibleDegreeSet:
 
 
 @dataclass(frozen=True)
-class KappaQuery:
-    r: int
-    s: int
-    degrees: AdmissibleDegreeSet
-
-    def __post_init__(self) -> None:
-        if self.r < 1 or self.s < 1:
-            raise ValueError(f"r and s must be >= 1, got r={self.r}, s={self.s}")
-        n = self.degrees.n
-        if n != INFINITE and (self.r > n or self.s > n):
-            raise ValueError(f"r={self.r}, s={self.s} exceed ambient degree n={n}")
-
-
-@dataclass(frozen=True)
 class KappaResult:
     """Minimum value, the smallest degree h0 attaining it, and the ceilings."""
 
@@ -96,25 +84,24 @@ class KappaResult:
     s0: int
 
 
-def kappa(query: KappaQuery) -> KappaResult:
-    """Minimize f_h over the admissible degrees.
+def kappa_rs(r: int, s: int, degrees: AdmissibleDegreeSet) -> KappaResult:
+    """Minimize f_h over the admissible degrees, for 1 <= r, s (and r, s <= n
+    when n is finite).
 
     Ties are broken toward the smallest minimizing h, so downstream
     constructions land in the cheapest intermediate field.
     """
-    r, s = query.r, query.s
-    best = -1
-    best_h = 0
-    for h in query.degrees.degrees:
+    if r < 1 or s < 1:
+        raise ValueError(f"r and s must be >= 1, got r={r}, s={s}")
+    n = degrees.n
+    if n != INFINITE and (r > n or s > n):
+        raise ValueError(f"r={r}, s={s} exceed ambient degree n={n}")
+    value = h0 = 0
+    for h in degrees.degrees:
         v = f_h(r, s, h)
-        if best < 0 or v < best:
-            best, best_h = v, h
-    return KappaResult(value=best, h0=best_h, r0=_ceil_div(r, best_h), s0=_ceil_div(s, best_h))
-
-
-def kappa_rs(r: int, s: int, degrees: AdmissibleDegreeSet) -> KappaResult:
-    """Shorthand for kappa(KappaQuery(r, s, degrees))."""
-    return kappa(KappaQuery(r, s, degrees))
+        if not value or v < value:
+            value, h0 = v, h
+    return KappaResult(value=value, h0=h0, r0=_ceil_div(r, h0), s0=_ceil_div(s, h0))
 
 
 #: Largest n kappa_table accepts: the table has n^2 entries, so n = 1024

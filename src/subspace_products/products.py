@@ -1,5 +1,11 @@
 """Product spans, stabilizer subfields, the linear Kneser bound, and the
-constructions that realize the minimum dimension exactly."""
+constructions that realize the minimum dimension exactly.
+
+Every subspace the paper builds from a subfield is an H-span of powers,
+`_h_span`: the stabilizer's H, the subfield M of the tower, and the
+witnesses of `optimal_pair`.  `kneser_check` is the one path from a pair
+to its product, the product's stabilizer and the Kneser slack.
+"""
 
 from __future__ import annotations
 
@@ -15,6 +21,23 @@ def _require_nonzero(*spaces: Subspace) -> None:
     for sp in spaces:
         if sp.is_zero():
             raise ValueError("zero subspace is not admissible here")
+
+
+def _h_span(field: ExtensionField, m: int, alpha: int, count: int) -> Subspace:
+    """F_p-span of gamma_m^i * alpha^j for i < m and j < count, where gamma_m
+    generates the subfield H = F_{p^m}: the H-span of 1, alpha, ...,
+    alpha^(count-1).  Each power is one mul from the one before."""
+    mul = field.mul
+    gamma = field.subfield_generator(m)
+    rows = []
+    alpha_j = 1
+    for _ in range(count):
+        x = alpha_j
+        for _ in range(m):
+            rows.append(x)
+            x = mul(x, gamma)
+        alpha_j = mul(alpha_j, alpha)
+    return span(field, rows)
 
 
 def product_span(a: Subspace, b: Subspace) -> Subspace:
@@ -46,13 +69,13 @@ def stabilizer(v: Subspace) -> StabilizerReport:
     _require_nonzero(v)
     field = v.field
     n = field.n
-    degree, gamma = 1, 1
+    degree = 1
     for d in reversed(divisors(gcd(n, v.dim)).degrees[1:]):
         gamma_d = field.subfield_generator(d)
         if all(v.contains(field.mul(gamma_d, w)) for w in v.rows):
-            degree, gamma = d, gamma_d
+            degree = d
             break
-    h = span(field, [field.pow(gamma, i) for i in range(degree)])
+    h = _h_span(field, degree, 1, 1)
     g = h.dim
     verified = h.contains(1) and n % g == 0
     if verified:
@@ -64,7 +87,8 @@ def stabilizer(v: Subspace) -> StabilizerReport:
 
 @dataclass(frozen=True)
 class KneserReport:
-    """dim<AB> against the stabilizer lower bound dim A + dim B - dim H."""
+    """dim<AB> against the stabilizer lower bound dim A + dim B - dim H, with
+    the stabilizer's verification bit."""
 
     dim_a: int
     dim_b: int
@@ -72,15 +96,15 @@ class KneserReport:
     dim_h: int
     slack: int
     holds: bool
+    is_subfield_verified: bool
 
 
 def kneser_check(a: Subspace, b: Subspace) -> KneserReport:
-    _require_nonzero(a, b)
     ab = product_span(a, b)
     st = stabilizer(ab)
     slack = ab.dim - (a.dim + b.dim - st.g)
-    return KneserReport(dim_a=a.dim, dim_b=b.dim, dim_ab=ab.dim, dim_h=st.g,
-                        slack=slack, holds=slack >= 0)
+    return KneserReport(dim_a=a.dim, dim_b=b.dim, dim_ab=ab.dim, dim_h=st.g, slack=slack,
+                        holds=slack >= 0, is_subfield_verified=st.is_subfield_verified)
 
 
 def optimal_pair(field: ExtensionField, r: int, s: int) -> tuple[Subspace, Subspace, KappaResult]:
@@ -96,28 +120,11 @@ def optimal_pair(field: ExtensionField, r: int, s: int) -> tuple[Subspace, Subsp
     if not (1 <= r <= n and 1 <= s <= n):
         raise ValueError(f"r={r}, s={s} must lie in [1, {n}]")
     cert = kappa_rs(r, s, divisors(n))
-    h0 = cert.h0
-    gamma = field.subfield_generator(h0)
-    beta = field.primitive
-
-    def h_span_of_powers(count: int) -> Subspace:
-        rows = []
-        for j in range(count):
-            bj = field.pow(beta, j)
-            gi = 1
-            for _ in range(h0):
-                rows.append(field.mul(gi, bj))
-                gi = field.mul(gi, gamma)
-        sp = span(field, rows)
-        if sp.dim != count * h0:
-            raise AssertionError("H-span of primitive powers has wrong dimension")
-        return sp
-
-    a0 = h_span_of_powers(cert.r0)
-    b0 = a0 if cert.s0 == cert.r0 else h_span_of_powers(cert.s0)
-    a = Subspace(field, a0.rows[:r])
-    b = Subspace(field, b0.rows[:s])
-    return a, b, cert
+    a0 = _h_span(field, cert.h0, field.primitive, cert.r0)
+    b0 = a0 if cert.s0 == cert.r0 else _h_span(field, cert.h0, field.primitive, cert.s0)
+    if a0.dim != cert.r0 * cert.h0 or b0.dim != cert.s0 * cert.h0:
+        raise AssertionError("H-span of primitive powers has wrong dimension")
+    return Subspace(field, a0.rows[:r]), Subspace(field, b0.rows[:s]), cert
 
 
 @dataclass(frozen=True)
@@ -148,21 +155,12 @@ class TowerSpec:
             raise ValueError(f"r={r}, s={s} must lie in [1, {n}]")
         r0 = (r - 1) % m + 1
         s0 = (s - 1) % m + 1
-        q1 = (r - r0) // m
-        q2 = (s - s0) // m
         if alpha is None:
             alpha = field.primitive
-        spec = cls(field=field, m=m, d=d, alpha=alpha, q1=q1, q2=q2, r0=r0, s0=s0)
-        gamma = field.subfield_generator(m)
-        ladder = [field.mul(field.pow(gamma, i), field.pow(alpha, j))
-                  for j in range(d) for i in range(m)]
-        if span(field, ladder).dim != n:
+        if _h_span(field, m, alpha, d).dim != n:
             raise ValueError("alpha does not have degree n/m over the subfield M")
-        return spec
-
-    def subfield(self) -> Subspace:
-        gamma = self.field.subfield_generator(self.m)
-        return span(self.field, [self.field.pow(gamma, i) for i in range(self.m)])
+        return cls(field=field, m=m, d=d, alpha=alpha, q1=(r - r0) // m, q2=(s - s0) // m,
+                   r0=r0, s0=s0)
 
 
 def tower_construction(spec: TowerSpec, a0: Subspace, b0: Subspace) -> tuple[Subspace, Subspace]:
@@ -174,7 +172,7 @@ def tower_construction(spec: TowerSpec, a0: Subspace, b0: Subspace) -> tuple[Sub
     """
     field = spec.field
     _require_nonzero(a0, b0)
-    m_space = spec.subfield()
+    m_space = _h_span(field, spec.m, 1, 1)
     if not (m_space.contains_subspace(a0) and m_space.contains_subspace(b0)):
         raise ValueError("A0 and B0 must be contained in the subfield M")
     if a0.dim != spec.r0 or b0.dim != spec.s0:
@@ -183,17 +181,12 @@ def tower_construction(spec: TowerSpec, a0: Subspace, b0: Subspace) -> tuple[Sub
     if product_span(a0, b0).dim > spec.r0 + spec.s0 - 1:
         raise ValueError("product of A0 and B0 is too large for the lift")
 
-    def lift(base: Subspace, q: int, target_dim: int) -> Subspace:
-        if q == 0:
-            return base
-        rows = [field.mul(g, field.pow(spec.alpha, j))
-                for j in range(q) for g in m_space.rows]
-        rows += [field.mul(x, field.pow(spec.alpha, q)) for x in base.rows]
-        lifted = span(field, rows)
-        if lifted.dim != target_dim:
+    def lift(base: Subspace, q: int) -> Subspace:
+        top = field.pow(spec.alpha, q)
+        lifted = span(field, [*_h_span(field, spec.m, spec.alpha, q).rows,
+                              *(field.mul(x, top) for x in base.rows)])
+        if lifted.dim != q * spec.m + base.dim:
             raise AssertionError("tower lift produced a dependent basis")
         return lifted
 
-    a = lift(a0, spec.q1, spec.q1 * spec.m + spec.r0)
-    b = lift(b0, spec.q2, spec.q2 * spec.m + spec.s0)
-    return a, b
+    return lift(a0, spec.q1), lift(b0, spec.q2)

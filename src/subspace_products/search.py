@@ -48,7 +48,8 @@ def _row_tables(field: ExtensionField, r: int, containing_one: bool = False):
     """Per RREF profile (pivot column set), in profile order: (rows, sizes).
     Each r-dim subspace matches exactly one profile with one assignment of
     F_p values to its free cells, the non-pivot columns right of each row's
-    pivot; with containing_one, row 0 is the vector 1 itself.
+    pivot; with containing_one, row 0 is the vector 1 itself (so r = 0 has
+    no profile).
 
     rows[i] lists the values basis row i takes, pivot bit plus every
     assignment of its free cells, and sizes[i] = len(rows[i+1]) * ... *
@@ -57,7 +58,7 @@ def _row_tables(field: ExtensionField, r: int, containing_one: bool = False):
     that order."""
     p, n = field.p, field.n
     for pivots in itertools.combinations(range(n), r):
-        if containing_one and pivots[0] != 0:
+        if containing_one and pivots[:1] != (0,):
             continue
         rows = []
         for i, pi in enumerate(pivots):
@@ -76,13 +77,11 @@ def _row_tables(field: ExtensionField, r: int, containing_one: bool = False):
 def enumerate_subspaces(field: ExtensionField, r: int, containing_one: bool = False):
     """Yield each r-dimensional subspace exactly once, in deterministic
     profile order.  With containing_one, restrict to subspaces containing 1
-    (the pivot-0 row is then forced to be the vector 1 itself)."""
+    (the pivot-0 row is then forced to be the vector 1 itself, and r = 0
+    yields nothing)."""
     n = field.n
     if r < 0 or r > n:
         raise ValueError(f"r={r} out of range [0, {n}]")
-    if r == 0:
-        yield Subspace(field, ())
-        return
     for rows, _ in _row_tables(field, r, containing_one):
         for combo in itertools.product(*rows):
             yield Subspace(field, combo)

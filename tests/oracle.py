@@ -17,11 +17,15 @@ Row reduction by the list-based elimination the library used before its
 pivot-indexed echelon basis: an ascending-pivot list of rows, kept sorted by
 insertion.  It checks `span` and `Subspace.reduce`, and gives `intersect` an
 elimination that is not the one under test.
+
+Field helpers the library itself does not need: `scale`, `add`, `neg` and
+`multiplicative_order`.
 """
 
 from bisect import insort
 from itertools import combinations
 
+from subspace_products.fields import prime_factors
 from subspace_products.linalg import Subspace, span, whole_space
 from subspace_products.products import StabilizerReport, product_span
 from subspace_products.search import enumerate_subspaces
@@ -122,6 +126,31 @@ def scale(field, c, a):
     """The element a times the base-field scalar c (an int mod p)."""
     p = field.p
     return field.from_coeffs_unchecked([c * x % p for x in field.coeffs(a)])
+
+
+def add(field, a, b):
+    """The sum a + b: XOR over F_2, coordinate-wise mod p otherwise."""
+    if field.p == 2:
+        return a ^ b
+    p = field.p
+    return field.from_coeffs_unchecked([(x + y) % p for x, y in zip(field.coeffs(a),
+                                                                     field.coeffs(b))])
+
+
+def neg(field, a):
+    """The additive inverse -a."""
+    return scale(field, -1, a)
+
+
+def multiplicative_order(field, a):
+    """Least k >= 1 with a^k = 1, found by dividing q - 1 by its prime factors."""
+    if a == 0:
+        raise ValueError("zero has no multiplicative order")
+    order = field.q - 1
+    for f in prime_factors(order) if order > 1 else ():
+        while order % f == 0 and field.pow(a, order // f) == 1:
+            order //= f
+    return order
 
 
 def left_kernel(field, rows) -> list[int]:

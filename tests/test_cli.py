@@ -174,6 +174,25 @@ def test_verify_kneser_command(capsys):
     assert sum(res["slack_histogram"].values()) == 200
 
 
+def test_unverified_stabilizer_fails_construct_and_verify_kneser(capsys, monkeypatch):
+    import dataclasses
+
+    import subspace_products.products as products
+
+    real = products.stabilizer
+    monkeypatch.setattr(products, "stabilizer", lambda v: dataclasses.replace(
+        real(v), is_subfield_verified=False))
+    code, rep, _ = run_report(capsys, "construct", "--field", "3^4", "--r", "3", "--s", "3")
+    res = rep["results"]
+    assert res["achieves_kappa"] and res["kneser"]["holds"]
+    assert code == 4
+    code, rep, _ = run_report(capsys, "verify-kneser", "--field", "2^6",
+                              "--r", "2", "--s", "3", "--pairs", "5", "--seed", "1")
+    assert code == 4
+    assert rep["results"]["subfield_check_failures"] == 5
+    assert rep["results"]["violations"] == 0
+
+
 @pytest.mark.parametrize("r, s", [(9, 3), (2, 9)])
 def test_verify_kneser_refuses_dimension_past_n(run_python, r, s):
     # no 9-dimensional subspace of GF(2^8) exists, so sampling one never ends

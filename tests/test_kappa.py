@@ -2,9 +2,8 @@ import time
 
 import pytest
 
-from subspace_products.kappa import (AdmissibleDegreeSet, INFINITE, KappaQuery,
-                                     MAX_TABLE_N, divisors, f_h, kappa, kappa_rs,
-                                     kappa_table)
+from subspace_products.kappa import (AdmissibleDegreeSet, INFINITE, MAX_TABLE_N, divisors,
+                                     f_h, kappa_rs, kappa_table)
 
 
 def test_f_h_with_trivial_degree_is_r_plus_s_minus_1():
@@ -82,10 +81,16 @@ def test_degree_set_validation():
 def test_query_validation():
     d = divisors(4)
     with pytest.raises(ValueError):
-        KappaQuery(0, 1, d)
+        kappa_rs(0, 1, d)
     with pytest.raises(ValueError):
-        KappaQuery(1, 5, d)
-    KappaQuery(1, 7, AdmissibleDegreeSet(n=INFINITE, degrees=(1,)))
+        kappa_rs(1, 5, d)
+    kappa_rs(1, 7, AdmissibleDegreeSet(n=INFINITE, degrees=(1,)))
+
+
+def test_kappa_module_is_not_shadowed():
+    # the package must not rebind its `kappa` attribute to a function
+    import subspace_products.kappa as k
+    assert k.divisors(6).degrees == (1, 2, 3, 6)
 
 
 def test_kappa_degree_16_spot_values():
@@ -112,7 +117,7 @@ def test_result_invariants():
         degs = divisors(n)
         for r in range(1, n + 1):
             for s in range(1, n + 1):
-                res = kappa(KappaQuery(r, s, degs))
+                res = kappa_rs(r, s, degs)
                 assert res.h0 in degs.degrees
                 assert res.value == f_h(r, s, res.h0)
                 assert res.value % res.h0 == 0

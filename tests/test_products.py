@@ -198,7 +198,7 @@ def test_tower_spec_decomposition(field_cache):
 def test_tower_construction_base_case(field_cache):
     f = field_cache(2, 6)
     spec = TowerSpec.for_dims(f, 2, 2, 2)  # q1 = q2 = 0
-    m = spec.subfield()
+    m = span(f, [1, f.subfield_generator(2)])
     a, b = tower_construction(spec, m, m)
     assert a == m and b == m
 
@@ -220,4 +220,5 @@ def test_tower_construction_validates_inputs(field_cache):
     with pytest.raises(ValueError):
         tower_construction(spec, f8, one_subspace(f))  # F_8 not inside F_4
     with pytest.raises(ValueError):
-        tower_construction(spec, spec.subfield(), one_subspace(f))  # wrong dim
+        tower_construction(spec, span(f, [1, f.subfield_generator(2)]),
+                           one_subspace(f))  # wrong dim

@@ -47,7 +47,7 @@ def test_enumeration_matches_canonical_span(field_cache):
 def test_enumeration_containing_one(field_cache):
     for p, n in ((2, 5), (3, 3)):
         f = field_cache(p, n)
-        for r in range(1, n + 1):
+        for r in range(n + 1):
             subs = list(enumerate_subspaces(f, r, containing_one=True))
             assert len(subs) == gaussian_binomial(n - 1, r - 1, p)
             assert all(sp.contains(1) for sp in subs)
