@@ -19,7 +19,9 @@ insertion.  It checks `span` and `Subspace.reduce`, and gives `intersect` an
 elimination that is not the one under test.
 
 Field helpers the library itself does not need: `scale`, `add`, `neg` and
-`multiplicative_order`.
+`multiplicative_order`.  The field tables as the library first built them:
+coordinates by repeated divmod, and each power of the primitive element by
+one table-free multiplication of the previous power.
 """
 
 from bisect import insort
@@ -151,6 +153,38 @@ def multiplicative_order(field, a):
         while order % f == 0 and field.pow(a, order // f) == 1:
             order //= f
     return order
+
+
+def field_tables(field):
+    """(primitive, exp, log, coordinate cache) of `field`, built with
+    table-free arithmetic.  The primitive element is the least g whose power
+    (q-1)/f differs from 1 for every prime f dividing q - 1.  The exp and
+    log tables exist when q <= 2^16, and the coordinate cache also needs an
+    odd p and n > 1; each is None otherwise."""
+    p, n, q = field.p, field.n, field.q
+    cache = None
+    if p != 2 and n > 1 and q <= 1 << 16:
+        cache = []
+        for v in range(q):
+            cs = []
+            for _ in range(n):
+                v, c = divmod(v, p)
+                cs.append(c)
+            cache.append(tuple(cs))
+        cache = tuple(cache)
+    checks = [(q - 1) // f for f in prime_factors(q - 1)] if q > 2 else []
+    primitive = next(g for g in range(1, q)
+                     if all(field._pow_raw(g, e) != 1 for e in checks))
+    if q > 1 << 16:
+        return primitive, None, None, cache
+    exp = [0] * (q - 1)
+    log = [-1] * q
+    g = 1
+    for k in range(q - 1):
+        exp[k] = g
+        log[g] = k
+        g = field._mul_raw(g, primitive)
+    return primitive, exp, log, cache
 
 
 def left_kernel(field, rows) -> list[int]:

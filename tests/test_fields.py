@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from oracle import add, multiplicative_order, neg
+from oracle import add, field_tables, multiplicative_order, neg
 from subspace_products.fields import (ExtensionField, find_irreducible, is_irreducible,
                                       is_prime, parse_field_spec, parse_modulus,
                                       poly_str, prime_factors)
@@ -144,6 +144,21 @@ def test_primitive_has_full_order():
     for p, n in ((2, 6), (3, 3), (5, 2), (13, 1)):
         f = ExtensionField(p, n)
         assert multiplicative_order(f, f.primitive) == f.q - 1
+
+
+# Odd-p fields with tables (n > 1 and n = 1), one without tables, and F_2 fields.
+TABLE_FIELDS = ((3, 10), (5, 6), (7, 5), (11, 4), (251, 2), (3, 6), (5, 2),
+                (7, 1), (65521, 1), (257, 2), (2, 8), (2, 16))
+
+
+@pytest.mark.parametrize("p, n", TABLE_FIELDS)
+def test_field_tables_match_reference(field_cache, p, n):
+    f = field_cache(p, n)
+    primitive, exp, log, cache = field_tables(f)
+    assert f.primitive == primitive
+    assert f._exp == exp
+    assert f._log == log
+    assert f._coeff_cache == cache
 
 
 def test_subfield_generator_trivial_cases(field_cache):
