@@ -5,11 +5,15 @@ vector (c_0, ..., c_{n-1}) in the power basis 1, x, ..., x^{n-1}.  For p = 2
 the packed index is literally the coefficient bitmask and multiplication is
 carry-less; fields with at most 2^16 elements additionally get discrete
 log/antilog tables keyed to the primitive element, which makes mul/inv/pow
-O(1) on the hot search paths.
+O(1) on the hot search paths.  For odd p and n > 1 the coordinate cache is
+itertools.product over F_p^n, each tuple reversed, and each power of the
+primitive element g is built from the last by multiplication by g as an
+F_p-linear map (`_times`); for p = 2 and n = 1 it is one table-free product.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from math import gcd
 
@@ -247,26 +251,21 @@ class ExtensionField:
         self._mod_mask = sum(1 << i for i, c in enumerate(modulus) if c) if p == 2 else 0
         self._ppows = tuple(p ** i for i in range(n))
         if p != 2 and n > 1 and q <= _TABLE_LIMIT:
-            cache = []
-            for v in range(q):
-                w = v
-                cs = []
-                for _ in range(n):
-                    w, c = divmod(w, p)
-                    cs.append(c)
-                cache.append(tuple(cs))
-            self._coeff_cache: tuple[tuple[int, ...], ...] | None = tuple(cache)
+            self._coeff_cache: tuple[tuple[int, ...], ...] | None = tuple(
+                cs[::-1] for cs in itertools.product(range(p), repeat=n))
         else:
             self._coeff_cache = None
         self.primitive = self._find_primitive()
         if q <= _TABLE_LIMIT:
+            step = (self._times(self.primitive) if self._coeff_cache is not None
+                    else lambda x: self._mul_raw(x, self.primitive))
             exp = [0] * (q - 1)
             log = [-1] * q
             g = 1
             for k in range(q - 1):
                 exp[k] = g
                 log[g] = k
-                g = self._mul_raw(g, self.primitive)
+                g = step(g)
             if g != 1:
                 raise AssertionError("primitive element failed to cycle the unit group")
             self._exp: list[int] | None = exp
@@ -312,6 +311,36 @@ class ExtensionField:
             return _gf2_reduce(_clmul(a, b), self._mod_mask, self.n)
         return self.from_coeffs_unchecked(
             _poly_mul_mod(list(self.coeffs(a)), list(self.coeffs(b)), self.modulus, self.p))
+
+    def _times(self, g: int):
+        """x -> g*x for odd p, an F_p-linear map: lo[v] and hi[v] hold g*v
+        and g*(v*p^h) as coordinates in w-bit lanes of one int, so g*x is two
+        lookups and one sum for the low h and high n-h digits of x.  All lanes
+        are reduced mod p at once (v*m >> k is v // p for each lane value v),
+        and multiplying by sum p^(n-1-j) 2^(jw) sums c_j p^j in lane n-1."""
+        p, n, q = self.p, self.n, self.q
+        top = 2 * (p - 1)
+        k = (top * p).bit_length()
+        m = (1 << k) // p + 1
+        w = max(k + top.bit_length(), (n * q).bit_length())
+        shifts = range(0, n * w, w)
+        quotients = sum(((1 << (w - k)) - 1) << s for s in shifts)
+        gather = sum(pw << s for pw, s in zip(reversed(self._ppows), shifts))
+        at, mask, half = (n - 1) * w, (1 << w) - 1, p ** (n // 2)
+
+        def lanes(v: int) -> int:
+            return sum(c << s for c, s in zip(self.coeffs(self._mul_raw(g, v)), shifts))
+
+        lo = [lanes(v) for v in range(half)]
+        hi = [lanes(v * half) for v in range(q // half)]
+
+        def times(x: int) -> int:
+            h, l = divmod(x, half)
+            acc = lo[l] + hi[h]
+            acc -= p * (acc * m >> k & quotients)
+            return acc * gather >> at & mask
+
+        return times
 
     def _pow_raw(self, a: int, e: int) -> int:
         result = 1

@@ -143,15 +143,6 @@ def kappa_group(r: int, s: int, group: GroupSpec) -> KappaResult:
     return kappa_rs(r, s, group.degree_set())
 
 
-def _product_size(cayley, a_elems, b_elems) -> int:
-    mask = 0
-    for a in a_elems:
-        row = cayley[a]
-        for b in b_elems:
-            mask |= 1 << row[b]
-    return mask.bit_count()
-
-
 def _translate_masks(cayley, a_elems, order) -> list[int]:
     """masks[g] = bitmask of the set A*g."""
     masks = [0] * order
@@ -215,7 +206,12 @@ def mu_group_randomized(group: GroupSpec, r: int, s: int, trials: int,
                         seed: int) -> MuResult:
     """Upper bound on min |AB| from random restarts with steepest-descent
     single-element swaps.  `trials` budgets the total number of |AB|
-    evaluations (restarts plus descent probes); seed-reproducible."""
+    evaluations (restarts plus descent probes); seed-reproducible.
+
+    Before each side's swap sweep, masks[x] is the bitmask of x*B on the A
+    side (a sum of distinct bits, as a Cayley row is a permutation) or of
+    A*x on the B side, so the probe that swaps `out` for `into` is one OR
+    of masks[into] with the masks of the subset without `out`."""
     k = group.order
     if not (1 <= r <= k and 1 <= s <= k):
         raise ValueError(f"r={r}, s={s} must lie in [1, {k}]")
@@ -231,22 +227,24 @@ def mu_group_randomized(group: GroupSpec, r: int, s: int, trials: int,
     while evals < trials:
         a_set = {e, *rng.sample(others, r - 1)}
         b_set = {e, *rng.sample(others, s - 1)}
-        value = _product_size(cayley, a_set, b_set)
+        value = len({cayley[a][b] for a in a_set for b in b_set})
         evals += 1
         improved = True
         while improved and evals < trials:
             improved = False
-            for subset, other_side, a_side in ((a_set, b_set, True),
-                                               (b_set, a_set, False)):
+            for subset, a_side in ((a_set, True), (b_set, False)):
+                masks = ([sum(1 << row[b] for b in b_set) for row in cayley] if a_side
+                         else _translate_masks(cayley, a_set, k))
                 move = None
                 move_value = value
                 for out in sorted(subset - {e}):
+                    rest = 0
+                    for x in subset - {out}:
+                        rest |= masks[x]
                     for into in range(k):
                         if into in subset:
                             continue
-                        trial_set = (subset - {out}) | {into}
-                        v = (_product_size(cayley, trial_set, other_side) if a_side
-                             else _product_size(cayley, other_side, trial_set))
+                        v = (rest | masks[into]).bit_count()
                         evals += 1
                         if v < move_value:
                             move_value, move = v, (out, into)

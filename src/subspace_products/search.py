@@ -75,16 +75,15 @@ def _row_tables(field: ExtensionField, r: int, containing_one: bool = False):
 
 
 def enumerate_subspaces(field: ExtensionField, r: int, containing_one: bool = False):
-    """Yield each r-dimensional subspace exactly once, in deterministic
-    profile order.  With containing_one, restrict to subspaces containing 1
-    (the pivot-0 row is then forced to be the vector 1 itself, and r = 0
-    yields nothing)."""
+    """Iterator over each r-dimensional subspace exactly once, in
+    deterministic profile order; r is checked at the call.  With
+    containing_one, restrict to subspaces containing 1 (the pivot-0 row is
+    then forced to be the vector 1 itself, and r = 0 yields nothing)."""
     n = field.n
     if r < 0 or r > n:
         raise ValueError(f"r={r} out of range [0, {n}]")
-    for rows, _ in _row_tables(field, r, containing_one):
-        for combo in itertools.product(*rows):
-            yield Subspace(field, combo)
+    return (Subspace(field, combo) for rows, _ in _row_tables(field, r, containing_one)
+            for combo in itertools.product(*rows))
 
 
 def random_subspace(field: ExtensionField, r: int, rng: random.Random,
@@ -244,6 +243,8 @@ def mu_exact(field: ExtensionField, r: int, s: int,
         raise ValueError(f"r={r}, s={s} must lie in [1, {n}]")
     if opts.budget < 1:
         raise ValueError("budget must be >= 1")
+    if opts.workers < 1:
+        raise ValueError("workers must be >= 1")
     floor = (kappa_rs(r, s, divisors(n)).value if opts.use_kappa_floor
              else max(r, s))
 

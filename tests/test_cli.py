@@ -103,6 +103,14 @@ def test_mu_field_budget_exit(capsys):
     assert rep["results"]["pairs_examined"] == 4
 
 
+def test_mu_field_refuses_worker_count_below_one(capsys):
+    for workers in ("0", "-2"):
+        code, out, err = run(capsys, "mu-field", "--field", "2^4", "--r", "2", "--s", "2",
+                             "--exhaustive", "--workers", workers)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "workers" in err
+
+
 def test_mu_field_refuses_oversized_scan(capsys):
     code, out, err = run(capsys, "mu-field", "--field", "2^16", "--r", "8", "--s", "8",
                          "--exhaustive")

@@ -161,6 +161,16 @@ def test_field_tables_match_reference(field_cache, p, n):
     assert f._coeff_cache == cache
 
 
+@pytest.mark.parametrize("p, n", [pn for pn in TABLE_FIELDS if pn[0] != 2])
+def test_fixed_multiplier_matches_mul_raw(field_cache, p, n):
+    f = field_cache(p, n)
+    rng = random.Random(p * 100 + n)
+    for g in (f.primitive, rng.randrange(f.q), rng.randrange(f.q)):
+        times = f._times(g)
+        for x in [0, 1, f.q - 1] + [rng.randrange(f.q) for _ in range(497)]:
+            assert times(x) == f._mul_raw(g, x), (g, x)
+
+
 def test_subfield_generator_trivial_cases(field_cache):
     f = field_cache(2, 6)
     assert f.subfield_generator(f.n) == f.primitive

@@ -53,6 +53,13 @@ def test_enumeration_containing_one(field_cache):
             assert all(sp.contains(1) for sp in subs)
 
 
+def test_enumeration_rejects_dimension_at_the_call(field_cache):
+    f = field_cache(2, 4)
+    for r in (-1, 5, 99):
+        with pytest.raises(ValueError, match="out of range"):
+            enumerate_subspaces(f, r)
+
+
 def test_random_subspace_dimension_and_membership(field_cache):
     f = field_cache(2, 8)
     rng = random.Random(9)
@@ -133,6 +140,9 @@ def test_mu_exact_validates_input(field_cache):
         mu_exact(f, 1, 5)
     with pytest.raises(ValueError):
         mu_exact(f, 1, 1, SearchOptions(budget=0))
+    for workers in (0, -3):
+        with pytest.raises(ValueError, match="workers"):
+            mu_exact(f, 1, 1, SearchOptions(workers=workers))
 
 
 def test_mu_exact_worker_determinism(field_cache):
