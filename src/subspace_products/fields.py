@@ -313,11 +313,12 @@ class ExtensionField:
             _poly_mul_mod(list(self.coeffs(a)), list(self.coeffs(b)), self.modulus, self.p))
 
     def _times(self, g: int):
-        """x -> g*x for odd p, an F_p-linear map: lo[v] and hi[v] hold g*v
-        and g*(v*p^h) as coordinates in w-bit lanes of one int, so g*x is two
-        lookups and one sum for the low h and high n-h digits of x.  All lanes
-        are reduced mod p at once (v*m >> k is v // p for each lane value v),
-        and multiplying by sum p^(n-1-j) 2^(jw) sums c_j p^j in lane n-1."""
+        """x -> g*x for odd p, an F_p-linear map.  An element's coordinates
+        sit in w-bit lanes of one int; lo[v] holds those of g*v and hi[v]
+        those of g*(v*half), half = p^(n//2), so g*x is two lookups and one
+        sum.  All lanes are reduced mod p at once (v*m >> k is v // p for
+        every lane value v <= top), and multiplying by sum p^(n-1-j) 2^(jw)
+        gathers the index sum c_j p^j in lane n-1."""
         p, n, q = self.p, self.n, self.q
         top = 2 * (p - 1)
         k = (top * p).bit_length()
@@ -335,8 +336,8 @@ class ExtensionField:
         hi = [lanes(v * half) for v in range(q // half)]
 
         def times(x: int) -> int:
-            h, l = divmod(x, half)
-            acc = lo[l] + hi[h]
+            high, low = divmod(x, half)
+            acc = lo[low] + hi[high]
             acc -= p * (acc * m >> k & quotients)
             return acc * gather >> at & mask
 
