@@ -44,10 +44,6 @@ def _degree_set(args) -> AdmissibleDegreeSet:
     return divisors(args.n)
 
 
-def _subspace_rows(sp: Subspace) -> list[str]:
-    return [",".join(str(c) for c in row) for row in sp.basis_coeffs()]
-
-
 def _seed_of(args) -> int:
     return args.seed if args.seed is not None else secrets.randbits(32)
 
@@ -99,8 +95,8 @@ def _cmd_mu_field(args):
         "value": res.value,
         "exhaustive": res.exhaustive,
         "pairs_examined": res.pairs_examined,
-        "witness_a": _subspace_rows(res.witness_a),
-        "witness_b": _subspace_rows(res.witness_b),
+        "witness_a": res.witness_a.to_text().splitlines(),
+        "witness_b": res.witness_b.to_text().splitlines(),
     }
     code = EXIT_OK if res.exhaustive or not args.exhaustive else EXIT_BUDGET
     return results, code, seed
@@ -116,8 +112,8 @@ def _cmd_construct(args):
         "kappa": {"value": cert.value, "h0": cert.h0, "r0": cert.r0, "s0": cert.s0},
         "dim_ab": report.dim_ab,
         "achieves_kappa": report.dim_ab == cert.value,
-        "witness_a": _subspace_rows(a),
-        "witness_b": _subspace_rows(b),
+        "witness_a": a.to_text().splitlines(),
+        "witness_b": b.to_text().splitlines(),
         "kneser": {"slack": report.slack, "dim_h": report.dim_h, "holds": report.holds},
     }
     ok = results["achieves_kappa"] and report.holds and report.is_subfield_verified
@@ -140,7 +136,7 @@ def _cmd_stabilizer(args):
         "modulus": field.modulus_str(),
         "dim_v": v.dim,
         "g": rep.g,
-        "stabilizer_basis": _subspace_rows(rep.h),
+        "stabilizer_basis": rep.h.to_text().splitlines(),
         "is_subfield_verified": rep.is_subfield_verified,
     }
     return results, EXIT_OK if rep.is_subfield_verified else EXIT_VIOLATION, None
@@ -168,8 +164,8 @@ def _cmd_verify_kneser(args):
         if not report.holds:
             violations += 1
             if first_violation is None:
-                first_violation = {"witness_a": _subspace_rows(a),
-                                   "witness_b": _subspace_rows(b)}
+                first_violation = {"witness_a": a.to_text().splitlines(),
+                                   "witness_b": b.to_text().splitlines()}
     results = {
         "field": field.spec_str(),
         "modulus": field.modulus_str(),

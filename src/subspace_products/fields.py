@@ -357,7 +357,8 @@ class ExtensionField:
     def _find_primitive(self) -> int:
         qm1 = self.q - 1
         checks = [qm1 // f for f in prime_factors(qm1)] if qm1 > 1 else []
-        for g in range(1, self.q):
+        # for n > 1 the indices below p are the prime field, of order dividing p - 1
+        for g in range(self.p if self.n > 1 else 1, self.q):
             if all(self._pow_raw(g, e) != 1 for e in checks):
                 return g
         raise AssertionError("unreachable: the unit group of a finite field is cyclic")

@@ -66,7 +66,11 @@ class GroupSpec:
 
     @classmethod
     def from_cayley(cls, cayley, name: str = "custom") -> "GroupSpec":
-        table = tuple(tuple(int(x) for x in row) for row in cayley)
+        """Validate a list of rows of ints (no bool, float or null) as a group."""
+        if not (isinstance(cayley, list) and all(
+                isinstance(row, list) and all(type(x) is int for x in row) for row in cayley)):
+            raise ValueError("Cayley table must be a list of rows of integers")
+        table = tuple(tuple(row) for row in cayley)
         order = len(table)
         _check_order(order)
         rng = range(order)
@@ -100,6 +104,8 @@ class GroupSpec:
 
 def group_from_json(text: str) -> GroupSpec:
     data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ValueError("group file must hold a JSON object")
     spec = GroupSpec.from_cayley(data["cayley"], name=data.get("name", "custom"))
     if "order" in data and data["order"] != spec.order:
         raise ValueError(f"declared order {data['order']} != table size {spec.order}")

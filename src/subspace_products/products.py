@@ -3,8 +3,10 @@ constructions that realize the minimum dimension exactly.
 
 Every subspace the paper builds from a subfield is an H-span of powers,
 `_h_span`: the stabilizer's H, the subfield M of the tower, and the
-witnesses of `optimal_pair`.  `kneser_check` is the one path from a pair
-to its product, the product's stabilizer and the Kneser slack.
+witnesses of `optimal_pair`.  `tower_construction(field, m, r, s, a0, b0)`
+splits r = q*m + r0, r0 in [1, m], and lifts A0 inside M to A = M*{1, alpha,
+..., alpha^(q-1)} (+) A0*alpha^q over the primitive alpha.  `kneser_check`
+is the one path from a pair to its product, its stabilizer and its slack.
 """
 
 from __future__ import annotations
@@ -90,8 +92,6 @@ class KneserReport:
     """dim<AB> against the stabilizer lower bound dim A + dim B - dim H, with
     the stabilizer's verification bit."""
 
-    dim_a: int
-    dim_b: int
     dim_ab: int
     dim_h: int
     slack: int
@@ -103,8 +103,8 @@ def kneser_check(a: Subspace, b: Subspace) -> KneserReport:
     ab = product_span(a, b)
     st = stabilizer(ab)
     slack = ab.dim - (a.dim + b.dim - st.g)
-    return KneserReport(dim_a=a.dim, dim_b=b.dim, dim_ab=ab.dim, dim_h=st.g, slack=slack,
-                        holds=slack >= 0, is_subfield_verified=st.is_subfield_verified)
+    return KneserReport(dim_ab=ab.dim, dim_h=st.g, slack=slack, holds=slack >= 0,
+                        is_subfield_verified=st.is_subfield_verified)
 
 
 def optimal_pair(field: ExtensionField, r: int, s: int) -> tuple[Subspace, Subspace, KappaResult]:
@@ -127,66 +127,41 @@ def optimal_pair(field: ExtensionField, r: int, s: int) -> tuple[Subspace, Subsp
     return Subspace(field, a0.rows[:r]), Subspace(field, b0.rows[:s]), cert
 
 
-@dataclass(frozen=True)
-class TowerSpec:
-    """Parameters of the two-step construction through a subfield M of degree m.
-
-    r and s decompose as q*m + remainder with remainder in [1, m], and alpha
-    generates the ambient field over M with degree d = n/m.
-    """
-
-    field: ExtensionField
-    m: int
-    d: int
-    alpha: int
-    q1: int
-    q2: int
-    r0: int
-    s0: int
-
-    @classmethod
-    def for_dims(cls, field: ExtensionField, m: int, r: int, s: int,
-                 alpha: int | None = None) -> "TowerSpec":
-        n = field.n
-        if m < 1 or n % m != 0:
-            raise ValueError(f"m={m} does not divide n={n}")
-        d = n // m
-        if not (1 <= r <= n and 1 <= s <= n):
-            raise ValueError(f"r={r}, s={s} must lie in [1, {n}]")
-        r0 = (r - 1) % m + 1
-        s0 = (s - 1) % m + 1
-        if alpha is None:
-            alpha = field.primitive
-        if _h_span(field, m, alpha, d).dim != n:
-            raise ValueError("alpha does not have degree n/m over the subfield M")
-        return cls(field=field, m=m, d=d, alpha=alpha, q1=(r - r0) // m, q2=(s - s0) // m,
-                   r0=r0, s0=s0)
-
-
-def tower_construction(spec: TowerSpec, a0: Subspace, b0: Subspace) -> tuple[Subspace, Subspace]:
-    """Lift small witnesses from the subfield M up the tower:
+def tower_construction(field: ExtensionField, m: int, r: int, s: int,
+                       a0: Subspace, b0: Subspace) -> tuple[Subspace, Subspace]:
+    """Lift A0 and B0 inside the subfield M of degree m to dimensions r and s:
 
         A = M * {1, alpha, ..., alpha^(q1-1)}  (+)  A0 * alpha^q1
 
-    (and likewise for B), which keeps dim<AB> <= r + s - 1.
+    with r = q1*m + r0, r0 = dim A0 in [1, m], and alpha the primitive element
+    (degree n/m over M); likewise B.  Keeps dim<AB> <= r + s - 1 when
+    dim<A0B0> <= r0 + s0 - 1.
     """
-    field = spec.field
+    n = field.n
+    if m < 1 or n % m != 0:
+        raise ValueError(f"m={m} does not divide n={n}")
+    if not (1 <= r <= n and 1 <= s <= n):
+        raise ValueError(f"r={r}, s={s} must lie in [1, {n}]")
+    r0 = (r - 1) % m + 1
+    s0 = (s - 1) % m + 1
     _require_nonzero(a0, b0)
-    m_space = _h_span(field, spec.m, 1, 1)
+    m_space = _h_span(field, m, 1, 1)
     if not (m_space.contains_subspace(a0) and m_space.contains_subspace(b0)):
         raise ValueError("A0 and B0 must be contained in the subfield M")
-    if a0.dim != spec.r0 or b0.dim != spec.s0:
+    if a0.dim != r0 or b0.dim != s0:
         raise ValueError(f"A0/B0 dimensions ({a0.dim}, {b0.dim}) do not match "
-                         f"the spec remainders ({spec.r0}, {spec.s0})")
-    if product_span(a0, b0).dim > spec.r0 + spec.s0 - 1:
+                         f"the remainders ({r0}, {s0})")
+    if product_span(a0, b0).dim > r0 + s0 - 1:
         raise ValueError("product of A0 and B0 is too large for the lift")
+    alpha = field.primitive
 
-    def lift(base: Subspace, q: int) -> Subspace:
-        top = field.pow(spec.alpha, q)
-        lifted = span(field, [*_h_span(field, spec.m, spec.alpha, q).rows,
+    def lift(base: Subspace, dim: int) -> Subspace:
+        q = (dim - base.dim) // m
+        top = field.pow(alpha, q)
+        lifted = span(field, [*_h_span(field, m, alpha, q).rows,
                               *(field.mul(x, top) for x in base.rows)])
-        if lifted.dim != q * spec.m + base.dim:
+        if lifted.dim != dim:
             raise AssertionError("tower lift produced a dependent basis")
         return lifted
 
-    return lift(a0, spec.q1), lift(b0, spec.q2)
+    return lift(a0, r), lift(b0, s)

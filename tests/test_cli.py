@@ -170,6 +170,9 @@ def test_stabilizer_malformed_file(capsys, tmp_path):
     code, _, err = run(capsys, "stabilizer", "--field", "2^4",
                        "--subspace", str(tmp_path / "missing.txt"))
     assert code == 2
+    path.write_text("0,0,0,0\n0,0,0,0\n")
+    code, out, err = run(capsys, "stabilizer", "--field", "2^4", "--subspace", str(path))
+    assert code == 2 and out == "" and err.startswith("error: subspace file describes the zero")
 
 
 def test_verify_kneser_command(capsys):
@@ -256,6 +259,31 @@ def test_mu_group_usage_errors(capsys):
     code, out, err = run(capsys, "mu-group", "--group", "cyclic:100000",
                          "--r", "2", "--s", "2", "--exhaustive")
     assert code == 2 and out == "" and err.startswith("error: group order")
+    for extra, message in [(("--exhaustive", "--trials", "5"), "choose exactly one"),
+                           (("--exhaustive", "--budget", "0"), "budget"),
+                           (("--trials", "0"), "trials")]:
+        code, out, err = run(capsys, "mu-group", "--group", "cyclic:6",
+                             "--r", "2", "--s", "2", *extra)
+        assert code == 2 and out == "" and err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize("content, message", [
+    ('{"cayley": 5}', "list of rows of integers"),
+    ("[1, 2]", "JSON object"),
+    ('{"cayley": [[null]]}', "list of rows of integers"),
+    ('{"cayley": [[0.5]]}', "list of rows of integers"),
+    (None, "cannot read group file"),
+    ("{cayley", "malformed group file"),
+    ('{"identity": 1, "cayley": [[0, 1], [1, 0]]}', "declared identity"),
+], ids=["cayley-int", "top-level-list", "null-entry", "float-entry", "unreadable",
+        "not-json", "wrong-identity"])
+def test_mu_group_rejects_bad_group_file(capsys, tmp_path, content, message):
+    path = tmp_path / "group.json"
+    if content is not None:
+        path.write_text(content)
+    code, out, err = run(capsys, "mu-group", "--group-file", str(path),
+                         "--r", "1", "--s", "1", "--exhaustive")
+    assert code == 2 and out == "" and err.startswith("error:") and message in err
 
 
 @pytest.mark.parametrize("exc, code, message", [

@@ -16,7 +16,7 @@ import pathlib
 
 from subspace_products.fields import ExtensionField
 from subspace_products.linalg import span
-from subspace_products.products import TowerSpec, optimal_pair, tower_construction
+from subspace_products.products import optimal_pair, tower_construction
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "construct_golden.json"
 
@@ -46,11 +46,10 @@ def compute(fields, case):
         return [list(case), list(a.rows), list(b.rows),
                 [cert.value, cert.h0, cert.r0, cert.s0]]
     m, r, s = dims
-    spec = TowerSpec.for_dims(f, m, r, s)
     gamma = f.subfield_generator(m)
-    a0 = span(f, [f.pow(gamma, i) for i in range(spec.r0)])
-    b0 = span(f, [f.pow(gamma, i) for i in range(spec.s0)])
-    a, b = tower_construction(spec, a0, b0)
+    a0 = span(f, [f.pow(gamma, i) for i in range((r - 1) % m + 1)])
+    b0 = span(f, [f.pow(gamma, i) for i in range((s - 1) % m + 1)])
+    a, b = tower_construction(f, m, r, s, a0, b0)
     return [list(case), list(a.rows), list(b.rows)]
 
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -138,6 +139,13 @@ def test_primitive_known_values(field_cache):
     assert ExtensionField(2, 1).primitive == 1
     assert field_cache(2, 4).primitive == 2          # x has order 15
     assert ExtensionField(7, 1).primitive == 3       # least primitive root mod 7
+    for (p, n), g in {(251, 2): 256, (257, 2): 259, (65521, 3): 65526, (3, 10): 34,
+                      (2, 62): 2, (65521, 1): 17}.items():
+        assert ExtensionField(p, n).primitive == g, (p, n)
+    # the prime field holds no primitive element, so its p - 1 indices are skipped
+    t0 = time.perf_counter()
+    assert ExtensionField(65521, 2).primitive == 65533
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_primitive_has_full_order():

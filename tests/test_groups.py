@@ -71,6 +71,9 @@ def test_validation_rejects_bad_tables():
         GroupSpec.from_cayley(NONASSOC_LOOP)
     with pytest.raises(ValueError):
         GroupSpec.from_cayley([[0, 1]])              # not square
+    for table in (5, [[0.5]], [[None]], [[True, False], [False, True]], ((0,),), [(0,)]):
+        with pytest.raises(ValueError, match="list of rows of integers"):
+            GroupSpec.from_cayley(table)
 
 
 def test_subgroup_orders_sanity():
@@ -177,6 +180,10 @@ def test_mu_group_exact_validates():
         mu_group_exact(z4, 0, 1)
     with pytest.raises(ValueError):
         mu_group_exact(z4, 1, 5)
+    for r, s, trials, message in [(0, 1, 1, "must lie in"), (1, 5, 1, "must lie in"),
+                                  (2, 2, 0, "trials")]:
+        with pytest.raises(ValueError, match=message):
+            mu_group_randomized(z4, r, s, trials, seed=0)
 
 
 def test_mu_group_randomized_deterministic_and_bounded():

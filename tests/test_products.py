@@ -5,8 +5,8 @@ import pytest
 from subspace_products.fields import ExtensionField
 from subspace_products.kappa import divisors, kappa_rs
 from subspace_products.linalg import one_subspace, span, whole_space
-from subspace_products.products import (TowerSpec, kneser_check, optimal_pair,
-                                        product_span, stabilizer, tower_construction)
+from subspace_products.products import (kneser_check, optimal_pair, product_span,
+                                        stabilizer, tower_construction)
 
 
 def _random_nonzero_span(field, rng, k):
@@ -183,42 +183,63 @@ def test_optimal_pair_range_errors(field_cache):
 
 
 def test_tower_spec_decomposition(field_cache):
+    # r = q*m + r0 with r0 in [1, m]: over m = 2, (5, 3) takes 1-dimensional
+    # A0 and B0 and (6, 4) takes 2-dimensional ones
     f = field_cache(2, 6)
-    spec = TowerSpec.for_dims(f, 2, 5, 3)
-    assert (spec.q1, spec.r0) == (2, 1)
-    assert (spec.q2, spec.s0) == (1, 1)
-    assert spec.d == 3
-    spec = TowerSpec.for_dims(f, 2, 6, 4)
-    assert (spec.q1, spec.r0) == (2, 2)
-    assert (spec.q2, spec.s0) == (1, 2)
-    with pytest.raises(ValueError):
-        TowerSpec.for_dims(f, 4, 2, 2)
+    one = one_subspace(f)
+    m = span(f, [1, f.subfield_generator(2)])
+    a, b = tower_construction(f, 2, 5, 3, one, one)
+    assert (a.dim, b.dim) == (5, 3)
+    a, b = tower_construction(f, 2, 6, 4, m, m)
+    assert (a.dim, b.dim) == (6, 4)
+    with pytest.raises(ValueError, match="does not divide"):
+        tower_construction(f, 4, 2, 2, one, one)
 
 
 def test_tower_construction_base_case(field_cache):
     f = field_cache(2, 6)
-    spec = TowerSpec.for_dims(f, 2, 2, 2)  # q1 = q2 = 0
     m = span(f, [1, f.subfield_generator(2)])
-    a, b = tower_construction(spec, m, m)
+    a, b = tower_construction(f, 2, 2, 2, m, m)  # q1 = q2 = 0
     assert a == m and b == m
 
 
 def test_tower_construction_example(field_cache):
     f = field_cache(2, 6)
-    spec = TowerSpec.for_dims(f, 2, 5, 3)
     a0 = one_subspace(f)
     b0 = one_subspace(f)
-    a, b = tower_construction(spec, a0, b0)
+    a, b = tower_construction(f, 2, 5, 3, a0, b0)
     assert a.dim == 5 and b.dim == 3
 
 
 def test_tower_construction_validates_inputs(field_cache):
     f = field_cache(2, 6)
-    spec = TowerSpec.for_dims(f, 2, 5, 3)
+    one = one_subspace(f)
+    zero = span(f, [])
+    m = span(f, [1, f.subfield_generator(2)])
     g3 = f.subfield_generator(3)
     f8 = span(f, [f.pow(g3, i) for i in range(3)])
-    with pytest.raises(ValueError):
-        tower_construction(spec, f8, one_subspace(f))  # F_8 not inside F_4
-    with pytest.raises(ValueError):
-        tower_construction(spec, span(f, [1, f.subfield_generator(2)]),
-                           one_subspace(f))  # wrong dim
+    for args, message in [
+        ((4, 5, 3, one, one), "does not divide"),
+        ((0, 5, 3, one, one), "does not divide"),
+        ((2, 0, 3, one, one), "must lie in"),
+        ((2, 5, 7, one, one), "must lie in"),
+        ((2, 5, 3, zero, one), "zero subspace"),
+        ((2, 5, 3, one, zero), "zero subspace"),
+        ((2, 5, 3, f8, one), "contained in the subfield M"),  # F_8 not inside F_4
+        ((2, 5, 3, one, f8), "contained in the subfield M"),
+        ((2, 5, 3, m, one), "do not match"),
+        ((2, 5, 3, one, m), "do not match"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            tower_construction(f, *args)
+    # inside M = F_16 of GF(2^8), {1, gamma} * {1, gamma^2} spans all of M
+    f256 = field_cache(2, 8)
+    gamma = f256.subfield_generator(4)
+    with pytest.raises(ValueError, match="too large"):
+        tower_construction(f256, 4, 2, 2, span(f256, [1, gamma]),
+                           span(f256, [1, f256.mul(gamma, gamma)]))
+    # a lift over an element of degree 1 over M, not n/m = 3, is dependent
+    low = ExtensionField(2, 6)
+    low.primitive = low.subfield_generator(2)
+    with pytest.raises(AssertionError, match="dependent basis"):
+        tower_construction(low, 2, 5, 3, one_subspace(low), one_subspace(low))

@@ -272,3 +272,7 @@ def test_mu_randomized_single_trial_bounds(field_cache):
     f = field_cache(2, 4)
     res = mu_randomized(f, 2, 2, 1, seed=0)
     assert res.value <= f.n
+    for r, s, trials, message in [(0, 2, 1, "must lie in"), (2, 5, 1, "must lie in"),
+                                  (2, 2, 0, "trials")]:
+        with pytest.raises(ValueError, match=message):
+            mu_randomized(f, r, s, trials, seed=0)
