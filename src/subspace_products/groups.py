@@ -106,6 +106,10 @@ def group_from_json(text: str) -> GroupSpec:
     data = json.loads(text)
     if not isinstance(data, dict):
         raise ValueError("group file must hold a JSON object")
+    for key, kind in (("name", str), ("order", int), ("identity", int)):
+        if key in data and type(data[key]) is not kind:
+            raise ValueError(f"group file {key!r} must be of type {kind.__name__}, "
+                             f"got {type(data[key]).__name__}")
     spec = GroupSpec.from_cayley(data["cayley"], name=data.get("name", "custom"))
     if "order" in data and data["order"] != spec.order:
         raise ValueError(f"declared order {data['order']} != table size {spec.order}")

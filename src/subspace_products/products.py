@@ -1,8 +1,8 @@
 """Product spans, stabilizer subfields, the linear Kneser bound, and the
 constructions that realize the minimum dimension exactly.
 
-Every subspace the paper builds from a subfield is an H-span of powers,
-`_h_span`: the stabilizer's H, the subfield M of the tower, and the
+H-spans of powers, `_h_span`, build the stabilizer's H, the tower's M (both
+from `_subfield`, closure-checked once per field and degree) and the
 witnesses of `optimal_pair`.  `tower_construction(field, m, r, s, a0, b0)`
 splits r = q*m + r0, r0 in [1, m], and lifts A0 inside M to A = M*{1, alpha,
 ..., alpha^(q-1)} (+) A0*alpha^q over the primitive alpha.  `kneser_check`
@@ -42,6 +42,20 @@ def _h_span(field: ExtensionField, m: int, alpha: int, count: int) -> Subspace:
     return span(field, rows)
 
 
+_SUBFIELDS: dict[tuple, tuple[tuple[int, ...], bool]] = {}
+
+
+def _subfield(field: ExtensionField, d: int) -> tuple[Subspace, bool]:
+    """F_{p^d} with its V-free checks: 1 in H, dim H | n, x*y in H for all rows.
+    Memoized on (p, n, modulus, d), which fix H, as ints only: no field is kept."""
+    key = (field.p, field.n, field.modulus, d)
+    if key not in _SUBFIELDS:
+        h = _h_span(field, d, 1, 1)
+        _SUBFIELDS[key] = (h.rows, h.contains(1) and field.n % h.dim == 0 and all(
+            h.contains(field.mul(x, y)) for x in h.rows for y in h.rows))
+    return Subspace(field, _SUBFIELDS[key][0]), _SUBFIELDS[key][1]
+
+
 def product_span(a: Subspace, b: Subspace) -> Subspace:
     """Span of all pairwise products; basis products suffice by bilinearity."""
     _require_nonzero(a, b)
@@ -63,28 +77,22 @@ class StabilizerReport:
 def stabilizer(v: Subspace) -> StabilizerReport:
     """Compute H = {x : x*V in V} from the subfield lattice.
 
-    H is a subfield F_{p^g} and V is an H-space, so g | gcd(n, dim V).  The
-    subfield F_{p^d} = F_p[gamma_d] lies in H iff gamma_d*w is in V for every
-    basis row w; the d that pass are exactly the divisors of g, so g is the
-    largest divisor of gcd(n, dim V) that passes.
+    H = F_{p^g} is a subfield and V an H-space, so g | gcd(n, dim V); F_{p^d} =
+    F_p[gamma_d] lies in H iff gamma_d*w is in V for every row w, so g is the
+    largest such d that passes.  `_subfield` gives H and its closure check once
+    per field and degree; H*V = V is checked on every call.
     """
     _require_nonzero(v)
     field = v.field
-    n = field.n
     degree = 1
-    for d in reversed(divisors(gcd(n, v.dim)).degrees[1:]):
+    for d in reversed(divisors(gcd(field.n, v.dim)).degrees[1:]):
         gamma_d = field.subfield_generator(d)
         if all(v.contains(field.mul(gamma_d, w)) for w in v.rows):
             degree = d
             break
-    h = _h_span(field, degree, 1, 1)
-    g = h.dim
-    verified = h.contains(1) and n % g == 0
-    if verified:
-        verified = all(h.contains(field.mul(x, y)) for x in h.rows for y in h.rows)
-    if verified:
-        verified = product_span(h, v) == v
-    return StabilizerReport(h=h, g=g, is_subfield_verified=verified)
+    h, verified = _subfield(field, degree)
+    verified = verified and product_span(h, v) == v
+    return StabilizerReport(h=h, g=h.dim, is_subfield_verified=verified)
 
 
 @dataclass(frozen=True)
@@ -145,7 +153,7 @@ def tower_construction(field: ExtensionField, m: int, r: int, s: int,
     r0 = (r - 1) % m + 1
     s0 = (s - 1) % m + 1
     _require_nonzero(a0, b0)
-    m_space = _h_span(field, m, 1, 1)
+    m_space, _ = _subfield(field, m)
     if not (m_space.contains_subspace(a0) and m_space.contains_subspace(b0)):
         raise ValueError("A0 and B0 must be contained in the subfield M")
     if a0.dim != r0 or b0.dim != s0:

@@ -131,7 +131,7 @@ def test_criterion_05_kneser_property_suite(field_cache):
                 assert st.is_subfield_verified, (p, n)
                 assert ab.dim >= a.dim + b.dim - st.g, (p, n)
 
-    _run(5, "stabilizer bound never violated", 60.0, check)
+    _run(5, "stabilizer bound never violated", 30.0, check)
 
 
 def test_criterion_06_tower_construction(field_cache):

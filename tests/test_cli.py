@@ -275,8 +275,14 @@ def test_mu_group_usage_errors(capsys):
     (None, "cannot read group file"),
     ("{cayley", "malformed group file"),
     ('{"identity": 1, "cayley": [[0, 1], [1, 0]]}', "declared identity"),
+    ('{"name": 5, "cayley": [[0]]}', "'name' must be of type str"),
+    ('{"name": [1], "cayley": [[0]]}', "'name' must be of type str"),
+    ('{"cayley": [[0]], "order": 1.0, "identity": false}', "'order' must be of type int"),
+    ('{"cayley": [[0]], "order": true}', "'order' must be of type int"),
+    ('{"cayley": [[0]], "identity": false}', "'identity' must be of type int"),
 ], ids=["cayley-int", "top-level-list", "null-entry", "float-entry", "unreadable",
-        "not-json", "wrong-identity"])
+        "not-json", "wrong-identity", "int-name", "list-name", "float-order",
+        "bool-order", "bool-identity"])
 def test_mu_group_rejects_bad_group_file(capsys, tmp_path, content, message):
     path = tmp_path / "group.json"
     if content is not None:

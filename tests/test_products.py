@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from oracle import stabilizer_oracle
+from subspace_products import products
 from subspace_products.fields import ExtensionField
 from subspace_products.kappa import divisors, kappa_rs
 from subspace_products.linalg import one_subspace, span, whole_space
@@ -124,6 +126,62 @@ def test_stabilizer_without_log_tables(field_cache):
         assert st.g % 8 == 0 and 40 % st.g == 0 and st.is_subfield_verified
         gamma = f.subfield_generator(st.g)
         assert st.h == span(f, [f.pow(gamma, i) for i in range(st.g)])
+
+
+def _report(st):
+    return st.h.rows, st.g, st.is_subfield_verified
+
+
+def test_subfield_memo_keeps_moduli_apart(monkeypatch):
+    # Two moduli of GF(2^6) give the same subfields as sets but different
+    # element indices; a memo keyed without the modulus would mix them up.
+    monkeypatch.setattr(products, "_SUBFIELDS", {})
+    f1 = ExtensionField(2, 6, (1, 1, 0, 0, 0, 0, 1))
+    f2 = ExtensionField(2, 6, (1, 0, 0, 0, 0, 1, 1))
+    for d in (2, 3):
+        assert products._subfield(f1, d)[0].rows != products._subfield(f2, d)[0].rows
+    for f in (f1, f2, f1, f2):
+        for d in (2, 3):
+            gamma = f.subfield_generator(d)
+            sub = span(f, [f.pow(gamma, i) for i in range(d)])
+            assert _report(stabilizer(sub)) == (sub.rows, d, True)
+            assert _report(stabilizer(sub)) == _report(stabilizer_oracle(sub))
+    rng = random.Random(12)
+    for _ in range(40):
+        for f in (f1, f2):
+            # spans closed under F_4 or F_8 have a proper stabilizer
+            rows = [rng.randrange(1, f.q) for _ in range(rng.randrange(1, 4))]
+            gamma = f.subfield_generator(rng.choice((1, 2, 3)))
+            v = span(f, rows + [f.mul(gamma, x) for x in rows])
+            assert _report(stabilizer(v)) == _report(stabilizer_oracle(v))
+
+
+def test_subfield_memo_same_field_twice(monkeypatch):
+    monkeypatch.setattr(products, "_SUBFIELDS", {})
+    f1, f2 = ExtensionField(2, 12), ExtensionField(2, 12)
+    rng = random.Random(13)
+    for _ in range(30):
+        rows = [rng.randrange(1, f1.q) for _ in range(rng.randrange(1, 13))]
+        gamma = f1.subfield_generator(rng.choice((2, 3, 4, 6)))
+        rows += [f1.mul(gamma, x) for x in rows]
+        assert _report(stabilizer(span(f1, rows))) == _report(stabilizer(span(f2, rows)))
+
+
+def test_subfield_memo_holds_only_plain_values():
+    # The memo outlives every field; holding a field or a subspace would keep
+    # its tables alive for the life of the process.
+    for p, n, m in ((2, 6, 2), (2, 12, 4), (3, 4, 2), (5, 2, 1)):
+        f = ExtensionField(p, n)
+        stabilizer(whole_space(f))
+        stabilizer(span(f, [1, f.primitive]))
+        tower_construction(f, m, n - m + 1, 1, one_subspace(f), one_subspace(f))
+        assert (p, n, f.modulus, m) in products._SUBFIELDS
+
+    def plain(x):
+        return type(x) in (int, bool) or (type(x) is tuple and all(map(plain, x)))
+
+    assert products._SUBFIELDS
+    assert all(plain(k) and plain(v) for k, v in products._SUBFIELDS.items())
 
 
 def test_kneser_trivial_cases(field_cache):
