@@ -11,8 +11,8 @@ from subspace_products.groups import builtin_group, kappa_group, mu_group_exact,
     mu_group_randomized
 from subspace_products.kappa import divisors, kappa_rs, kappa_table
 from subspace_products.linalg import span
-from subspace_products.products import (optimal_pair, product_span, stabilizer,
-                                        tower_construction)
+from subspace_products.products import (kneser_check, optimal_pair, product_span,
+                                        stabilizer, tower_construction)
 from subspace_products.search import (SearchOptions, enumerate_subspaces,
                                       gaussian_binomial, mu_exact, random_subspace)
 
@@ -130,6 +130,25 @@ def test_criterion_05_kneser_property_suite(field_cache):
                 st = stabilizer(ab)
                 assert st.is_subfield_verified, (p, n)
                 assert ab.dim >= a.dim + b.dim - st.g, (p, n)
+        # Exhaustive canonical cells: scaling A or B by a unit changes neither
+        # dim<AB> nor its stabilizer, so the pairs with 1 in both and r <= s
+        # cover every pair with r + s <= n.  Each proper subfield degree must
+        # be the stabilizer of some tight pair (slack 0), so a stabilizer that
+        # is too small breaks the bound and one that is too large reaches no
+        # tight pair at that degree.
+        for p, n in ((2, 6), (3, 4)):
+            f = field_cache(p, n)
+            spaces = {k: list(enumerate_subspaces(f, k, True)) for k in range(1, n)}
+            tight = set()
+            for r in range(1, n // 2 + 1):
+                for s in range(r, n - r + 1):
+                    for a in spaces[r]:
+                        for b in spaces[s]:
+                            rep = kneser_check(a, b)
+                            assert rep.holds and rep.is_subfield_verified, (p, n, a.rows, b.rows)
+                            if rep.slack == 0:
+                                tight.add(rep.dim_h)
+            assert tight == set(divisors(n).degrees[:-1]), (p, n, sorted(tight))
 
     _run(5, "stabilizer bound never violated", 30.0, check)
 
