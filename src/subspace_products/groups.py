@@ -96,11 +96,6 @@ class GroupSpec:
     def degree_set(self) -> AdmissibleDegreeSet:
         return AdmissibleDegreeSet(n=self.order, degrees=self.subgroup_orders)
 
-    def to_json(self) -> str:
-        return json.dumps({"name": self.name, "order": self.order,
-                           "identity": self.identity,
-                           "cayley": [list(row) for row in self.cayley]})
-
 
 def group_from_json(text: str) -> GroupSpec:
     data = json.loads(text)

@@ -117,10 +117,6 @@ class Subspace:
         self._check_ambient(other)
         return all(self.contains(r) for r in other.rows)
 
-    def sum_with(self, other: "Subspace") -> "Subspace":
-        self._check_ambient(other)
-        return span(self.field, self.rows + other.rows)
-
     def to_text(self) -> str:
         return "\n".join(",".join(str(c) for c in row) for row in self.basis_coeffs())
 
@@ -163,11 +159,3 @@ def span(field: ExtensionField, elements) -> Subspace:
     for piv in sorted(basis, reverse=True):
         done[piv] = reduce(done, basis[piv])
     return Subspace(field, tuple(element(done[piv]) for piv in sorted(done)))
-
-
-def whole_space(field: ExtensionField) -> Subspace:
-    return span(field, [field.p ** i for i in range(field.n)])
-
-
-def one_subspace(field: ExtensionField) -> Subspace:
-    return span(field, [1])

@@ -1,12 +1,14 @@
 """Product spans, stabilizer subfields, the linear Kneser bound, and the
 constructions that realize the minimum dimension exactly.
 
-H-spans of powers, `_h_span`, build the stabilizer's H, the tower's M (both
-from `_subfield`, closure-checked once per field and degree) and the
-witnesses of `optimal_pair`.  `tower_construction(field, m, r, s, a0, b0)`
-splits r = q*m + r0, r0 in [1, m], and lifts A0 inside M to A = M*{1, alpha,
-..., alpha^(q-1)} (+) A0*alpha^q over the primitive alpha.  `kneser_check`
-is the one path from a pair to its product, its stabilizer and its slack.
+H-spans of powers, `_h_span`, build the stabilizer's H, the tower's M and
+the witnesses of `optimal_pair`.  H, the span of gamma_g^i for i < g, is
+certified from its generator: 1 in H; dim H | n; gamma_g^g in H, which is
+closure under products; gamma_g*V inside V, which is H*V = V as 1 is in H.
+`tower_construction(field, m, r, s, a0, b0)` splits r = q*m + r0, r0 in
+[1, m], and lifts A0 inside M to A = M*{1, alpha, ..., alpha^(q-1)} (+)
+A0*alpha^q over the primitive alpha.  `kneser_check` is the one path from a
+pair to its product, its stabilizer and its slack.
 """
 
 from __future__ import annotations
@@ -42,20 +44,6 @@ def _h_span(field: ExtensionField, m: int, alpha: int, count: int) -> Subspace:
     return span(field, rows)
 
 
-_SUBFIELDS: dict[tuple, tuple[tuple[int, ...], bool]] = {}
-
-
-def _subfield(field: ExtensionField, d: int) -> tuple[Subspace, bool]:
-    """F_{p^d} with its V-free checks: 1 in H, dim H | n, x*y in H for all rows.
-    Memoized on (p, n, modulus, d), which fix H, as ints only: no field is kept."""
-    key = (field.p, field.n, field.modulus, d)
-    if key not in _SUBFIELDS:
-        h = _h_span(field, d, 1, 1)
-        _SUBFIELDS[key] = (h.rows, h.contains(1) and field.n % h.dim == 0 and all(
-            h.contains(field.mul(x, y)) for x in h.rows for y in h.rows))
-    return Subspace(field, _SUBFIELDS[key][0]), _SUBFIELDS[key][1]
-
-
 def product_span(a: Subspace, b: Subspace) -> Subspace:
     """Span of all pairwise products; basis products suffice by bilinearity."""
     _require_nonzero(a, b)
@@ -79,8 +67,10 @@ def stabilizer(v: Subspace) -> StabilizerReport:
 
     H = F_{p^g} is a subfield and V an H-space, so g | gcd(n, dim V); F_{p^d} =
     F_p[gamma_d] lies in H iff gamma_d*w is in V for every row w, so g is the
-    largest such d that passes.  `_subfield` gives H and its closure check once
-    per field and degree; H*V = V is checked on every call.
+    largest such d that passes.  H is the span of gamma_g^i for i < g, so it
+    is a subfield iff 1 is in H, dim H | n and gamma_g^g is in H (then
+    gamma_g*H lies in H); and it absorbs V iff gamma_g*w is in V for every
+    row w, retested here (V lies in H*V as 1 is in H).
     """
     _require_nonzero(v)
     field = v.field
@@ -90,8 +80,10 @@ def stabilizer(v: Subspace) -> StabilizerReport:
         if all(v.contains(field.mul(gamma_d, w)) for w in v.rows):
             degree = d
             break
-    h, verified = _subfield(field, degree)
-    verified = verified and product_span(h, v) == v
+    h = _h_span(field, degree, 1, 1)
+    gamma = field.subfield_generator(degree)
+    verified = (h.contains(1) and field.n % h.dim == 0 and h.contains(field.pow(gamma, degree))
+                and all(v.contains(field.mul(gamma, w)) for w in v.rows))
     return StabilizerReport(h=h, g=h.dim, is_subfield_verified=verified)
 
 
@@ -153,7 +145,7 @@ def tower_construction(field: ExtensionField, m: int, r: int, s: int,
     r0 = (r - 1) % m + 1
     s0 = (s - 1) % m + 1
     _require_nonzero(a0, b0)
-    m_space, _ = _subfield(field, m)
+    m_space = _h_span(field, m, 1, 1)
     if not (m_space.contains_subspace(a0) and m_space.contains_subspace(b0)):
         raise ValueError("A0 and B0 must be contained in the subfield M")
     if a0.dim != r0 or b0.dim != s0:

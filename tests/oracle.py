@@ -18,17 +18,20 @@ pivot-indexed echelon basis: an ascending-pivot list of rows, kept sorted by
 insertion.  It checks `span` and `Subspace.reduce`, and gives `intersect` an
 elimination that is not the one under test.
 
-Field helpers the library itself does not need: `scale`, `add`, `neg` and
-`multiplicative_order`.  The field tables as the library first built them:
+Helpers the library itself does not need: the field operations `scale`,
+`add`, `neg` and `multiplicative_order`; the subspaces `whole_space` and
+`one_subspace` and the sum `sum_with`; and `group_to_json`, the inverse of
+`group_from_json`.  The field tables as the library first built them:
 coordinates by repeated divmod, and each power of the primitive element by
 one table-free multiplication of the previous power.
 """
 
+import json
 from bisect import insort
 from itertools import combinations
 
 from subspace_products.fields import prime_factors
-from subspace_products.linalg import Subspace, span, whole_space
+from subspace_products.linalg import Subspace, span
 from subspace_products.products import StabilizerReport, product_span
 from subspace_products.search import enumerate_subspaces
 
@@ -153,6 +156,27 @@ def multiplicative_order(field, a):
         while order % f == 0 and field.pow(a, order // f) == 1:
             order //= f
     return order
+
+
+def whole_space(field) -> Subspace:
+    return span(field, [field.p ** i for i in range(field.n)])
+
+
+def one_subspace(field) -> Subspace:
+    return span(field, [1])
+
+
+def sum_with(u: Subspace, v: Subspace) -> Subspace:
+    """The subspace sum U + V."""
+    u._check_ambient(v)
+    return span(u.field, u.rows + v.rows)
+
+
+def group_to_json(group) -> str:
+    """The group as a `--group-file` JSON object."""
+    return json.dumps({"name": group.name, "order": group.order,
+                       "identity": group.identity,
+                       "cayley": [list(row) for row in group.cayley]})
 
 
 def field_tables(field):

@@ -179,7 +179,7 @@ def test_criterion_07_galois_cross_check(field_cache):
                     assert mu_exact(f, r, s, opts).value == mu_group_exact(g, r, s).value, \
                         (n, r, s)
 
-    _run(7, "field minimum equals cyclic-group minimum", 1800.0, check)
+    _run(7, "field minimum equals cyclic-group minimum", 4.0, check)
 
 
 def test_criterion_08_abelian_groups_match_bound():
@@ -193,7 +193,7 @@ def test_criterion_08_abelian_groups_match_bound():
                     assert mu_group_exact(g, r, s).value == kappa_group(r, s, g).value, \
                         (name, r, s)
 
-    _run(8, "abelian subset minimum equals bound", 600.0, check)
+    _run(8, "abelian subset minimum equals bound", 2.5, check)
 
 
 def test_criterion_09_nonabelian_gap():
@@ -245,4 +245,4 @@ def test_criterion_10_infrastructure(field_cache):
         assert len({r.witness_a.rows for r in runs}) == 1
         assert len({r.witness_b.rows for r in runs}) == 1
 
-    _run(10, "enumeration counts, canonicalization, determinism", 300.0, check)
+    _run(10, "enumeration counts, canonicalization, determinism", 6.0, check)

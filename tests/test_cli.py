@@ -242,9 +242,10 @@ def test_mu_group_randomized_witness(capsys):
 
 
 def test_mu_group_from_json_file(capsys, tmp_path):
+    from oracle import group_to_json
     from subspace_products.groups import builtin_group
     path = tmp_path / "group.json"
-    path.write_text(builtin_group("cyclic:5").to_json())
+    path.write_text(group_to_json(builtin_group("cyclic:5")))
     code, rep, _ = run_report(capsys, "mu-group", "--group-file", str(path),
                               "--r", "2", "--s", "3", "--exhaustive")
     assert code == 0 and rep["results"]["value"] == 4

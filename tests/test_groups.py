@@ -3,7 +3,7 @@ import tracemalloc
 
 import pytest
 
-from oracle import mu_group_brute
+from oracle import group_to_json, mu_group_brute
 from subspace_products.groups import (GroupSpec, builtin_group, group_from_json,
                                       kappa_group, mu_group_exact, mu_group_randomized,
                                       subgroup_orders_of)
@@ -87,7 +87,7 @@ def test_subgroup_orders_sanity():
 
 def test_json_round_trip():
     g = builtin_group("Z7xZ3semidirect")
-    again = group_from_json(g.to_json())
+    again = group_from_json(group_to_json(g))
     assert again.cayley == g.cayley
     assert again.subgroup_orders == g.subgroup_orders
     with pytest.raises(ValueError):

@@ -4,9 +4,10 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from oracle import add, intersect, left_kernel, scale, stabilizer_oracle
+from oracle import (add, intersect, left_kernel, one_subspace, scale, stabilizer_oracle,
+                    sum_with)
 from subspace_products.kappa import divisors
-from subspace_products.linalg import one_subspace, span
+from subspace_products.linalg import span
 from subspace_products.products import product_span, stabilizer
 
 ORACLE_FIELDS = ((2, 4), (2, 6), (2, 8), (3, 4), (5, 2))
@@ -47,7 +48,7 @@ def test_sum_and_intersection_idempotent(field_cache):
     rng = random.Random(3)
     for _ in range(100):
         u = _random_span(f, rng, 3)
-        assert u.sum_with(u) == u
+        assert sum_with(u, u) == u
         assert intersect(u, u) == u
 
 

@@ -2,11 +2,11 @@ import random
 
 import pytest
 
-from oracle import stabilizer_oracle
-from subspace_products import products
+from oracle import one_subspace, stabilizer_oracle, whole_space
+from subspace_products.cli import main
 from subspace_products.fields import ExtensionField
 from subspace_products.kappa import divisors, kappa_rs
-from subspace_products.linalg import one_subspace, span, whole_space
+from subspace_products.linalg import span
 from subspace_products.products import (kneser_check, optimal_pair, product_span,
                                         stabilizer, tower_construction)
 
@@ -132,18 +132,16 @@ def _report(st):
     return st.h.rows, st.g, st.is_subfield_verified
 
 
-def test_subfield_memo_keeps_moduli_apart(monkeypatch):
+def test_stabilizer_matches_oracle_under_two_moduli():
     # Two moduli of GF(2^6) give the same subfields as sets but different
-    # element indices; a memo keyed without the modulus would mix them up.
-    monkeypatch.setattr(products, "_SUBFIELDS", {})
+    # element indices; the reports must follow each field's own indices.
     f1 = ExtensionField(2, 6, (1, 1, 0, 0, 0, 0, 1))
     f2 = ExtensionField(2, 6, (1, 0, 0, 0, 0, 1, 1))
     for d in (2, 3):
-        assert products._subfield(f1, d)[0].rows != products._subfield(f2, d)[0].rows
-    for f in (f1, f2, f1, f2):
-        for d in (2, 3):
-            gamma = f.subfield_generator(d)
-            sub = span(f, [f.pow(gamma, i) for i in range(d)])
+        subs = [span(f, [f.pow(f.subfield_generator(d), i) for i in range(d)])
+                for f in (f1, f2)]
+        assert subs[0].rows != subs[1].rows
+        for sub in subs:
             assert _report(stabilizer(sub)) == (sub.rows, d, True)
             assert _report(stabilizer(sub)) == _report(stabilizer_oracle(sub))
     rng = random.Random(12)
@@ -156,32 +154,52 @@ def test_subfield_memo_keeps_moduli_apart(monkeypatch):
             assert _report(stabilizer(v)) == _report(stabilizer_oracle(v))
 
 
-def test_subfield_memo_same_field_twice(monkeypatch):
-    monkeypatch.setattr(products, "_SUBFIELDS", {})
-    f1, f2 = ExtensionField(2, 12), ExtensionField(2, 12)
-    rng = random.Random(13)
-    for _ in range(30):
-        rows = [rng.randrange(1, f1.q) for _ in range(rng.randrange(1, 13))]
-        gamma = f1.subfield_generator(rng.choice((2, 3, 4, 6)))
-        rows += [f1.mul(gamma, x) for x in rows]
-        assert _report(stabilizer(span(f1, rows))) == _report(stabilizer(span(f2, rows)))
+def _stabilizer_exit_code(capsys, tmp_path, v):
+    path = tmp_path / "v.txt"
+    path.write_text(v.to_text())
+    code = main(["stabilizer", "--field", f"{v.field.p}^{v.field.n}", "--subspace", str(path)])
+    capsys.readouterr()
+    return code
 
 
-def test_subfield_memo_holds_only_plain_values():
-    # The memo outlives every field; holding a field or a subspace would keep
-    # its tables alive for the life of the process.
-    for p, n, m in ((2, 6, 2), (2, 12, 4), (3, 4, 2), (5, 2, 1)):
-        f = ExtensionField(p, n)
-        stabilizer(whole_space(f))
-        stabilizer(span(f, [1, f.primitive]))
-        tower_construction(f, m, n - m + 1, 1, one_subspace(f), one_subspace(f))
-        assert (p, n, f.modulus, m) in products._SUBFIELDS
+def test_certificate_rejects_h_that_is_not_a_subfield(monkeypatch, capsys, tmp_path, field_cache):
+    # V = F_64*b in GF(2^12).  The degree-6 generator is replaced by a
+    # primitive element, which V does not absorb, and the degree-3 one by a
+    # generator of F_64, which V does absorb.  The lattice then stops at
+    # d = 3, where span{1, gamma, gamma^2} is not closed: gamma^3 lies
+    # outside it, though gamma*V still lies inside V.
+    f = field_cache(2, 12)
+    v = span(f, [f.mul(f.pow(f.subfield_generator(6), i), 0b101101) for i in range(6)])
+    assert stabilizer(v).g == 6
+    real = ExtensionField.subfield_generator
+    monkeypatch.setattr(ExtensionField, "subfield_generator",
+                        lambda self, d: real(self, {6: 12, 3: 6}.get(d, d)))
+    st = stabilizer(v)
+    assert (st.g, st.is_subfield_verified) == (3, False)
+    assert _stabilizer_exit_code(capsys, tmp_path, v) == 4
 
-    def plain(x):
-        return type(x) in (int, bool) or (type(x) is tuple and all(map(plain, x)))
 
-    assert products._SUBFIELDS
-    assert all(plain(k) and plain(v) for k, v in products._SUBFIELDS.items())
+def test_certificate_rejects_v_that_h_does_not_absorb(monkeypatch, capsys, tmp_path, field_cache):
+    # V = F_16*b in GF(2^12).  The lattice meets the true degree-4 generator
+    # and stops at d = 4; every later call for d = 4 gets a generator of F_8,
+    # as if the lattice had erred.  H = span{1, gamma, gamma^2, gamma^3} =
+    # F_8 is a subfield (gamma^4 lies in it), but gamma*V does not lie in V.
+    f = field_cache(2, 12)
+    v = span(f, [f.mul(f.pow(f.subfield_generator(4), i), 0b101101) for i in range(4)])
+    assert stabilizer(v).g == 4
+    real = ExtensionField.subfield_generator
+    seen = set()
+
+    def generator(self, d):
+        first = (self, d) not in seen
+        seen.add((self, d))
+        return real(self, 3 if d == 4 and not first else d)
+
+    monkeypatch.setattr(ExtensionField, "subfield_generator", generator)
+    st = stabilizer(v)
+    assert (st.g, st.is_subfield_verified) == (3, False)
+    seen.clear()
+    assert _stabilizer_exit_code(capsys, tmp_path, v) == 4
 
 
 def test_kneser_trivial_cases(field_cache):
