@@ -5,17 +5,20 @@ vector (c_0, ..., c_{n-1}) in the power basis 1, x, ..., x^{n-1}.  For p = 2
 the packed index is literally the coefficient bitmask and multiplication is
 carry-less; fields with at most 2^16 elements additionally get discrete
 log/antilog tables keyed to the primitive element, which makes mul/inv/pow
-O(1) on the hot search paths.  For odd p and n > 1 the coordinate cache is
-itertools.product over F_p^n, each tuple reversed, and each power of the
-primitive element g is built from the last by multiplication by g as an
-F_p-linear map (`_times`); for p = 2 and n = 1 it is one table-free product.
+O(1) on the hot search paths.  For odd p an element's coordinates also have a
+lane form, one int with c_j in the j-th w-bit lane (`LaneLayout`); for n > 1
+and q <= 2^16 the coordinate table `_coeff_cache` lists the lane form of every
+index, built one base-p digit at a time, and each power of the primitive
+element g is built from the last by multiplication by g as an F_p-linear map
+on lanes (`_times`); for p = 2 and n = 1 it is one table-free product.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
+from functools import lru_cache
 from math import gcd
+from typing import Callable, NamedTuple
 
 MAX_PRIME = 1 << 16
 MAX_FIELD_SIZE = 1 << 63
@@ -215,14 +218,71 @@ def _gf2_reduce(x: int, mod_mask: int, n: int) -> int:
     return x
 
 
+# ----------------------------------------------------------------------------
+# Lane form for odd p: coordinate c_j of an element in bits [j*w, (j+1)*w).
+# ----------------------------------------------------------------------------
+
+class LaneLayout(NamedTuple):
+    """The w-bit lane layout of GF(p^n) for odd p, shared by `_times` and the
+    echelon kernel in linalg.
+
+    A lane may grow to p*(p-1) = (p-1) + (p-1)^2, the largest lane of
+    v + c*row for residue lanes and c < p, before `red` brings every lane
+    back into [0, p) with one Barrett step: x*m >> k is x // p for each lane value x <= p*(p-1), since
+    m = 2^k // p + 1 with 2^k > p*p*(p-1), and w leaves room for x*m, so no
+    lane spills into the next.  `element` multiplies by sum p^(n-1-j) 2^(jw),
+    which gathers the index sum c_j p^j into lane n-1; `vector` spreads an
+    index into lanes one base-p digit at a time."""
+
+    p: int
+    n: int
+    w: int
+    shifts: tuple[int, ...]
+    mask: int
+    red: Callable[[int], int]
+    element: Callable[[int], int]
+    vector: Callable[[int], int]
+
+    # one layout per (p, n), so hashing by identity keeps cache keys cheap
+    __hash__ = object.__hash__
+
+
+@lru_cache(maxsize=None)
+def lane_layout(p: int, n: int) -> LaneLayout:
+    """The lane layout of GF(p^n), built once per (p, n)."""
+    top = p * (p - 1)
+    k = (top * p).bit_length()
+    m = (1 << k) // p + 1
+    w = max(k + top.bit_length(), (p ** n).bit_length())
+    shifts = tuple(range(0, n * w, w))
+    quotients = sum(((1 << (w - k)) - 1) << s for s in shifts)
+    gather = sum(p ** (n - 1 - j) << s for j, s in enumerate(shifts))
+    at, mask = (n - 1) * w, (1 << w) - 1
+
+    def red(x: int) -> int:
+        return x - p * (x * m >> k & quotients)
+
+    def element(v: int) -> int:
+        return v * gather >> at & mask
+
+    def vector(e: int) -> int:
+        v = 0
+        for s in shifts:
+            e, c = divmod(e, p)
+            v |= c << s
+        return v
+
+    return LaneLayout(p, n, w, shifts, mask, red, element, vector)
+
+
 class ExtensionField:
     """GF(p^n): immutable after construction, shareable across workers.
 
     All operations take and return element indices (ints in [0, p^n)).
     """
 
-    __slots__ = ("p", "n", "q", "modulus", "primitive", "_mod_mask",
-                 "_exp", "_log", "_coeff_cache", "_ppows")
+    __slots__ = ("p", "n", "q", "modulus", "primitive", "lanes", "to_lanes",
+                 "_mod_mask", "_exp", "_log", "_coeff_cache", "_ppows")
 
     def __init__(self, p: int, n: int, modulus: tuple[int, ...] | None = None):
         if not is_prime(p):
@@ -250,11 +310,19 @@ class ExtensionField:
         self.modulus = modulus
         self._mod_mask = sum(1 << i for i, c in enumerate(modulus) if c) if p == 2 else 0
         self._ppows = tuple(p ** i for i in range(n))
-        if p != 2 and n > 1 and q <= _TABLE_LIMIT:
-            self._coeff_cache: tuple[tuple[int, ...], ...] | None = tuple(
-                cs[::-1] for cs in itertools.product(range(p), repeat=n))
-        else:
-            self._coeff_cache = None
+        self._coeff_cache: list[int] | None = None
+        self.lanes: LaneLayout | None = None
+        self.to_lanes: Callable[[int], int] | None = None
+        if p != 2:
+            self.lanes = lane_layout(p, n)
+            self.to_lanes = self.lanes.vector
+            if n > 1 and q <= _TABLE_LIMIT:
+                # index i*p + c holds c in lane 0 and index i's lanes one lane up
+                tab = [0]
+                for _ in range(n):
+                    tab = [c | x << self.lanes.w for x in tab for c in range(p)]
+                self._coeff_cache = tab
+                self.to_lanes = tab.__getitem__
         self.primitive = self._find_primitive()
         if q <= _TABLE_LIMIT:
             step = (self._times(self.primitive) if self._coeff_cache is not None
@@ -313,33 +381,17 @@ class ExtensionField:
             _poly_mul_mod(list(self.coeffs(a)), list(self.coeffs(b)), self.modulus, self.p))
 
     def _times(self, g: int):
-        """x -> g*x for odd p, an F_p-linear map.  An element's coordinates
-        sit in w-bit lanes of one int; lo[v] holds those of g*v and hi[v]
-        those of g*(v*half), half = p^(n//2), so g*x is two lookups and one
-        sum.  All lanes are reduced mod p at once (v*m >> k is v // p for
-        every lane value v <= top), and multiplying by sum p^(n-1-j) 2^(jw)
-        gathers the index sum c_j p^j in lane n-1."""
-        p, n, q = self.p, self.n, self.q
-        top = 2 * (p - 1)
-        k = (top * p).bit_length()
-        m = (1 << k) // p + 1
-        w = max(k + top.bit_length(), (n * q).bit_length())
-        shifts = range(0, n * w, w)
-        quotients = sum(((1 << (w - k)) - 1) << s for s in shifts)
-        gather = sum(pw << s for pw, s in zip(reversed(self._ppows), shifts))
-        at, mask, half = (n - 1) * w, (1 << w) - 1, p ** (n // 2)
-
-        def lanes(v: int) -> int:
-            return sum(c << s for c, s in zip(self.coeffs(self._mul_raw(g, v)), shifts))
-
-        lo = [lanes(v) for v in range(half)]
-        hi = [lanes(v * half) for v in range(q // half)]
+        """x -> g*x for odd p, an F_p-linear map on lane forms: lo[v] holds
+        the lanes of g*v and hi[v] those of g*(v*half), half = p^(n//2), so
+        g*x is two lookups, one sum, one `red` and one gather."""
+        half, to_lanes, mul_raw = self.p ** (self.n // 2), self.to_lanes, self._mul_raw
+        lo = [to_lanes(mul_raw(g, v)) for v in range(half)]
+        hi = [to_lanes(mul_raw(g, v * half)) for v in range(self.q // half)]
+        red, element = self.lanes.red, self.lanes.element
 
         def times(x: int) -> int:
             high, low = divmod(x, half)
-            acc = lo[low] + hi[high]
-            acc -= p * (acc * m >> k & quotients)
-            return acc * gather >> at & mask
+            return element(red(lo[low] + hi[high]))
 
         return times
 
@@ -368,7 +420,8 @@ class ExtensionField:
     def coeffs(self, a: int) -> tuple[int, ...]:
         """Power-basis coordinates (c_0, ..., c_{n-1}) of an element index."""
         if self._coeff_cache is not None:
-            return self._coeff_cache[a]
+            v, mask = self._coeff_cache[a], self.lanes.mask
+            return tuple(v >> s & mask for s in self.lanes.shifts)
         p = self.p
         out = []
         for _ in range(self.n):

@@ -3,17 +3,18 @@
 Basis rows are stored as element indices of the ambient field, so a row is
 simultaneously a field element and its coordinate vector.  Elimination keeps
 an echelon basis as a dict from pivot (first nonzero coordinate, scaled to 1)
-to row.  Over F_2 a row is held as the element's bitmask, keyed by its lowest
-set bit; over odd p as its residue vector, keyed by column.  The canonical
-RREF is finished from either the same way, so two subspaces are equal as sets
-iff their row tuples are identical.
+to row, and a row is one int in both characteristics: over F_2 the element's
+bitmask, keyed by its lowest set bit; over odd p its lane form (coordinate j
+in the j-th w-bit lane, see fields.LaneLayout), keyed by the shift of its
+lowest nonzero lane.  The canonical RREF is finished from either the same
+way, so two subspaces are equal as sets iff their row tuples are identical.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .fields import ExtensionField
+from .fields import ExtensionField, LaneLayout
 
 
 def _same(v: int) -> int:
@@ -38,25 +39,38 @@ def _reduce_bits(basis: dict[int, int], v: int) -> int:
     return v
 
 
+_BIT_OPS = (_same, _same, _insert_bits, _reduce_bits)
+
+
 @lru_cache(maxsize=None)
-def _modp_kernel(p: int):
-    def insert(basis: dict, v) -> int:
-        for j in range(len(v)):
-            c = v[j]
-            if c:
-                row = basis.get(j)
-                if row is None:
-                    inv = pow(c, -1, p)
-                    basis[j] = [x * inv % p for x in v]
-                    return 1
-                v = [(x - c * y) % p for x, y in zip(v, row)]
+def _lane_kernel(lanes: LaneLayout) -> tuple:
+    """insert and reduce on lane forms.  Subtracting c times a row whose pivot
+    lane holds 1 is v + (p - c)*row, then one `red` of every lane at once."""
+    p, w, mask, red, steps = lanes.p, lanes.w, lanes.mask, lanes.red, range(lanes.n)
+
+    def insert(basis: dict[int, int], v: int) -> int:
+        # each step clears v's lowest nonzero lane, so n steps leave v = 0
+        # unless `red` is wrong
+        for _ in steps:
+            if not v:
+                return 0
+            low = (v & -v).bit_length() - 1
+            s = low - low % w
+            c = v >> s & mask
+            row = basis.get(s)
+            if row is None:
+                basis[s] = red(v * pow(c, -1, p))
+                return 1
+            v = red(v + (p - c) * row)
+        if v:
+            raise AssertionError("lane reduction left a nonzero vector after n steps")
         return 0
 
-    def reduce(basis: dict, v):
-        for j, row in basis.items():
-            c = v[j]
+    def reduce(basis: dict[int, int], v: int) -> int:
+        for s, row in basis.items():
+            c = v >> s & mask
             if c:
-                v = [(x - c * y) % p for x, y in zip(v, row)]
+                v = red(v + (p - c) * row)
         return v
 
     return insert, reduce
@@ -65,14 +79,15 @@ def _modp_kernel(p: int):
 def echelon_ops(field: ExtensionField) -> tuple:
     """(vector, element, insert, reduce) for the field's characteristic.
 
-    vector(e) is the form in which a basis holds the element e, and element(v)
-    turns it back.  insert(basis, v) stores v's remainder under its pivot and
-    returns 1, or returns 0 when v lies in the span.  reduce(basis, v)
-    subtracts each row at its pivot, which fully reduces v against a fully
-    reduced basis in any row order."""
+    vector(e) is the form in which a basis holds the element e, one int: e's
+    bitmask over F_2, e's lane form over odd p; element(v) turns it back.
+    insert(basis, v) stores v's remainder under its pivot and returns 1, or
+    returns 0 when v lies in the span.  reduce(basis, v) subtracts each row at
+    its pivot, which fully reduces v against a fully reduced basis in any row
+    order."""
     if field.p == 2:
-        return _same, _same, _insert_bits, _reduce_bits
-    return (field.coeffs, field.from_coeffs_unchecked) + _modp_kernel(field.p)
+        return _BIT_OPS
+    return (field.to_lanes, field.lanes.element) + _lane_kernel(field.lanes)
 
 
 class Subspace:

@@ -3,6 +3,7 @@
 Run with `pytest tests/test_acceptance.py -v -s`.
 """
 
+import random
 import time
 from pathlib import Path
 
@@ -11,7 +12,7 @@ from subspace_products.groups import builtin_group, kappa_group, mu_group_exact,
     mu_group_randomized
 from subspace_products.kappa import divisors, kappa_rs, kappa_table
 from subspace_products.linalg import span
-from subspace_products.products import (kneser_check, optimal_pair, product_span,
+from subspace_products.products import (_h_span, kneser_check, optimal_pair, product_span,
                                         stabilizer, tower_construction)
 from subspace_products.search import (SearchOptions, enumerate_subspaces,
                                       gaussian_binomial, mu_exact, random_subspace)
@@ -67,14 +68,17 @@ def test_criterion_01_golden_degree16_table(capsys):
 def test_criterion_02_prime_degree_formula():
     def check():
         from subspace_products.fields import ExtensionField
+        # floor-free, so the scan shows min(r + s - 1, n) is the minimum
+        # rather than stopping as soon as it is attained
+        opts = SearchOptions(use_kappa_floor=False)
         f32 = ExtensionField(2, 5)
         for r in range(1, 6):
             for s in range(1, 6):
-                assert mu_exact(f32, r, s).value == min(r + s - 1, 5), (r, s)
+                assert mu_exact(f32, r, s, opts).value == min(r + s - 1, 5), (r, s)
         f27 = ExtensionField(3, 3)
         for r in range(1, 4):
             for s in range(1, 4):
-                assert mu_exact(f27, r, s).value == min(r + s - 1, 3), (r, s)
+                assert mu_exact(f27, r, s, opts).value == min(r + s - 1, 3), (r, s)
 
     _run(2, "prime-degree product minimum", 60.0, check)
 
@@ -89,6 +93,10 @@ def test_criterion_03_mu_equals_kappa_desk_scale(field_cache):
                  for r in range(1, n + 1) for s in range(1, n + 1)]
         # GF(2^7) for r <= s only: <AB> = <BA>, so (s, r) has the same minimum
         cells += [(2, 7, r, s) for r in range(1, 8) for s in range(r, 8)]
+        # odd p: all of GF(3^5), and the GF(3^6) cells whose minima come
+        # from the F_9 and F_27 stabilizers
+        cells += [(3, 5, r, s) for r in range(1, 6) for s in range(1, 6)]
+        cells += [(3, 6, r, s) for r in (1, 2) for s in range(r, 7)] + [(3, 6, 3, 3)]
         for p, n, r, s in cells:
             res = mu_exact(field_cache(p, n), r, s, opts)
             assert res.exhaustive
@@ -118,7 +126,6 @@ def test_criterion_04_constructions_attain_bound(field_cache):
 
 def test_criterion_05_kneser_property_suite(field_cache):
     def check():
-        import random
         suite = (((2, 8), 3, 5), ((2, 12), 5, 7), ((3, 6), 3, 4))
         for (p, n), r, s in suite:
             f = field_cache(p, n)
@@ -149,6 +156,31 @@ def test_criterion_05_kneser_property_suite(field_cache):
                             if rep.slack == 0:
                                 tight.add(rep.dim_h)
             assert tight == set(divisors(n).degrees[:-1]), (p, n, sorted(tight))
+        # Structured cells: for each proper subfield H = F_{p^d} with d > 1,
+        # A and B are H-spans of 1, t, ..., t^(a-1) for a random t, trimmed
+        # to their first RREF rows as optimal_pair trims its witnesses and
+        # scaled by random units.  The untrimmed pairs have dim<AB> <= r + s
+        # - d, so each d must be the stabilizer of some tight pair.
+        for p, n in ((2, 12), (3, 6)):
+            f = field_cache(p, n)
+            rng = random.Random(2)
+            for d in divisors(n).degrees[1:-1]:
+                tight = set()
+                for a in range(1, n // d + 1):
+                    for b in range(a, n // d + 1):
+                        for _ in range(12):
+                            t = rng.randrange(1, f.q)
+                            pair = []
+                            for count in (a, b):
+                                rows = _h_span(f, d, t, count).rows
+                                keep = rng.choice((len(rows), rng.randrange(1, len(rows) + 1)))
+                                u = rng.randrange(1, f.q)
+                                pair.append(span(f, [f.mul(u, x) for x in rows[:keep]]))
+                            rep = kneser_check(*pair)
+                            assert rep.holds and rep.is_subfield_verified, (p, n, d, a, b)
+                            if rep.slack == 0:
+                                tight.add(rep.dim_h)
+                assert d in tight, (p, n, d, sorted(tight))
 
     _run(5, "stabilizer bound never violated", 30.0, check)
 

@@ -6,8 +6,8 @@ import pytest
 
 from oracle import add, field_tables, multiplicative_order, neg
 from subspace_products.fields import (ExtensionField, find_irreducible, is_irreducible,
-                                      is_prime, parse_field_spec, parse_modulus,
-                                      poly_str, prime_factors)
+                                      is_prime, lane_layout, parse_field_spec,
+                                      parse_modulus, poly_str, prime_factors)
 from subspace_products.linalg import span
 
 
@@ -166,7 +166,32 @@ def test_field_tables_match_reference(field_cache, p, n):
     assert f.primitive == primitive
     assert f._exp == exp
     assert f._log == log
-    assert f._coeff_cache == cache
+    if cache is None:
+        assert f._coeff_cache is None
+    else:
+        # the table holds lane forms; coeffs decodes them, element gathers them
+        assert tuple(f.coeffs(e) for e in range(f.q)) == cache
+        assert [f.lanes.element(v) for v in f._coeff_cache] == list(range(f.q))
+
+
+@pytest.mark.parametrize("p", (3, 5, 7, 251, 257, 65521))
+def test_lane_reduction_is_exact_in_every_lane(p):
+    # every lane value an echelon step can make, up to p*(p-1), must come
+    # back as its residue, in every lane of a four-lane int
+    n = 4
+    lanes = lane_layout(p, n)
+    top = p * (p - 1)
+    if p < 1000:
+        values = list(range(top + 1))
+    else:
+        rng = random.Random(p)
+        values = [0, p - 1, p, top, top - 1] + [k * p + e for k in (1, 2, p // 2, p - 2)
+                                                 for e in (-1, 1)]
+        values += [rng.randrange(top + 1) for _ in range(2000)]
+    for i in range(len(values)):
+        row = [values[(i + j) % len(values)] for j in range(n)]
+        packed = sum(x << s for x, s in zip(row, lanes.shifts))
+        assert lanes.red(packed) == sum(x % p << s for x, s in zip(row, lanes.shifts)), row
 
 
 @pytest.mark.parametrize("p, n", [pn for pn in TABLE_FIELDS if pn[0] != 2])

@@ -68,8 +68,11 @@ def test_rref_canonicity_under_generator_mixing(field_cache):
 
 
 # GF(2^40) multiplies carry-less; GF(3^11), GF(7^6) and GF(257^2) are past the
-# coefficient cache, and 257 needs pow(c, -1, p) beyond small residues.
-REFERENCE_FIELDS = ((2, 8), (2, 40), (3, 4), (5, 2), (3, 11), (7, 6), (257, 2))
+# coefficient table, and 257 needs pow(c, -1, p) beyond small residues.
+# GF(65521) and GF(65521^2) have the widest lanes, one and two of them, and
+# GF(3^10) has the largest coefficient table.
+REFERENCE_FIELDS = ((2, 8), (2, 40), (3, 4), (5, 2), (3, 11), (7, 6), (257, 2),
+                    (65521, 1), (65521, 2), (3, 10))
 
 
 @pytest.mark.parametrize("p, n", REFERENCE_FIELDS)
@@ -154,3 +157,31 @@ def test_text_round_trip(field_cache):
     with pytest.raises(ValueError):
         Subspace.from_text(f, "1,0,0,0,0,oops\n")
 
+
+# Run in a child process, so a reduction that never clears a pivot makes the
+# test fail on its timeout rather than stall the suite.
+_NO_LANE_REDUCTION = """
+import sys
+from subspace_products import cli, linalg
+from subspace_products.fields import ExtensionField
+kernel = linalg._lane_kernel.__wrapped__
+# no reduction at all: a pivot lane that should clear to 0 is left at p
+linalg._lane_kernel = lambda lanes: kernel(lanes._replace(red=lambda x: x))
+insert = linalg._lane_kernel(ExtensionField(3, 4).lanes)[0]
+basis = {}
+assert insert(basis, 1) == 1
+try:
+    insert(basis, 1)
+except AssertionError:
+    pass
+else:
+    sys.exit("insert returned without the reduction it needs")
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_wrong_lane_reduction_fails_instead_of_looping(run_python):
+    proc = run_python("-c", _NO_LANE_REDUCTION, "construct", "--field", "3^4",
+                      "--r", "3", "--s", "3")
+    assert proc.returncode == 4, proc.stderr
+    assert "invariant violated" in proc.stderr
