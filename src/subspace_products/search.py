@@ -14,6 +14,15 @@ pair count are those of a pair-by-pair scan.  The search stops at a proven
 lower bound, so early exit never changes the reported minimum.  When the
 pair count exceeds the budget the run is truncated: it decides the A-major
 prefix of `budget` pairs and is exact only if it reaches the proven floor.
+
+The least dim<AB> over B does not change when A, containing 1, becomes
+a^-1*A for a nonzero a in A, again a subspace containing 1 with <a^-1*A*B> =
+a^-1*<AB>, or its Frobenius image A^p, as <A^p*B^p> = <AB>^p and B -> B^p
+permutes the B's containing 1.  So only the first A of each orbit is walked
+(isomorph rejection by least representatives: Read, "Every one a winner",
+1978; McKay, "Isomorph-free exhaustive generation", 1998); every later A of
+the orbit counts its B pairs as decided, since none of them can beat the
+value its representative already reached.
 """
 
 from __future__ import annotations
@@ -145,6 +154,7 @@ class MuResult:
 
 # Largest scan mu_exact accepts, in subspaces: the B subspaces the budget lets
 # it reach, plus the A list when the scan is split across worker processes.
+# A serial scan also counts its set of seen A against it, or runs unreduced.
 MAX_HELD_ROWS = 2 ** 20
 
 
@@ -163,10 +173,62 @@ class _Replayed:
             yield item
 
 
-def _scan(field, a_rows, b_tables, floor, budget):
+def _orbit(field, rows) -> set:
+    """Row tuples of the canonical subspaces span((x/a)^(p^k) : x in A) for
+    nonzero a in A and 0 <= k < n, where A = span(rows) contains 1: A's orbit
+    under the unit scalings that keep 1 inside and under Frobenius.  a and c*a
+    for c in F_p^* give the same image, so a runs over one point per line."""
+    p, n = field.p, field.n
+    vector, element = echelon_ops(field)[:2]
+    add = int.__xor__ if p == 2 else (lambda u, v: field.lanes.red(u + v))
+    # a line's point: its first nonzero row with coefficient 1, plus any
+    # combination of the rows after it
+    points, tail = [], [0]
+    for v in map(vector, reversed(rows)):
+        points += [add(v, t) for t in tail]
+        tail = [add(t, c * v) for c in range(p) for t in tail]
+    orbit: set = set()
+    for a in points:
+        a_inv = field.inv(element(a))
+        image = [field.mul(x, a_inv) for x in rows]
+        # `orbit` holds whole Frobenius cycles, so an image already in it
+        # ends the cycle: it is a^-1*A itself or its cycle is complete
+        for _ in range(n):
+            key = span(field, image).rows
+            if key in orbit:
+                break
+            orbit.add(key)
+            image = [field.pow(x, p) for x in image]
+    return orbit
+
+
+def _a_rows(field, r, canonicalize, skip):
+    """(rows, skipped) for each r-dimensional A in enumeration order; with
+    `skip`, an A is skipped iff an earlier A lies in its orbit (see _orbit).
+
+    Walking A in order, an A not yet seen is the least of its orbit, and its
+    orbit is added to `seen` only when the next A is asked for, that is, after
+    the scan has walked it: a scan that stops inside its first A computes no
+    orbit.  A skipped A is dropped from `seen`, since it never comes again."""
+    seen: set = set()
+    for sp in enumerate_subspaces(field, r, canonicalize):
+        skipped = sp.rows in seen
+        yield sp.rows, skipped
+        if skip and not skipped:
+            seen |= _orbit(field, sp.rows)
+        seen.discard(sp.rows)
+
+
+def _scan(field, a_rows, b_tables, b_count, floor, budget):
     """First pair, in A-major order, with the least capped product dimension.
 
-    For each A, B is walked depth first over the rows of `b_tables` (from
+    `a_rows` yields (rows, skipped) as _a_rows does.  A skipped A is not
+    walked: its `b_count` pairs count as decided, as a skipped subtree's do.
+    Its orbit's least member, whose minimum over B is the same, was walked
+    before it, so a pair-by-pair scan would have rejected each of its pairs;
+    and the first minimal A is the least of its orbit, so it is walked.
+
+    For each other A, B is walked depth first over the rows of `b_tables` (from
     _row_tables), so B's come in enumeration order.  A node at depth i
     holds the echelon basis of A*b_0 + ... + A*b_i, its parent's basis
     extended by A*b_i alone, built with cap = the best value found.  Since
@@ -183,7 +245,12 @@ def _scan(field, a_rows, b_tables, floor, budget):
     best = field.n + 1
     best_a = best_b = None
     processed = 0
-    for ar in a_rows:
+    for ar, skipped in a_rows:
+        if skipped:
+            processed += b_count
+            if processed >= budget:
+                return best, best_a, best_b, budget
+            continue
         for rows, sizes in b_tables:
             last = len(rows) - 1
             path = [0] * len(rows)
@@ -214,16 +281,17 @@ def _scan(field, a_rows, b_tables, floor, budget):
 _W: dict = {}
 
 
-def _init_worker(p, n, modulus, a_list, s, canonicalize, floor, budget):
+def _init_worker(p, n, modulus, a_list, s, b_count, canonicalize, floor, budget):
     field = ExtensionField(p, n, modulus)
     _W.update(field=field, a=a_list,
               b=_Replayed(_row_tables(field, s, canonicalize)),
-              floor=floor, budget=budget)
+              b_count=b_count, floor=floor, budget=budget)
 
 
 def _scan_chunk(bounds):
     start, end = bounds
-    return _scan(_W["field"], _W["a"][start:end], _W["b"], _W["floor"], _W["budget"])
+    return _scan(_W["field"], _W["a"][start:end], _W["b"], _W["b_count"],
+                 _W["floor"], _W["budget"])
 
 
 def mu_exact(field: ExtensionField, r: int, s: int,
@@ -235,7 +303,9 @@ def mu_exact(field: ExtensionField, r: int, s: int,
     only if that prefix reaches the proven floor.  Otherwise the reported
     value is the exact minimum even when floor pruning stops the scan early.
     Raises ValueError when the scan would reach more than MAX_HELD_ROWS
-    subspaces of B (plus A when parallel).
+    subspaces of B (plus A when parallel).  A serial scan skips orbit members
+    (see _scan) only while its set of seen A, up to the number of A, fits
+    under that limit as well; results are the same either way.
     """
     opts = options or SearchOptions()
     n, p = field.n, field.p
@@ -261,16 +331,19 @@ def mu_exact(field: ExtensionField, r: int, s: int,
         raise ValueError(f"the scan would hold {held} subspaces, more than "
                          f"{MAX_HELD_ROWS}; lower the budget")
 
-    a_rows = (sp.rows for sp in enumerate_subspaces(field, r, opts.canonicalize))
+    # a single A (r = 1 or r = n) has no other orbit member to skip
+    skip = (opts.canonicalize and 1 < r < n
+            and (parallel or held + a_count <= MAX_HELD_ROWS))
+    a_rows = _a_rows(field, r, opts.canonicalize, skip)
     if parallel:
         best, best_a, best_b, processed = _scan_parallel(
-            field, list(a_rows), s, opts.canonicalize, floor, opts.budget,
-            opts.workers)
+            field, list(a_rows), s, b_count, opts.canonicalize, floor,
+            opts.budget, opts.workers)
     else:
         # Each profile's row table is built when the first A reaches it.
         b_tables = _Replayed(_row_tables(field, s, opts.canonicalize))
-        best, best_a, best_b, processed = _scan(field, a_rows, b_tables, floor,
-                                                opts.budget)
+        best, best_a, best_b, processed = _scan(field, a_rows, b_tables, b_count,
+                                                floor, opts.budget)
     return MuResult(value=best,
                     witness_a=span(field, best_a),
                     witness_b=span(field, best_b),
@@ -278,7 +351,7 @@ def mu_exact(field: ExtensionField, r: int, s: int,
                     pairs_examined=processed)
 
 
-def _scan_parallel(field, a_list, s, canonicalize, floor, budget, workers):
+def _scan_parallel(field, a_list, s, b_count, canonicalize, floor, budget, workers):
     chunk = max(1, -(-len(a_list) // (workers * 4)))
     bounds = [(k, min(k + chunk, len(a_list))) for k in range(0, len(a_list), chunk)]
     best = field.n + 1
@@ -289,7 +362,7 @@ def _scan_parallel(field, a_list, s, canonicalize, floor, budget, workers):
     # depend on how many processes the machine can run.
     with ctx.Pool(min(workers, len(bounds), os.cpu_count() or 1),
                   initializer=_init_worker,
-                  initargs=(field.p, field.n, field.modulus, a_list, s,
+                  initargs=(field.p, field.n, field.modulus, a_list, s, b_count,
                             canonicalize, floor, budget)) as pool:
         # Consuming chunk results in submission order makes the reduction
         # independent of scheduling.

@@ -10,6 +10,7 @@ import subspace_products.search as search
 from oracle import mu_field_brute
 from subspace_products.fields import ExtensionField
 from subspace_products.kappa import divisors, kappa_rs
+from subspace_products.linalg import span
 from subspace_products.products import product_span
 from subspace_products.search import (SearchOptions, enumerate_subspaces,
                                       gaussian_binomial, mu_exact, mu_randomized,
@@ -145,13 +146,88 @@ def test_mu_exact_validates_input(field_cache):
             mu_exact(f, 1, 1, SearchOptions(workers=workers))
 
 
+def _fields_of(res):
+    return (res.value, res.witness_a.rows, res.witness_b.rows, res.exhaustive,
+            res.pairs_examined)
+
+
 def test_mu_exact_worker_determinism(field_cache):
+    # a full scan, so the pair count is the same too
     f = field_cache(2, 5)
     runs = [mu_exact(f, 3, 3, SearchOptions(workers=w, use_kappa_floor=False))
             for w in (1, 4)]
-    assert runs[0].value == runs[1].value
-    assert runs[0].witness_a == runs[1].witness_a
-    assert runs[0].witness_b == runs[1].witness_b
+    assert _fields_of(runs[0]) == _fields_of(runs[1])
+    assert runs[0].exhaustive and runs[0].pairs_examined == 35 * 35
+
+
+def _orbit_reps(f, r):
+    return [rows for rows, skipped in search._a_rows(f, r, True, True) if not skipped]
+
+
+@pytest.mark.parametrize("p, n, r", [(2, 6, r) for r in range(2, 6)]
+                         + [(3, 4, r) for r in range(2, 4)])
+def test_orbits_partition_canonical_subspaces(field_cache, p, n, r):
+    f = field_cache(p, n)
+    canonical = [sp.rows for sp in enumerate_subspaces(f, r, containing_one=True)]
+    reps = _orbit_reps(f, r)
+    orbits = [search._orbit(f, rows) for rows in reps]
+    assert sum(len(o) for o in orbits) == gaussian_binomial(n - 1, r - 1, p)
+    assert set().union(*orbits) == set(canonical)
+    for rows in set().union(*orbits):
+        sp = span(f, rows)
+        assert sp.rows == rows and sp.dim == r and sp.contains(1)
+    # each representative is the least member of its orbit
+    order = {rows: i for i, rows in enumerate(canonical)}
+    assert all(min(o, key=order.get) == rows for o, rows in zip(orbits, reps))
+
+
+def test_subfield_is_its_own_orbit(field_cache):
+    for p, n, d in ((2, 6, 2), (2, 6, 3), (3, 4, 2), (2, 8, 4)):
+        f = field_cache(p, n)
+        g = f.subfield_generator(d)
+        sub = span(f, [f.pow(g, i) for i in range(d)])
+        assert sub.dim == d
+        assert search._orbit(f, sub.rows) == {sub.rows}
+
+
+def test_orbit_representative_counts(field_cache):
+    assert (len(_orbit_reps(field_cache(2, 6), 3)), gaussian_binomial(5, 2, 2)) == (7, 155)
+    assert (len(_orbit_reps(field_cache(2, 7), 3)), gaussian_binomial(6, 2, 2)) == (15, 651)
+
+
+def _count_orbits(monkeypatch):
+    calls = []
+    orbit = search._orbit
+
+    def counted(f, rows):
+        calls.append(rows)
+        return orbit(f, rows)
+
+    monkeypatch.setattr(search, "_orbit", counted)
+    return calls
+
+
+def _unreduced(f, r, s, opts):
+    """Serial mu_exact with the orbit skip off: the limit admits the B walk
+    of the scan but not its set of seen A."""
+    with pytest.MonkeyPatch.context() as m:
+        calls = _count_orbits(m)
+        m.setattr(search, "MAX_HELD_ROWS",
+                  min(gaussian_binomial(f.n - 1, s - 1, f.p), opts.budget))
+        res = mu_exact(f, r, s, opts)
+    assert not calls
+    return res
+
+
+def test_mu_exact_turns_the_skip_off_when_seen_set_exceeds_limit(field_cache):
+    f = field_cache(2, 6)
+    for r, s, budget in ((3, 3, 10 ** 9), (3, 4, 10 ** 9), (2, 5, 10 ** 9), (4, 3, 5000)):
+        opts = SearchOptions(budget=budget, use_kappa_floor=False)
+        with pytest.MonkeyPatch.context() as m:
+            calls = _count_orbits(m)
+            reduced = mu_exact(f, r, s, opts)
+        assert calls, (r, s)
+        assert _fields_of(reduced) == _fields_of(_unreduced(f, r, s, opts)), (r, s, budget)
 
 
 def test_mu_exact_refuses_scans_too_large_to_hold(field_cache):
@@ -189,13 +265,20 @@ def test_mu_exact_matches_brute_force(field_cache):
     for p, n, r, s, canon in cells:
         for use_kappa_floor in (True, False):
             _check_against_oracle(field_cache(p, n), r, s, canon, use_kappa_floor, 10 ** 9)
+    # GF(2^6) (2, 3) and (4, 2): the first minimal A (at index 10 and 15) has
+    # other orbit members, and the budgets 100, 400 and 1300 end inside the
+    # pair ranges of skipped A
+    for r, s in ((2, 3), (4, 2)):
+        for budget in (10 ** 9, 100, 400, 1300):
+            for use_kappa_floor in (True, False):
+                _check_against_oracle(field_cache(2, 6), r, s, True, use_kappa_floor, budget)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_mu_exact_truncated_runs_match_brute_force(field_cache, data):
     p, n, canon = data.draw(st.sampled_from([(2, 4, True), (2, 4, False), (3, 3, True),
-                                             (3, 3, False), (2, 5, True)]))
+                                             (3, 3, False), (2, 5, True), (2, 6, True)]))
     r = data.draw(st.integers(1, min(n, 3)))
     s = data.draw(st.integers(1, min(n, 3)))
     total = 1
@@ -242,9 +325,30 @@ def test_mu_exact_caps_worker_processes(field_cache, monkeypatch):
         res = mu_exact(f, 3, 3, SearchOptions(workers=workers, use_kappa_floor=False))
         assert (res.value, res.witness_a, res.witness_b) == \
             (serial.value, serial.witness_a, serial.witness_b)
-    # 15 canonical 3-dimensional subspaces of GF(2^5) give at most 15 chunks
+    # 35 canonical 3-dimensional subspaces of GF(2^5) give at most 35 chunks
     assert _FakeContext.processes == [min(2, os.cpu_count() or 1),
-                                      min(15, os.cpu_count() or 1)]
+                                      min(35, os.cpu_count() or 1)]
+
+
+def test_parallel_skip_matches_unreduced_serial_scan(field_cache, monkeypatch):
+    # each chunk skips the same A as the serial scan, and the reduction keeps
+    # the first minimal pair, so the pair count matches the unreduced scan's
+    monkeypatch.setattr(search, "get_context", lambda: _FakeContext)
+    monkeypatch.setattr(search, "_W", {})
+    monkeypatch.setattr(_FakeContext, "processes", [])
+    calls = _count_orbits(monkeypatch)
+    for p, n in ((2, 4), (3, 3), (2, 5), (2, 6), (3, 4)):
+        f = field_cache(p, n)
+        for r in range(2, n):
+            for s in range(1, n + 1):
+                for floor in (True, False):
+                    serial = _unreduced(f, r, s, SearchOptions(use_kappa_floor=floor))
+                    for workers in (2, 5000):
+                        res = mu_exact(f, r, s, SearchOptions(workers=workers,
+                                                              use_kappa_floor=floor))
+                        assert _fields_of(res) == _fields_of(serial), \
+                            (p, n, r, s, floor, workers)
+    assert calls
 
 
 def test_mu_randomized_is_reproducible_and_upper_bound(field_cache):
