@@ -83,8 +83,7 @@ def _cmd_mu_field(args):
     if args.exhaustive == (args.trials is not None):
         raise ValueError("choose exactly one of --exhaustive or --trials")
     if args.exhaustive:
-        opts = SearchOptions(budget=args.budget, workers=args.workers)
-        res = mu_exact(field, args.r, args.s, opts)
+        res = mu_exact(field, args.r, args.s, SearchOptions(budget=args.budget))
         seed = None
     else:
         seed = _seed_of(args)
@@ -256,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--budget", type=int, default=10 ** 9)
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(handler=_cmd_mu_field)
 
     p = sub.add_parser("construct", help="build a pair attaining the bound")

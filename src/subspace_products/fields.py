@@ -276,7 +276,7 @@ def lane_layout(p: int, n: int) -> LaneLayout:
 
 
 class ExtensionField:
-    """GF(p^n): immutable after construction, shareable across workers.
+    """GF(p^n): immutable after construction.
 
     All operations take and return element indices (ints in [0, p^n)).
     """

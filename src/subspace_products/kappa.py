@@ -112,7 +112,9 @@ MAX_TABLE_N = 2048
 def kappa_table(n: int, degrees: AdmissibleDegreeSet | None = None) -> list[list[int]]:
     """n x n matrix with entry (r, s) = kappa(r, s); symmetric by construction.
 
-    Raises ValueError for n > MAX_TABLE_N before any work is done."""
+    Raises ValueError for n < 1 or n > MAX_TABLE_N before any work is done."""
+    if n < 1:
+        raise ValueError(f"n={n} must be >= 1")
     if n > MAX_TABLE_N:
         raise ValueError(f"n={n} is past the table limit {MAX_TABLE_N}")
     if degrees is None:

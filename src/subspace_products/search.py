@@ -28,10 +28,8 @@ value its representative already reached.
 from __future__ import annotations
 
 import itertools
-import os
 import random
 from dataclasses import dataclass
-from multiprocessing import get_context
 from typing import Any
 
 from .fields import ExtensionField
@@ -138,8 +136,6 @@ def product_dim_capped(field: ExtensionField, arows, brows, cap: int) -> int:
 @dataclass(frozen=True)
 class SearchOptions:
     budget: int = 10 ** 9          # max pairs examined before truncating
-    workers: int = 1
-    canonicalize: bool = True      # restrict to subspaces containing 1
     use_kappa_floor: bool = True   # prune at the proven lower bound
 
 
@@ -153,8 +149,8 @@ class MuResult:
 
 
 # Largest scan mu_exact accepts, in subspaces: the B subspaces the budget lets
-# it reach, plus the A list when the scan is split across worker processes.
-# A serial scan also counts its set of seen A against it, or runs unreduced.
+# it reach.  The scan also counts its set of seen A against it, or runs
+# unreduced.
 MAX_HELD_ROWS = 2 ** 20
 
 
@@ -202,16 +198,17 @@ def _orbit(field, rows) -> set:
     return orbit
 
 
-def _a_rows(field, r, canonicalize, skip):
-    """(rows, skipped) for each r-dimensional A in enumeration order; with
-    `skip`, an A is skipped iff an earlier A lies in its orbit (see _orbit).
+def _a_rows(field, r, skip):
+    """(rows, skipped) for each r-dimensional A containing 1 in enumeration
+    order; with `skip`, an A is skipped iff an earlier A lies in its orbit
+    (see _orbit).
 
     Walking A in order, an A not yet seen is the least of its orbit, and its
     orbit is added to `seen` only when the next A is asked for, that is, after
     the scan has walked it: a scan that stops inside its first A computes no
     orbit.  A skipped A is dropped from `seen`, since it never comes again."""
     seen: set = set()
-    for sp in enumerate_subspaces(field, r, canonicalize):
+    for sp in enumerate_subspaces(field, r, containing_one=True):
         skipped = sp.rows in seen
         yield sp.rows, skipped
         if skip and not skipped:
@@ -277,35 +274,20 @@ def _scan(field, a_rows, b_tables, b_count, floor, budget):
     return best, best_a, best_b, processed
 
 
-# Worker globals, set once per process by the pool initializer.
-_W: dict = {}
-
-
-def _init_worker(p, n, modulus, a_list, s, b_count, canonicalize, floor, budget):
-    field = ExtensionField(p, n, modulus)
-    _W.update(field=field, a=a_list,
-              b=_Replayed(_row_tables(field, s, canonicalize)),
-              b_count=b_count, floor=floor, budget=budget)
-
-
-def _scan_chunk(bounds):
-    start, end = bounds
-    return _scan(_W["field"], _W["a"][start:end], _W["b"], _W["b_count"],
-                 _W["floor"], _W["budget"])
-
-
 def mu_exact(field: ExtensionField, r: int, s: int,
              options: SearchOptions | None = None) -> MuResult:
     """Exact minimum of dim<AB> over all pairs with dim A = r, dim B = s.
+    Only subspaces containing 1 are scanned (see the module docstring), so
+    both witnesses contain 1.
 
     When the number of pairs exceeds the budget the run is truncated: it
     scans the A-major prefix of `budget` pairs and reports exhaustive=True
     only if that prefix reaches the proven floor.  Otherwise the reported
     value is the exact minimum even when floor pruning stops the scan early.
     Raises ValueError when the scan would reach more than MAX_HELD_ROWS
-    subspaces of B (plus A when parallel).  A serial scan skips orbit members
-    (see _scan) only while its set of seen A, up to the number of A, fits
-    under that limit as well; results are the same either way.
+    subspaces of B.  The scan skips orbit members (see _scan) only while its
+    set of seen A, up to the number of A, fits under that limit as well;
+    results are the same either way.
     """
     opts = options or SearchOptions()
     n, p = field.n, field.p
@@ -313,67 +295,27 @@ def mu_exact(field: ExtensionField, r: int, s: int,
         raise ValueError(f"r={r}, s={s} must lie in [1, {n}]")
     if opts.budget < 1:
         raise ValueError("budget must be >= 1")
-    if opts.workers < 1:
-        raise ValueError("workers must be >= 1")
     floor = (kappa_rs(r, s, divisors(n)).value if opts.use_kappa_floor
              else max(r, s))
 
-    def count(k):
-        if opts.canonicalize:
-            return gaussian_binomial(n - 1, k - 1, p)
-        return gaussian_binomial(n, k, p)
-
-    a_count, b_count = count(r), count(s)
+    a_count, b_count = (gaussian_binomial(n - 1, k - 1, p) for k in (r, s))
     truncated = a_count * b_count > opts.budget
-    parallel = opts.workers > 1 and not truncated
-    held = min(b_count, opts.budget) + (a_count if parallel else 0)
+    held = min(b_count, opts.budget)
     if held > MAX_HELD_ROWS:
         raise ValueError(f"the scan would hold {held} subspaces, more than "
                          f"{MAX_HELD_ROWS}; lower the budget")
 
     # a single A (r = 1 or r = n) has no other orbit member to skip
-    skip = (opts.canonicalize and 1 < r < n
-            and (parallel or held + a_count <= MAX_HELD_ROWS))
-    a_rows = _a_rows(field, r, opts.canonicalize, skip)
-    if parallel:
-        best, best_a, best_b, processed = _scan_parallel(
-            field, list(a_rows), s, b_count, opts.canonicalize, floor,
-            opts.budget, opts.workers)
-    else:
-        # Each profile's row table is built when the first A reaches it.
-        b_tables = _Replayed(_row_tables(field, s, opts.canonicalize))
-        best, best_a, best_b, processed = _scan(field, a_rows, b_tables, b_count,
-                                                floor, opts.budget)
+    skip = 1 < r < n and held + a_count <= MAX_HELD_ROWS
+    # Each profile's row table is built when the first A reaches it.
+    b_tables = _Replayed(_row_tables(field, s, containing_one=True))
+    best, best_a, best_b, processed = _scan(field, _a_rows(field, r, skip), b_tables,
+                                            b_count, floor, opts.budget)
     return MuResult(value=best,
                     witness_a=span(field, best_a),
                     witness_b=span(field, best_b),
                     exhaustive=not truncated or best <= floor,
                     pairs_examined=processed)
-
-
-def _scan_parallel(field, a_list, s, b_count, canonicalize, floor, budget, workers):
-    chunk = max(1, -(-len(a_list) // (workers * 4)))
-    bounds = [(k, min(k + chunk, len(a_list))) for k in range(0, len(a_list), chunk)]
-    best = field.n + 1
-    best_a = best_b = None
-    processed = 0
-    ctx = get_context()
-    # The chunking follows the requested worker count, so results do not
-    # depend on how many processes the machine can run.
-    with ctx.Pool(min(workers, len(bounds), os.cpu_count() or 1),
-                  initializer=_init_worker,
-                  initargs=(field.p, field.n, field.modulus, a_list, s, b_count,
-                            canonicalize, floor, budget)) as pool:
-        # Consuming chunk results in submission order makes the reduction
-        # independent of scheduling.
-        for value, ar, br, done in pool.imap(_scan_chunk, bounds):
-            processed += done
-            if value < best:
-                best, best_a, best_b = value, ar, br
-            if best <= floor:
-                pool.terminate()
-                break
-    return best, best_a, best_b, processed
 
 
 def mu_randomized(field: ExtensionField, r: int, s: int, trials: int,

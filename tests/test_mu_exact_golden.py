@@ -1,6 +1,9 @@
 """mu_exact against pinned outputs: value, both witnesses, the exact flag and
 the pair count, over a grid of fields, dimensions and options that includes
-budget-truncated runs and a parallel scan.
+budget-truncated runs.  Rows with canonicalize=False pin the scan over all
+subspaces, not only those containing 1; mu_exact never runs it, so those rows
+check the brute-force oracle the scan's tests compare against.  The last
+field of each case is a worker count, which mu_exact does not take.
 
 Regenerate (only when a change of results is intended) with
     PYTHONPATH=src python tests/test_mu_exact_golden.py
@@ -9,7 +12,9 @@ Regenerate (only when a change of results is intended) with
 import json
 import pathlib
 
+from oracle import mu_field_brute
 from subspace_products.fields import ExtensionField
+from subspace_products.kappa import divisors, kappa_rs
 from subspace_products.search import SearchOptions, mu_exact
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "mu_exact_golden.json"
@@ -29,14 +34,19 @@ def golden_cases():
 
 
 def compute(fields, case):
-    p, n, r, s, canon, floor, budget, workers = case
+    p, n, r, s, canon, floor, budget, _ = case
     if (p, n) not in fields:
         fields[(p, n)] = ExtensionField(p, n)
-    res = mu_exact(fields[(p, n)], r, s,
-                   SearchOptions(budget=budget, workers=workers,
-                                 canonicalize=canon, use_kappa_floor=floor))
-    return [list(case), res.value, list(res.witness_a.rows),
-            list(res.witness_b.rows), res.exhaustive, res.pairs_examined]
+    f = fields[(p, n)]
+    if canon:
+        res = mu_exact(f, r, s, SearchOptions(budget=budget, use_kappa_floor=floor))
+        got = (res.value, res.witness_a.rows, res.witness_b.rows, res.exhaustive,
+               res.pairs_examined)
+    else:
+        lower = kappa_rs(r, s, divisors(n)).value if floor else max(r, s)
+        got = mu_field_brute(f, r, s, False, lower, budget)
+    value, a_rows, b_rows, exhaustive, pairs = got
+    return [list(case), value, list(a_rows), list(b_rows), exhaustive, pairs]
 
 
 def test_mu_exact_matches_golden():

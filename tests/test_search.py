@@ -1,4 +1,3 @@
-import os
 import random
 import time
 
@@ -113,18 +112,6 @@ def test_mu_exact_witness_recomputes(field_cache):
         assert res.value == min(r + s - 1, 5)
 
 
-def test_mu_exact_canonicalization_is_lossless(field_cache):
-    # full search against normalized search, floor pruning limited to the
-    # elementary bound so the comparison is meaningful
-    f = field_cache(2, 4)
-    for r in range(1, 5):
-        for s in range(r, 5):
-            full = mu_exact(f, r, s, SearchOptions(canonicalize=False,
-                                                   use_kappa_floor=False))
-            canon = mu_exact(f, r, s, SearchOptions(use_kappa_floor=False))
-            assert full.value == canon.value
-
-
 def test_mu_exact_budget_truncation(field_cache):
     f = field_cache(2, 4)
     res = mu_exact(f, 2, 3, SearchOptions(budget=3, use_kappa_floor=False))
@@ -141,9 +128,6 @@ def test_mu_exact_validates_input(field_cache):
         mu_exact(f, 1, 5)
     with pytest.raises(ValueError):
         mu_exact(f, 1, 1, SearchOptions(budget=0))
-    for workers in (0, -3):
-        with pytest.raises(ValueError, match="workers"):
-            mu_exact(f, 1, 1, SearchOptions(workers=workers))
 
 
 def _fields_of(res):
@@ -151,17 +135,8 @@ def _fields_of(res):
             res.pairs_examined)
 
 
-def test_mu_exact_worker_determinism(field_cache):
-    # a full scan, so the pair count is the same too
-    f = field_cache(2, 5)
-    runs = [mu_exact(f, 3, 3, SearchOptions(workers=w, use_kappa_floor=False))
-            for w in (1, 4)]
-    assert _fields_of(runs[0]) == _fields_of(runs[1])
-    assert runs[0].exhaustive and runs[0].pairs_examined == 35 * 35
-
-
 def _orbit_reps(f, r):
-    return [rows for rows, skipped in search._a_rows(f, r, True, True) if not skipped]
+    return [rows for rows, skipped in search._a_rows(f, r, True) if not skipped]
 
 
 @pytest.mark.parametrize("p, n, r", [(2, 6, r) for r in range(2, 6)]
@@ -245,109 +220,53 @@ def test_mu_exact_refuses_scans_too_large_to_hold(field_cache):
     assert not res.exhaustive and res.pairs_examined == 1000
 
 
-def _check_against_oracle(f, r, s, canonicalize, use_kappa_floor, budget):
+def _check_against_oracle(f, r, s, use_kappa_floor, budget):
     floor = kappa_rs(r, s, divisors(f.n)).value if use_kappa_floor else max(r, s)
-    res = mu_exact(f, r, s, SearchOptions(budget=budget, canonicalize=canonicalize,
-                                          use_kappa_floor=use_kappa_floor))
-    got = (res.value, res.witness_a.rows, res.witness_b.rows, res.exhaustive,
-           res.pairs_examined)
-    assert got == mu_field_brute(f, r, s, canonicalize, floor, budget), \
-        (f.p, f.n, r, s, canonicalize, use_kappa_floor, budget)
+    res = mu_exact(f, r, s, SearchOptions(budget=budget, use_kappa_floor=use_kappa_floor))
+    assert _fields_of(res) == mu_field_brute(f, r, s, True, floor, budget), \
+        (f.p, f.n, r, s, use_kappa_floor, budget)
 
 
 def test_mu_exact_matches_brute_force(field_cache):
     # the walk skips subtrees; the oracle computes every product span in full
-    cells = [(2, 4, r, s, canon) for r in range(1, 5) for s in range(1, 5)
-             for canon in (True, False)]
-    cells += [(3, 3, r, s, canon) for r in range(1, 4) for s in range(1, 4)
-              for canon in (True, False)]
-    cells += [(2, 5, r, s, True) for r in range(1, 4) for s in range(1, 4)]
-    for p, n, r, s, canon in cells:
+    cells = [(2, 4, r, s) for r in range(1, 5) for s in range(1, 5)]
+    cells += [(3, 3, r, s) for r in range(1, 4) for s in range(1, 4)]
+    cells += [(2, 5, r, s) for r in range(1, 4) for s in range(1, 4)]
+    for p, n, r, s in cells:
         for use_kappa_floor in (True, False):
-            _check_against_oracle(field_cache(p, n), r, s, canon, use_kappa_floor, 10 ** 9)
+            _check_against_oracle(field_cache(p, n), r, s, use_kappa_floor, 10 ** 9)
     # GF(2^6) (2, 3) and (4, 2): the first minimal A (at index 10 and 15) has
     # other orbit members, and the budgets 100, 400 and 1300 end inside the
     # pair ranges of skipped A
     for r, s in ((2, 3), (4, 2)):
         for budget in (10 ** 9, 100, 400, 1300):
             for use_kappa_floor in (True, False):
-                _check_against_oracle(field_cache(2, 6), r, s, True, use_kappa_floor, budget)
+                _check_against_oracle(field_cache(2, 6), r, s, use_kappa_floor, budget)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_mu_exact_truncated_runs_match_brute_force(field_cache, data):
-    p, n, canon = data.draw(st.sampled_from([(2, 4, True), (2, 4, False), (3, 3, True),
-                                             (3, 3, False), (2, 5, True), (2, 6, True)]))
+    p, n = data.draw(st.sampled_from([(2, 4), (3, 3), (2, 5), (2, 6)]))
     r = data.draw(st.integers(1, min(n, 3)))
     s = data.draw(st.integers(1, min(n, 3)))
-    total = 1
-    for k in (r, s):
-        total *= (gaussian_binomial(n - 1, k - 1, p) if canon
-                  else gaussian_binomial(n, k, p))
+    total = gaussian_binomial(n - 1, r - 1, p) * gaussian_binomial(n - 1, s - 1, p)
     budget = data.draw(st.integers(1, total))
-    _check_against_oracle(field_cache(p, n), r, s, canon, data.draw(st.booleans()), budget)
+    _check_against_oracle(field_cache(p, n), r, s, data.draw(st.booleans()), budget)
 
 
-class _FakePool:
-    """In-process stand-in for multiprocessing.Pool that starts no process."""
-
-    def __init__(self, processes, initializer, initargs):
-        _FakeContext.processes.append(processes)
-        initializer(*initargs)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def imap(self, func, items):
-        return map(func, items)
-
-    def terminate(self):
-        pass
-
-
-class _FakeContext:
-    processes: list = []
-    Pool = _FakePool
-
-
-def test_mu_exact_caps_worker_processes(field_cache, monkeypatch):
-    monkeypatch.setattr(search, "get_context", lambda: _FakeContext)
-    monkeypatch.setattr(search, "_W", {})
-    monkeypatch.setattr(_FakeContext, "processes", [])
-    f = field_cache(2, 5)
-    opts = SearchOptions(use_kappa_floor=False)
-    serial = mu_exact(f, 3, 3, opts)
-    for workers in (2, 5000):
-        res = mu_exact(f, 3, 3, SearchOptions(workers=workers, use_kappa_floor=False))
-        assert (res.value, res.witness_a, res.witness_b) == \
-            (serial.value, serial.witness_a, serial.witness_b)
-    # 35 canonical 3-dimensional subspaces of GF(2^5) give at most 35 chunks
-    assert _FakeContext.processes == [min(2, os.cpu_count() or 1),
-                                      min(35, os.cpu_count() or 1)]
-
-
-def test_parallel_skip_matches_unreduced_serial_scan(field_cache, monkeypatch):
-    # each chunk skips the same A as the serial scan, and the reduction keeps
-    # the first minimal pair, so the pair count matches the unreduced scan's
-    monkeypatch.setattr(search, "get_context", lambda: _FakeContext)
-    monkeypatch.setattr(search, "_W", {})
-    monkeypatch.setattr(_FakeContext, "processes", [])
+def test_skip_matches_unreduced_scan(field_cache, monkeypatch):
+    # the skip keeps the first minimal pair and counts skipped pairs as
+    # decided, so every field of the result matches the unreduced scan's
     calls = _count_orbits(monkeypatch)
     for p, n in ((2, 4), (3, 3), (2, 5), (2, 6), (3, 4)):
         f = field_cache(p, n)
         for r in range(2, n):
             for s in range(1, n + 1):
                 for floor in (True, False):
-                    serial = _unreduced(f, r, s, SearchOptions(use_kappa_floor=floor))
-                    for workers in (2, 5000):
-                        res = mu_exact(f, r, s, SearchOptions(workers=workers,
-                                                              use_kappa_floor=floor))
-                        assert _fields_of(res) == _fields_of(serial), \
-                            (p, n, r, s, floor, workers)
+                    opts = SearchOptions(use_kappa_floor=floor)
+                    assert _fields_of(mu_exact(f, r, s, opts)) == \
+                        _fields_of(_unreduced(f, r, s, opts)), (p, n, r, s, floor)
     assert calls
 
 
