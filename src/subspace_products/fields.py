@@ -291,9 +291,11 @@ class ExtensionField:
             raise ValueError(f"p={p} exceeds the supported bound {MAX_PRIME}")
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
+        if n >= MAX_FIELD_SIZE.bit_length():   # p^n >= 2^n; refuse before the power
+            raise ValueError(f"p^n = {p}^{n} exceeds the supported bound {MAX_FIELD_SIZE}")
         q = p ** n
         if q > MAX_FIELD_SIZE:
-            raise ValueError(f"p^n = {q} exceeds the supported bound {MAX_FIELD_SIZE}")
+            raise ValueError(f"p^n = {p}^{n} exceeds the supported bound {MAX_FIELD_SIZE}")
         self.p = p
         self.n = n
         self.q = q

@@ -62,8 +62,13 @@ def _row_tables(field: ExtensionField, r: int, containing_one: bool = False):
     assignment of its free cells, and sizes[i] = len(rows[i+1]) * ... *
     len(rows[r-1]) counts the subspaces of the profile that share one choice
     of rows 0..i.  The profile's subspaces are itertools.product(*rows), in
-    that order."""
+    that order.  Raises ValueError, before it builds any row, when one
+    profile's rows would take more than MAX_HELD_ROWS values."""
     p, n = field.p, field.n
+    # the first profile (pivots 0..r-1) has the most free cells in every row
+    total = (r - 1 if containing_one else r) * p ** (n - r)
+    if total > MAX_HELD_ROWS:
+        raise ValueError(f"an RREF profile takes {total} values, more than {MAX_HELD_ROWS}")
     for pivots in itertools.combinations(range(n), r):
         if containing_one and pivots[:1] != (0,):
             continue
@@ -148,9 +153,8 @@ class MuResult:
     pairs_examined: int
 
 
-# Largest scan mu_exact accepts, in subspaces: the B subspaces the budget lets
-# it reach.  The scan also counts its set of seen A against it, or runs
-# unreduced.
+# Most values in the basis rows of one RREF profile (see _row_tables) and most
+# rows in the scan's set of seen A (see _a_rows).
 MAX_HELD_ROWS = 2 ** 20
 
 
@@ -284,10 +288,10 @@ def mu_exact(field: ExtensionField, r: int, s: int,
     scans the A-major prefix of `budget` pairs and reports exhaustive=True
     only if that prefix reaches the proven floor.  Otherwise the reported
     value is the exact minimum even when floor pruning stops the scan early.
-    Raises ValueError when the scan would reach more than MAX_HELD_ROWS
-    subspaces of B.  The scan skips orbit members (see _scan) only while its
-    set of seen A, up to the number of A, fits under that limit as well;
-    results are the same either way.
+    Raises ValueError before the first pair when the rows of one RREF profile
+    of A or B take more than MAX_HELD_ROWS values.  The scan skips orbit
+    members (see _scan) only while its set of seen A, at most the number of
+    A, fits under that limit as well; results are the same either way.
     """
     opts = options or SearchOptions()
     n, p = field.n, field.p
@@ -299,14 +303,8 @@ def mu_exact(field: ExtensionField, r: int, s: int,
              else max(r, s))
 
     a_count, b_count = (gaussian_binomial(n - 1, k - 1, p) for k in (r, s))
-    truncated = a_count * b_count > opts.budget
-    held = min(b_count, opts.budget)
-    if held > MAX_HELD_ROWS:
-        raise ValueError(f"the scan would hold {held} subspaces, more than "
-                         f"{MAX_HELD_ROWS}; lower the budget")
-
     # a single A (r = 1 or r = n) has no other orbit member to skip
-    skip = 1 < r < n and held + a_count <= MAX_HELD_ROWS
+    skip = 1 < r < n and a_count <= MAX_HELD_ROWS
     # Each profile's row table is built when the first A reaches it.
     b_tables = _Replayed(_row_tables(field, s, containing_one=True))
     best, best_a, best_b, processed = _scan(field, _a_rows(field, r, skip), b_tables,
@@ -314,7 +312,7 @@ def mu_exact(field: ExtensionField, r: int, s: int,
     return MuResult(value=best,
                     witness_a=span(field, best_a),
                     witness_b=span(field, best_b),
-                    exhaustive=not truncated or best <= floor,
+                    exhaustive=a_count * b_count <= opts.budget or best <= floor,
                     pairs_examined=processed)
 
 

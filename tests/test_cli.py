@@ -119,11 +119,43 @@ def test_mu_field_has_no_workers_option(capsys):
     assert "unrecognized arguments: --workers" in err
 
 
-def test_mu_field_refuses_oversized_scan(capsys):
-    code, out, err = run(capsys, "mu-field", "--field", "2^16", "--r", "8", "--s", "8",
-                         "--exhaustive")
-    assert code == 2 and out == ""
-    assert err.startswith("error: ") and "Traceback" not in err
+def test_mu_field_refuses_oversized_scan(run_python):
+    # in a child process with a timeout: GF(2^30) (2, 2) has basis rows of
+    # 2^28 values, which must be refused before any is built, whatever the budget
+    proc = run_python("-m", "subspace_products.cli", "mu-field", "--field", "2^30",
+                      "--r", "2", "--s", "2", "--budget", "100", "--exhaustive", timeout=5)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    # GF(2^40) (20, 20): each row takes 2^20 values, but a profile's 19 rows
+    # take 19 * 2^20, refused before the first row is built
+    proc = run_python("-m", "subspace_products.cli", "mu-field", "--field", "2^40",
+                      "--r", "20", "--s", "20", "--exhaustive", timeout=5)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "takes 19922944 values" in proc.stderr
+
+
+def test_mu_field_scans_a_huge_field_when_its_rows_fit(capsys):
+    # GF(2^16): rows of at most 2^8 values, however many subspaces there are
+    code, rep, _ = run_report(capsys, "mu-field", "--field", "2^16", "--r", "1",
+                              "--s", "8", "--exhaustive")
+    assert code == 0
+    assert (rep["results"]["value"], rep["results"]["exhaustive"],
+            rep["results"]["pairs_examined"]) == (8, True, 1)
+    t0 = time.perf_counter()
+    code, rep, _ = run_report(capsys, "mu-field", "--field", "2^16", "--r", "8",
+                              "--s", "8", "--exhaustive")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 3 and not rep["results"]["exhaustive"]
+    assert rep["results"]["pairs_examined"] == 10 ** 9
+
+
+@pytest.mark.parametrize("spec", ["65521^3000000", "3^10000000"])
+def test_construct_refuses_huge_degree_before_the_power(run_python, spec):
+    # p^n has millions of digits; the size check must not compute it first
+    proc = run_python("-m", "subspace_products.cli", "construct", "--field", spec,
+                      "--r", "1", "--s", "1", timeout=2)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
 def test_mu_field_randomized_replay(capsys):

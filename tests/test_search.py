@@ -36,6 +36,13 @@ def test_enumeration_counts_and_uniqueness(field_cache):
             assert len(seen) == gaussian_binomial(n, r, p)
 
 
+def test_enumeration_refuses_rows_too_large_to_hold(field_cache):
+    # GF(2^23), 2-dimensional subspaces containing 1: row 1 takes 2^21 values
+    subspaces = enumerate_subspaces(field_cache(2, 23), 2, True)
+    with pytest.raises(ValueError, match="takes 2097152 values"):
+        next(subspaces)
+
+
 def test_enumeration_matches_canonical_span(field_cache):
     # enumerated rows are already in canonical RREF
     from subspace_products.linalg import span
@@ -183,37 +190,43 @@ def _count_orbits(monkeypatch):
 
 
 def _unreduced(f, r, s, opts):
-    """Serial mu_exact with the orbit skip off: the limit admits the B walk
-    of the scan but not its set of seen A."""
+    """Serial mu_exact with the orbit skip off: every orbit is empty, so no A
+    is skipped."""
     with pytest.MonkeyPatch.context() as m:
-        calls = _count_orbits(m)
-        m.setattr(search, "MAX_HELD_ROWS",
-                  min(gaussian_binomial(f.n - 1, s - 1, f.p), opts.budget))
-        res = mu_exact(f, r, s, opts)
-    assert not calls
-    return res
+        m.setattr(search, "_orbit", lambda field, rows: set())
+        return mu_exact(f, r, s, opts)
 
 
 def test_mu_exact_turns_the_skip_off_when_seen_set_exceeds_limit(field_cache):
+    # a limit one below the number of A turns the skip off; the basis rows of
+    # GF(2^6), at most 16 values, still fit under it
     f = field_cache(2, 6)
     for r, s, budget in ((3, 3, 10 ** 9), (3, 4, 10 ** 9), (2, 5, 10 ** 9), (4, 3, 5000)):
         opts = SearchOptions(budget=budget, use_kappa_floor=False)
         with pytest.MonkeyPatch.context() as m:
             calls = _count_orbits(m)
-            reduced = mu_exact(f, r, s, opts)
-        assert calls, (r, s)
-        assert _fields_of(reduced) == _fields_of(_unreduced(f, r, s, opts)), (r, s, budget)
+            m.setattr(search, "MAX_HELD_ROWS", gaussian_binomial(f.n - 1, r - 1, f.p) - 1)
+            res = mu_exact(f, r, s, opts)
+        assert not calls, (r, s)
+        assert _fields_of(res) == _fields_of(_unreduced(f, r, s, opts)), (r, s, budget)
 
 
-def test_mu_exact_refuses_scans_too_large_to_hold(field_cache):
-    # GF(2^16) has about 2.5e17 canonical 8-dimensional subspaces; the default
-    # budget would have the truncated scan hold 10^9 of them
+def test_mu_exact_refuses_scans_too_large_to_hold(run_python, field_cache):
+    # in a child process with a timeout: GF(2^30) (2, 2) has basis rows of
+    # 2^28 values, refused before any is built, however low the budget
+    code = """if True:
+        from subspace_products.fields import ExtensionField
+        from subspace_products.search import SearchOptions, mu_exact
+        try:
+            mu_exact(ExtensionField(2, 30), 2, 2, SearchOptions(budget=100))
+        except ValueError as exc:
+            print(exc)
+    """
+    proc = run_python("-c", code, timeout=5)
+    assert proc.returncode == 0 and "takes 268435456 values" in proc.stdout, proc.stderr
+    # GF(2^16) has about 2.5e17 canonical 8-dimensional subspaces, with rows
+    # of 2^8 values; a truncated run builds B's row tables only as far as it walks
     f = field_cache(2, 16)
-    t0 = time.perf_counter()
-    with pytest.raises(ValueError, match="would hold"):
-        mu_exact(f, 8, 8)
-    assert time.perf_counter() - t0 < 1.0
-    # a truncated run builds B's row tables only as far as it walks
     t0 = time.perf_counter()
     res = mu_exact(f, 8, 8, SearchOptions(budget=1000))
     assert time.perf_counter() - t0 < 1.0
@@ -267,6 +280,10 @@ def test_skip_matches_unreduced_scan(field_cache, monkeypatch):
                     opts = SearchOptions(use_kappa_floor=floor)
                     assert _fields_of(mu_exact(f, r, s, opts)) == \
                         _fields_of(_unreduced(f, r, s, opts)), (p, n, r, s, floor)
+    # a truncating budget: the prefix counts skipped A as decided pairs
+    opts = SearchOptions(budget=5000, use_kappa_floor=False)
+    f = field_cache(2, 6)
+    assert _fields_of(mu_exact(f, 4, 3, opts)) == _fields_of(_unreduced(f, 4, 3, opts))
     assert calls
 
 
