@@ -35,17 +35,42 @@ def _load_field(args) -> ExtensionField:
 
 
 def _degree_set(args) -> AdmissibleDegreeSet:
-    if args.degrees is not None:
-        degs = tuple(sorted({int(t) for t in args.degrees.split(",")}))
-        return AdmissibleDegreeSet(n=args.n if args.n is not None else INFINITE,
-                                   degrees=degs)
-    if args.n is None:
-        raise ValueError("provide --n or --degrees")
-    return divisors(args.n)
+    if args.degrees is None:
+        if args.n is None:
+            raise ValueError("provide --n or --degrees")
+        return divisors(args.n)
+    if args.n is not None and args.n < 1:   # n = 0 would read as INFINITE, "no --n"
+        raise ValueError(f"n={args.n} must be >= 1")
+    degs = tuple(sorted({int(t) for t in args.degrees.split(",")}))
+    return AdmissibleDegreeSet(n=INFINITE if args.n is None else args.n, degrees=degs)
 
 
 def _seed_of(args) -> int:
     return args.seed if args.seed is not None else secrets.randbits(32)
+
+
+def _field_results(field: ExtensionField, **results) -> dict:
+    """A field command's results: the field and its modulus, then `results`."""
+    return {"field": field.spec_str(), "modulus": field.modulus_str(), **results}
+
+
+def _run_mu(args, head, exact, randomized, rows):
+    """Check that the flags choose one mode, then call head() and run
+    exact(budget) for --exhaustive or randomized(trials, seed) for --trials.
+    Returns head()'s results followed by the run's value, flags and witnesses
+    (`rows` formats one), with exit 3 when the budget truncated an exhaustive run."""
+    if args.exhaustive == (args.trials is not None):
+        raise ValueError("choose exactly one of --exhaustive or --trials")
+    results = head()
+    if args.exhaustive:
+        seed, res = None, exact(args.budget)
+    else:
+        seed = _seed_of(args)
+        res = randomized(args.trials, seed)
+    results.update(value=res.value, exhaustive=res.exhaustive,
+                   pairs_examined=res.pairs_examined,
+                   witness_a=rows(res.witness_a), witness_b=rows(res.witness_b))
+    return results, EXIT_OK if res.exhaustive or not args.exhaustive else EXIT_BUDGET, seed
 
 
 # -- command handlers: return (results dict | raw text, exit code, seed) ------
@@ -80,41 +105,22 @@ def format_table_text(table) -> str:
 
 def _cmd_mu_field(args):
     field = _load_field(args)
-    if args.exhaustive == (args.trials is not None):
-        raise ValueError("choose exactly one of --exhaustive or --trials")
-    if args.exhaustive:
-        res = mu_exact(field, args.r, args.s, SearchOptions(budget=args.budget))
-        seed = None
-    else:
-        seed = _seed_of(args)
-        res = mu_randomized(field, args.r, args.s, args.trials, seed)
-    results = {
-        "field": field.spec_str(),
-        "modulus": field.modulus_str(),
-        "value": res.value,
-        "exhaustive": res.exhaustive,
-        "pairs_examined": res.pairs_examined,
-        "witness_a": res.witness_a.to_text().splitlines(),
-        "witness_b": res.witness_b.to_text().splitlines(),
-    }
-    code = EXIT_OK if res.exhaustive or not args.exhaustive else EXIT_BUDGET
-    return results, code, seed
+    r, s = args.r, args.s
+    return _run_mu(args, lambda: _field_results(field),
+                   lambda budget: mu_exact(field, r, s, SearchOptions(budget=budget)),
+                   lambda trials, seed: mu_randomized(field, r, s, trials, seed),
+                   lambda sp: sp.to_text().splitlines())
 
 
 def _cmd_construct(args):
     field = _load_field(args)
     a, b, cert = optimal_pair(field, args.r, args.s)
     report = kneser_check(a, b)
-    results = {
-        "field": field.spec_str(),
-        "modulus": field.modulus_str(),
-        "kappa": {"value": cert.value, "h0": cert.h0, "r0": cert.r0, "s0": cert.s0},
-        "dim_ab": report.dim_ab,
-        "achieves_kappa": report.dim_ab == cert.value,
-        "witness_a": a.to_text().splitlines(),
-        "witness_b": b.to_text().splitlines(),
-        "kneser": {"slack": report.slack, "dim_h": report.dim_h, "holds": report.holds},
-    }
+    results = _field_results(
+        field, kappa={"value": cert.value, "h0": cert.h0, "r0": cert.r0, "s0": cert.s0},
+        dim_ab=report.dim_ab, achieves_kappa=report.dim_ab == cert.value,
+        witness_a=a.to_text().splitlines(), witness_b=b.to_text().splitlines(),
+        kneser={"slack": report.slack, "dim_h": report.dim_h, "holds": report.holds})
     ok = results["achieves_kappa"] and report.holds and report.is_subfield_verified
     return results, EXIT_OK if ok else EXIT_VIOLATION, None
 
@@ -130,14 +136,9 @@ def _cmd_stabilizer(args):
     if v.is_zero():
         raise ValueError("subspace file describes the zero subspace")
     rep = stabilizer(v)
-    results = {
-        "field": field.spec_str(),
-        "modulus": field.modulus_str(),
-        "dim_v": v.dim,
-        "g": rep.g,
-        "stabilizer_basis": rep.h.to_text().splitlines(),
-        "is_subfield_verified": rep.is_subfield_verified,
-    }
+    results = _field_results(field, dim_v=v.dim, g=rep.g,
+                             stabilizer_basis=rep.h.to_text().splitlines(),
+                             is_subfield_verified=rep.is_subfield_verified)
     return results, EXIT_OK if rep.is_subfield_verified else EXIT_VIOLATION, None
 
 
@@ -165,14 +166,10 @@ def _cmd_verify_kneser(args):
             if first_violation is None:
                 first_violation = {"witness_a": a.to_text().splitlines(),
                                    "witness_b": b.to_text().splitlines()}
-    results = {
-        "field": field.spec_str(),
-        "modulus": field.modulus_str(),
-        "pairs": args.pairs,
-        "violations": violations,
-        "subfield_check_failures": subfield_failures,
-        "slack_histogram": {str(k): histogram[k] for k in sorted(histogram)},
-    }
+    results = _field_results(
+        field, pairs=args.pairs, violations=violations,
+        subfield_check_failures=subfield_failures,
+        slack_histogram={str(k): histogram[k] for k in sorted(histogram)})
     if first_violation:
         results["first_violation"] = first_violation
     ok = violations == 0 and subfield_failures == 0
@@ -195,28 +192,18 @@ def _load_group(args):
 
 def _cmd_mu_group(args):
     group = _load_group(args)
-    if args.exhaustive == (args.trials is not None):
-        raise ValueError("choose exactly one of --exhaustive or --trials")
-    cert = kappa_group(args.r, args.s, group)
-    if args.exhaustive:
-        res = mu_group_exact(group, args.r, args.s, budget=args.budget)
-        seed = None
-    else:
-        seed = _seed_of(args)
-        res = mu_group_randomized(group, args.r, args.s, args.trials, seed)
-    results = {
-        "group": group.name,
-        "order": group.order,
-        "subgroup_orders": list(group.subgroup_orders),
-        "kappa_g": {"value": cert.value, "h0": cert.h0},
-        "value": res.value,
-        "exhaustive": res.exhaustive,
-        "pairs_examined": res.pairs_examined,
-        "witness_a": list(res.witness_a),
-        "witness_b": list(res.witness_b),
-    }
-    code = EXIT_OK if res.exhaustive or not args.exhaustive else EXIT_BUDGET
-    return results, code, seed
+    r, s = args.r, args.s
+
+    def head():
+        cert = kappa_group(r, s, group)
+        return {"group": group.name, "order": group.order,
+                "subgroup_orders": list(group.subgroup_orders),
+                "kappa_g": {"value": cert.value, "h0": cert.h0}}
+
+    return _run_mu(args, head,
+                   lambda budget: mu_group_exact(group, r, s, budget=budget),
+                   lambda trials, seed: mu_group_randomized(group, r, s, trials, seed),
+                   list)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -236,6 +223,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--modulus", help="override modulus, coefficients low to high, "
                                          'e.g. "1,1,0,0,1"')
 
+    def add_mu_modes(p):
+        p.add_argument("--exhaustive", action="store_true")
+        p.add_argument("--trials", type=int)
+        p.add_argument("--seed", type=int)
+        p.add_argument("--budget", type=int, default=10 ** 9)
+
     p = sub.add_parser("kappa", help="integer bound at one (r, s)")
     add_rs(p)
     p.add_argument("--n", type=int)
@@ -251,10 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mu-field", help="minimum dim<AB> by search")
     add_field(p)
     add_rs(p)
-    p.add_argument("--exhaustive", action="store_true")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--budget", type=int, default=10 ** 9)
+    add_mu_modes(p)
     p.set_defaults(handler=_cmd_mu_field)
 
     p = sub.add_parser("construct", help="build a pair attaining the bound")
@@ -279,10 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", help="builtin name: cyclic:n, product:n,m, Z7xZ3semidirect")
     p.add_argument("--group-file", help="JSON file with order, identity, cayley")
     add_rs(p)
-    p.add_argument("--exhaustive", action="store_true")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--budget", type=int, default=10 ** 9)
+    add_mu_modes(p)
     p.set_defaults(handler=_cmd_mu_group)
 
     return parser

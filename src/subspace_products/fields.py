@@ -353,9 +353,6 @@ class ExtensionField:
         modulus = parse_modulus(modulus_csv) if modulus_csv else None
         return cls(p, n, modulus)
 
-    def __reduce__(self):
-        return (ExtensionField, (self.p, self.n, self.modulus))
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, ExtensionField)
                 and (self.p, self.n, self.modulus) == (other.p, other.n, other.modulus))
@@ -421,9 +418,6 @@ class ExtensionField:
 
     def coeffs(self, a: int) -> tuple[int, ...]:
         """Power-basis coordinates (c_0, ..., c_{n-1}) of an element index."""
-        if self._coeff_cache is not None:
-            v, mask = self._coeff_cache[a], self.lanes.mask
-            return tuple(v >> s & mask for s in self.lanes.shifts)
         p = self.p
         out = []
         for _ in range(self.n):

@@ -93,9 +93,6 @@ class GroupSpec:
         return cls(name=name, order=order, identity=identity, cayley=table,
                    subgroup_orders=subgroup_orders_of(table, identity))
 
-    def degree_set(self) -> AdmissibleDegreeSet:
-        return AdmissibleDegreeSet(n=self.order, degrees=self.subgroup_orders)
-
 
 def group_from_json(text: str) -> GroupSpec:
     data = json.loads(text)
@@ -145,7 +142,7 @@ def builtin_group(name: str) -> GroupSpec:
 
 def kappa_group(r: int, s: int, group: GroupSpec) -> KappaResult:
     """Same minimization as the field bound, over subgroup orders."""
-    return kappa_rs(r, s, group.degree_set())
+    return kappa_rs(r, s, AdmissibleDegreeSet(n=group.order, degrees=group.subgroup_orders))
 
 
 def _translate_masks(cayley, a_elems, order) -> list[int]:
@@ -210,8 +207,10 @@ def mu_group_exact(group: GroupSpec, r: int, s: int,
 def mu_group_randomized(group: GroupSpec, r: int, s: int, trials: int,
                         seed: int) -> MuResult:
     """Upper bound on min |AB| from random restarts with steepest-descent
-    single-element swaps.  `trials` budgets the total number of |AB|
-    evaluations (restarts plus descent probes); seed-reproducible.
+    single-element swaps; seed-reproducible.  `pairs_examined` counts |AB|
+    evaluations, restarts plus descent probes.  `trials` is checked only
+    before each restart and each descent round, and a round once started runs
+    its swap sweeps over both sides to the end, so the count can pass `trials`.
 
     Before each side's swap sweep, masks[x] is the bitmask of x*B on the A
     side (a sum of distinct bits, as a Cayley row is a permutation) or of

@@ -303,15 +303,16 @@ def mu_exact(field: ExtensionField, r: int, s: int,
              else max(r, s))
 
     a_count, b_count = (gaussian_binomial(n - 1, k - 1, p) for k in (r, s))
-    # a single A (r = 1 or r = n) has no other orbit member to skip
-    skip = 1 < r < n and a_count <= MAX_HELD_ROWS
+    skip = a_count <= MAX_HELD_ROWS
     # Each profile's row table is built when the first A reaches it.
     b_tables = _Replayed(_row_tables(field, s, containing_one=True))
     best, best_a, best_b, processed = _scan(field, _a_rows(field, r, skip), b_tables,
                                             b_count, floor, opts.budget)
+    # A's rows come from enumerate_subspaces and B's are a path through its row
+    # tables, so both are canonical RREF already
     return MuResult(value=best,
-                    witness_a=span(field, best_a),
-                    witness_b=span(field, best_b),
+                    witness_a=Subspace(field, best_a),
+                    witness_b=Subspace(field, best_b),
                     exhaustive=a_count * b_count <= opts.budget or best <= floor,
                     pairs_examined=processed)
 

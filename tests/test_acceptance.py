@@ -81,7 +81,7 @@ def test_criterion_02_prime_degree_formula():
             for s in range(1, 4):
                 assert mu_exact(f27, r, s, opts).value == min(r + s - 1, 3), (r, s)
 
-    _run(2, "prime-degree product minimum", 60.0, check)
+    _run(2, "prime-degree product minimum", 2.0, check)
 
 
 def test_criterion_03_mu_equals_kappa_desk_scale(field_cache):
@@ -102,7 +102,7 @@ def test_criterion_03_mu_equals_kappa_desk_scale(field_cache):
             assert res.exhaustive
             assert res.value == kappa_rs(r, s, divisors(n)).value, (p, n, r, s)
 
-    _run(3, "exhaustive minimum equals integer bound", 60.0, check)
+    _run(3, "exhaustive minimum equals integer bound", 45.0, check)
 
 
 def test_criterion_04_constructions_attain_bound(field_cache):
@@ -121,7 +121,7 @@ def test_criterion_04_constructions_attain_bound(field_cache):
                     assert ab.dim == cert.value, (p, n, r, s, ab.dim, cert.value)
                     assert slack >= 0 and st.is_subfield_verified
 
-    _run(4, "optimal constructions certified", 60.0, check)
+    _run(4, "optimal constructions certified", 2.0, check)
 
 
 def test_criterion_05_kneser_property_suite(field_cache):
@@ -197,7 +197,7 @@ def test_criterion_06_tower_construction(field_cache):
                 assert a.dim == r and b.dim == s
                 assert product_span(a, b).dim <= r + s - 1, (r, s)
 
-    _run(6, "tower construction stays under r+s-1", 10.0, check)
+    _run(6, "tower construction stays under r+s-1", 2.0, check)
 
 
 def test_criterion_07_galois_cross_check(field_cache):
@@ -240,7 +240,7 @@ def test_criterion_09_nonabelian_gap():
         size = len({g.cayley[a][b] for a in res.witness_a for b in res.witness_b})
         assert size == 13
 
-    _run(9, "order-21 group beats its bound by one", 60.0, check)
+    _run(9, "order-21 group beats its bound by one", 2.0, check)
 
 
 def test_criterion_09_long_exhaustive_order21():

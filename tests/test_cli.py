@@ -75,12 +75,16 @@ def test_kappa_table_refuses_large_n(capsys, n):
     assert code == 2 and out == "" and err.startswith("error: n=")
 
 
-@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
-def test_kappa_table_refuses_n_zero(capsys, fmt):
+@pytest.mark.parametrize("argv", [
+    ("kappa-table", "--degrees", "1", "--format", "text"),
+    ("kappa-table", "--degrees", "1", "--format", "csv"),
+    ("kappa-table", "--degrees", "1", "--format", "json"),
+    ("kappa", "--degrees", "1,7", "--r", "3", "--s", "4"),
+], ids=["text", "csv", "json", "kappa"])
+def test_kappa_table_refuses_n_zero(capsys, argv):
     # a degree set given without an ambient degree has n = 0, so --n 0 with
     # --degrees matches it and must be refused by the n check itself
-    code, out, err = run(capsys, "kappa-table", "--n", "0", "--degrees", "1",
-                         "--format", fmt)
+    code, out, err = run(capsys, *argv, "--n", "0")
     assert code == 2 and out == "" and err.startswith("error: n=")
 
 
@@ -102,14 +106,20 @@ def test_mu_field_mode_required(capsys):
     assert code == 2
 
 
-def test_mu_field_budget_exit(capsys):
+@pytest.mark.parametrize("argv, pairs, value", [
     # kappa(3,3) over divisors(6) is 3 (the F_8 subfield), which the first few
     # canonical pairs cannot attain, so a tiny budget truncates the scan
-    code, rep, _ = run_report(capsys, "mu-field", "--field", "2^6", "--r", "3",
-                              "--s", "3", "--exhaustive", "--budget", "4")
+    (("mu-field", "--field", "2^6", "--r", "3", "--s", "3", "--budget", "4"), 4, 5),
+    # the order-21 (5, 9) minimum 13 lies past the first 1000 search nodes
+    (("mu-group", "--group", "Z7xZ3semidirect", "--r", "5", "--s", "9", "--budget", "1000"),
+     1000, 15),
+], ids=["mu-field", "mu-group"])
+def test_mu_budget_exit(capsys, argv, pairs, value):
+    code, rep, _ = run_report(capsys, *argv, "--exhaustive")
     assert code == 3
     assert not rep["results"]["exhaustive"]
-    assert rep["results"]["pairs_examined"] == 4
+    assert rep["results"]["pairs_examined"] == pairs
+    assert rep["results"]["value"] == value
 
 
 def test_mu_field_has_no_workers_option(capsys):

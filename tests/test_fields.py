@@ -253,10 +253,3 @@ def test_parse_helpers():
     assert f.modulus == (1, 1, 0, 0, 1)
     assert poly_str((1, 1, 0, 0, 1)) == "x^4+x+1"
     assert poly_str((0, 1)) == "x"
-
-
-def test_pickle_roundtrip(field_cache):
-    import pickle
-    f = field_cache(3, 4)
-    g = pickle.loads(pickle.dumps(f))
-    assert g == f and g.primitive == f.primitive

@@ -115,6 +115,8 @@ def test_mu_exact_witness_recomputes(field_cache):
     for r, s in ((2, 2), (2, 3), (3, 3)):
         res = mu_exact(f, r, s)
         assert res.witness_a.dim == r and res.witness_b.dim == s
+        for w in (res.witness_a, res.witness_b):
+            assert span(f, w.rows).rows == w.rows   # held as canonical RREF
         assert product_span(res.witness_a, res.witness_b).dim == res.value
         assert res.value == min(r + s - 1, 5)
 
@@ -270,16 +272,22 @@ def test_mu_exact_truncated_runs_match_brute_force(field_cache, data):
 
 def test_skip_matches_unreduced_scan(field_cache, monkeypatch):
     # the skip keeps the first minimal pair and counts skipped pairs as
-    # decided, so every field of the result matches the unreduced scan's
+    # decided, so every field of the result matches the unreduced scan's.  A
+    # single A (r = 1 or r = n) reaches the floor max(r, s) with its first
+    # pair, so the scan ends before it would build that A's orbit.
     calls = _count_orbits(monkeypatch)
     for p, n in ((2, 4), (3, 3), (2, 5), (2, 6), (3, 4)):
         f = field_cache(p, n)
-        for r in range(2, n):
+        for r in range(1, n + 1):
+            single = r in (1, n)
             for s in range(1, n + 1):
                 for floor in (True, False):
-                    opts = SearchOptions(use_kappa_floor=floor)
-                    assert _fields_of(mu_exact(f, r, s, opts)) == \
-                        _fields_of(_unreduced(f, r, s, opts)), (p, n, r, s, floor)
+                    for budget in (1, 10 ** 9) if single else (10 ** 9,):
+                        opts = SearchOptions(budget=budget, use_kappa_floor=floor)
+                        before = len(calls)
+                        assert _fields_of(mu_exact(f, r, s, opts)) == \
+                            _fields_of(_unreduced(f, r, s, opts)), (p, n, r, s, floor, budget)
+                        assert not single or len(calls) == before, (p, n, r, s, floor, budget)
     # a truncating budget: the prefix counts skipped A as decided pairs
     opts = SearchOptions(budget=5000, use_kappa_floor=False)
     f = field_cache(2, 6)
