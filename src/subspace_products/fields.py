@@ -1,16 +1,16 @@
 """Exact arithmetic in GF(p^n) over a fixed monic irreducible modulus.
 
 Elements are plain ints in [0, p^n): the base-p packing of the coefficient
-vector (c_0, ..., c_{n-1}) in the power basis 1, x, ..., x^{n-1}.  For p = 2
-the packed index is literally the coefficient bitmask and multiplication is
-carry-less; fields with at most 2^16 elements additionally get discrete
-log/antilog tables keyed to the primitive element, which makes mul/inv/pow
-O(1) on the hot search paths.  For odd p an element's coordinates also have a
-lane form, one int with c_j in the j-th w-bit lane (`LaneLayout`); for n > 1
-and q <= 2^16 the coordinate table `_coeff_cache` lists the lane form of every
-index, built one base-p digit at a time, and each power of the primitive
-element g is built from the last by multiplication by g as an F_p-linear map
-on lanes (`_times`); for p = 2 and n = 1 it is one table-free product.
+vector (c_0, ..., c_{n-1}) in the power basis 1, x, ..., x^{n-1}.  Table-free
+arithmetic, the irreducibility test included, runs on polynomials packed into
+one int: for p = 2 the coefficient bitmask, which is the index itself, with
+carry-less products; for odd p the lane form of `LaneLayout`, c_j in the j-th
+w-bit lane, with n + 1 lanes so that the modulus fits.  Fields with at most
+2^16 elements get discrete log/antilog tables keyed to the primitive element
+g, which make mul/inv/pow O(1) on the hot search paths; for n > 1 each power
+of g is the last times g, an F_p-linear map that costs two table lookups and,
+for odd p, one Barrett reduction and one gather.  For odd p, n > 1 and
+q <= 2^16 the table `_coeff_cache` lists the n-lane form of every index.
 """
 
 from __future__ import annotations
@@ -80,8 +80,7 @@ def prime_factors(m: int) -> tuple[int, ...]:
             factors.add(d)
             m //= d
         d += 2
-    rng = random.Random(0xFAC70)
-    stack = [m] if m > 1 else []
+    stack, rng = ([m], random.Random(0xFAC70)) if m > 1 else ([], None)
     while stack:
         v = stack.pop()
         if v == 1:
@@ -93,108 +92,6 @@ def prime_factors(m: int) -> tuple[int, ...]:
         stack.append(d)
         stack.append(v // d)
     return tuple(sorted(factors))
-
-
-# ----------------------------------------------------------------------------
-# Dense polynomials over F_p: coefficient lists, low degree first.
-# ----------------------------------------------------------------------------
-
-def _poly_mul_mod(a: list[int], b: list[int], modulus: tuple[int, ...], p: int) -> list[int]:
-    n = len(modulus) - 1
-    res = [0] * max(len(a) + len(b) - 1, 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    res[i + j] = (res[i + j] + ai * bj) % p
-    for i in range(len(res) - 1, n - 1, -1):
-        c = res[i]
-        if c:
-            res[i] = 0
-            for j in range(n):
-                if modulus[j]:
-                    res[i - n + j] = (res[i - n + j] - c * modulus[j]) % p
-    res = res[:n]
-    res += [0] * (n - len(res))
-    return res
-
-
-def _poly_pow_mod(g: list[int], e: int, modulus: tuple[int, ...], p: int) -> list[int]:
-    n = len(modulus) - 1
-    result = [1] + [0] * (n - 1)
-    base = list(g)
-    while e:
-        if e & 1:
-            result = _poly_mul_mod(result, base, modulus, p)
-        e >>= 1
-        if e:
-            base = _poly_mul_mod(base, base, modulus, p)
-    return result
-
-
-def _poly_deg(a: list[int]) -> int:
-    d = len(a) - 1
-    while d >= 0 and a[d] == 0:
-        d -= 1
-    return d
-
-
-def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = list(a), list(b)
-    while True:
-        db = _poly_deg(b)
-        if db < 0:
-            return a
-        da = _poly_deg(a)
-        if da < db:
-            a, b = b, a
-            continue
-        inv = pow(b[db], -1, p)
-        while da >= db:
-            c = a[da] * inv % p
-            if c:
-                for j in range(db + 1):
-                    a[da - db + j] = (a[da - db + j] - c * b[j]) % p
-            da = _poly_deg(a)
-        a, b = b, a
-
-
-def is_irreducible(coeffs: tuple[int, ...] | list[int], p: int) -> bool:
-    """Irreducibility of a monic polynomial over F_p.
-
-    Uses the Frobenius chain: no factor of degree <= deg/2, and x^(p^deg) = x.
-    """
-    n = len(coeffs) - 1
-    if n < 1 or coeffs[n] != 1:
-        raise ValueError("polynomial must be monic of degree >= 1")
-    if n == 1:
-        return True
-    modulus = tuple(coeffs)
-    x = [0, 1] + [0] * (n - 2)
-    g = list(x)
-    for _ in range(n // 2):
-        g = _poly_pow_mod(g, p, modulus, p)
-        diff = [(gi - xi) % p for gi, xi in zip(g, x)]
-        if _poly_deg(_poly_gcd(list(modulus), diff, p)) != 0:
-            return False
-    for _ in range(n // 2, n):
-        g = _poly_pow_mod(g, p, modulus, p)
-    return g == x
-
-
-def find_irreducible(p: int, n: int) -> tuple[int, ...]:
-    """First monic irreducible of degree n over F_p, candidates ordered by the
-    base-p packed value of their low coefficients.  Deterministic."""
-    for v in range(p ** n):
-        coeffs = []
-        w = v
-        for _ in range(n):
-            w, c = divmod(w, p)
-            coeffs.append(c)
-        coeffs.append(1)
-        if is_irreducible(coeffs, p):
-            return tuple(coeffs)
-    raise AssertionError("unreachable: an irreducible of every degree exists")
 
 
 # ----------------------------------------------------------------------------
@@ -223,22 +120,28 @@ def _gf2_reduce(x: int, mod_mask: int, n: int) -> int:
 # ----------------------------------------------------------------------------
 
 class LaneLayout(NamedTuple):
-    """The w-bit lane layout of GF(p^n) for odd p, shared by `_times` and the
-    echelon kernel in linalg.
+    """The w-bit lane layout of GF(p^n) for odd p, shared by the echelon
+    kernel in linalg and, with n + 1 lanes, by the packed polynomials below.
 
     A lane may grow to p*(p-1) = (p-1) + (p-1)^2, the largest lane of
     v + c*row for residue lanes and c < p, before `red` brings every lane
-    back into [0, p) with one Barrett step: x*m >> k is x // p for each lane value x <= p*(p-1), since
-    m = 2^k // p + 1 with 2^k > p*p*(p-1), and w leaves room for x*m, so no
-    lane spills into the next.  `element` multiplies by sum p^(n-1-j) 2^(jw),
-    which gathers the index sum c_j p^j into lane n-1; `vector` spreads an
-    index into lanes one base-p digit at a time."""
+    back into [0, p) with one Barrett step: x*m >> k is x // p for each lane
+    value x <= p*(p-1), since m = 2^k // p + 1 with 2^k > p*p*(p-1), and w
+    leaves room for x*m, so no lane spills into the next; `quotients` keeps
+    the w - k quotient bits of every lane.  `element` multiplies by
+    gather = sum p^(n-1-j) 2^(jw), which gathers the index sum c_j p^j into
+    lane n-1; `vector` spreads an index into lanes one base-p digit at a
+    time."""
 
     p: int
     n: int
     w: int
     shifts: tuple[int, ...]
     mask: int
+    m: int
+    k: int
+    quotients: int
+    gather: int
     red: Callable[[int], int]
     element: Callable[[int], int]
     vector: Callable[[int], int]
@@ -272,7 +175,99 @@ def lane_layout(p: int, n: int) -> LaneLayout:
             v |= c << s
         return v
 
-    return LaneLayout(p, n, w, shifts, mask, red, element, vector)
+    return LaneLayout(p, n, w, shifts, mask, m, k, quotients, gather, red, element, vector)
+
+
+# ----------------------------------------------------------------------------
+# Polynomials over F_p as one packed int, the coefficient of x^j in bits
+# [j*w, (j+1)*w): the bitmask (w = 1) for p = 2, and for odd p the lane form
+# of `lane_layout(p, n + 1)`, so that a modulus of degree n fits.
+# ----------------------------------------------------------------------------
+
+def _poly_ring(p: int, modulus) -> tuple:
+    """(f, w, sub, mulmod, gcd): f is the packed monic `modulus` of degree n,
+    w the width of a coefficient, sub(a, b) = a - b, mulmod(a, b) = a*b mod f
+    by Horner over b's coefficients, and gcd(a, b) a gcd by Euclid, each step
+    clearing a's leading lane with a monic b as the echelon kernel does, so
+    no odd-p lane passes p*(p-1) before its `red`."""
+    n = len(modulus) - 1
+    w = 1 if p == 2 else lane_layout(p, n + 1).w
+    f = sum(c << i * w for i, c in enumerate(modulus))
+    if p == 2:
+        def gcd(a: int, b: int) -> int:
+            while b:
+                db = b.bit_length()
+                while a.bit_length() >= db:
+                    a ^= b << a.bit_length() - db
+                a, b = b, a
+            return a
+
+        return f, 1, int.__xor__, lambda a, b: _gf2_reduce(_clmul(a, b), f, n), gcd
+    lanes = lane_layout(p, n + 1)
+    mask, red, top = lanes.mask, lanes.red, n * w
+
+    def mulmod(a: int, b: int) -> int:
+        acc = 0
+        for s in range((b.bit_length() - 1) // w * w, -1, -w):
+            acc <<= w
+            t = acc >> top
+            if t:                      # minus t*f: lane n becomes p, `red` clears it
+                acc = red(acc + (p - t) * f)
+            c = b >> s & mask
+            if c:
+                acc = red(acc + c * a)
+        return acc
+
+    def gcd(a: int, b: int) -> int:
+        while b:
+            db = (b.bit_length() - 1) // w * w
+            b = red(b * pow(b >> db & mask, -1, p))
+            while a.bit_length() > db:
+                da = (a.bit_length() - 1) // w * w
+                a = red(a + (p - (a >> da & mask)) * (b << da - db))
+            a, b = b, a
+        return a
+
+    return f, w, lambda a, b: red(a + (p - 1) * b), mulmod, gcd
+
+
+def _poly_pow(mulmod, a: int, e: int) -> int:
+    result = 1
+    while e:
+        if e & 1:
+            result = mulmod(a, result)
+        e >>= 1
+        if e:
+            a = mulmod(a, a)
+    return result
+
+
+def is_irreducible(coeffs: tuple[int, ...] | list[int], p: int) -> bool:
+    """Irreducibility of a monic polynomial f over F_p (Rabin's test): no
+    factor of degree <= deg/2, i.e. gcd(f, x^(p^k) - x) = 1 for k <= deg/2,
+    and x^(p^deg) = x mod f."""
+    n = len(coeffs) - 1
+    if n < 1 or coeffs[n] != 1 or not all(0 <= c < p for c in coeffs):
+        raise ValueError("polynomial must be monic of degree >= 1, coefficients in [0, p)")
+    if n == 1:
+        return True
+    f, w, sub, mulmod, gcd = _poly_ring(p, coeffs)
+    x = g = 1 << w
+    for k in range(n):
+        g = _poly_pow(mulmod, g, p)
+        if k < n // 2 and gcd(f, sub(g, x)) >> w:
+            return False
+    return g == x
+
+
+def find_irreducible(p: int, n: int) -> tuple[int, ...]:
+    """First monic irreducible of degree n over F_p, candidates ordered by the
+    base-p packed value of their low coefficients.  Deterministic."""
+    for v in range(p ** n):
+        coeffs = [v // p ** i % p for i in range(n)] + [1]
+        if is_irreducible(coeffs, p):
+            return tuple(coeffs)
+    raise AssertionError("unreachable: an irreducible of every degree exists")
 
 
 class ExtensionField:
@@ -282,7 +277,7 @@ class ExtensionField:
     """
 
     __slots__ = ("p", "n", "q", "modulus", "primitive", "lanes", "to_lanes",
-                 "_mod_mask", "_exp", "_log", "_coeff_cache", "_ppows")
+                 "_mulmod", "_pack", "_unpack", "_exp", "_log", "_coeff_cache")
 
     def __init__(self, p: int, n: int, modulus: tuple[int, ...] | None = None):
         if not is_prime(p):
@@ -310,8 +305,10 @@ class ExtensionField:
             if not is_irreducible(modulus, p):
                 raise ValueError("modulus is not irreducible over F_p")
         self.modulus = modulus
-        self._mod_mask = sum(1 << i for i, c in enumerate(modulus) if c) if p == 2 else 0
-        self._ppows = tuple(p ** i for i in range(n))
+        self._mulmod = _poly_ring(p, modulus)[3]
+        # p = 2 polynomials are their indices; odd-p ones are n + 1 lanes wide
+        poly = lane_layout(p, n + 1) if p != 2 else None
+        self._pack, self._unpack = (poly.vector, poly.element) if poly else (int, int)
         self._coeff_cache: list[int] | None = None
         self.lanes: LaneLayout | None = None
         self.to_lanes: Callable[[int], int] | None = None
@@ -319,30 +316,45 @@ class ExtensionField:
             self.lanes = lane_layout(p, n)
             self.to_lanes = self.lanes.vector
             if n > 1 and q <= _TABLE_LIMIT:
-                # index i*p + c holds c in lane 0 and index i's lanes one lane up
-                tab = [0]
-                for _ in range(n):
+                # index i*p + c holds c in lane 0 and i's lanes one lane up,
+                # and index i*p^h + j holds j's lanes and i's lanes h lanes up
+                h, tab = n // 2, [0]
+                for _ in range(n - h):
                     tab = [c | x << self.lanes.w for x in tab for c in range(p)]
+                low = tab[:p ** h]
+                tab = [x | y for x in [x << h * self.lanes.w for x in tab] for y in low]
                 self._coeff_cache = tab
                 self.to_lanes = tab.__getitem__
-        self.primitive = self._find_primitive()
-        if q <= _TABLE_LIMIT:
-            step = (self._times(self.primitive) if self._coeff_cache is not None
-                    else lambda x: self._mul_raw(x, self.primitive))
-            exp = [0] * (q - 1)
-            log = [-1] * q
-            g = 1
+        self.primitive = g = self._find_primitive()
+        self._exp = self._log = None
+        if q > _TABLE_LIMIT:
+            return
+        exp = self._exp = [0] * (q - 1)
+        log = self._log = [-1] * q
+        x = 1
+        if n == 1:
             for k in range(q - 1):
-                exp[k] = g
-                log[g] = k
-                g = step(g)
-            if g != 1:
-                raise AssertionError("primitive element failed to cycle the unit group")
-            self._exp: list[int] | None = exp
-            self._log: list[int] | None = log
+                exp[k] = x
+                log[x] = k
+                x = x * g % p
+        elif p == 2:
+            half, lo, hi = self._step_tables(g)
+            for k in range(q - 1):
+                exp[k] = x
+                log[x] = k
+                x = lo[x % half] ^ hi[x // half]
         else:
-            self._exp = None
-            self._log = None
+            # x -> g*x with the `red` and `element` of `poly` written out
+            half, lo, hi = self._step_tables(g)
+            m, kb, quotients, gather, at, mask = (poly.m, poly.k, poly.quotients,
+                                                  poly.gather, n * poly.w, poly.mask)
+            for k in range(q - 1):
+                exp[k] = x
+                log[x] = k
+                x = lo[x % half] + hi[x // half]
+                x = (x - p * (x * m >> kb & quotients)) * gather >> at & mask
+        if x != 1:
+            raise AssertionError("primitive element failed to cycle the unit group")
 
     # -- construction helpers -------------------------------------------------
 
@@ -372,38 +384,20 @@ class ExtensionField:
     # -- raw arithmetic (table-free; used to bootstrap the tables) ------------
 
     def _mul_raw(self, a: int, b: int) -> int:
-        if self.n == 1:
-            return a * b % self.p
-        if self.p == 2:
-            return _gf2_reduce(_clmul(a, b), self._mod_mask, self.n)
-        return self.from_coeffs_unchecked(
-            _poly_mul_mod(list(self.coeffs(a)), list(self.coeffs(b)), self.modulus, self.p))
-
-    def _times(self, g: int):
-        """x -> g*x for odd p, an F_p-linear map on lane forms: lo[v] holds
-        the lanes of g*v and hi[v] those of g*(v*half), half = p^(n//2), so
-        g*x is two lookups, one sum, one `red` and one gather."""
-        half, to_lanes, mul_raw = self.p ** (self.n // 2), self.to_lanes, self._mul_raw
-        lo = [to_lanes(mul_raw(g, v)) for v in range(half)]
-        hi = [to_lanes(mul_raw(g, v * half)) for v in range(self.q // half)]
-        red, element = self.lanes.red, self.lanes.element
-
-        def times(x: int) -> int:
-            high, low = divmod(x, half)
-            return element(red(lo[low] + hi[high]))
-
-        return times
+        return self._unpack(self._mulmod(self._pack(a), self._pack(b)))
 
     def _pow_raw(self, a: int, e: int) -> int:
-        result = 1
-        base = a
-        while e:
-            if e & 1:
-                result = self._mul_raw(result, base)
-            e >>= 1
-            if e:
-                base = self._mul_raw(base, base)
-        return result
+        return self._unpack(_poly_pow(self._mulmod, self._pack(a), e))
+
+    def _step_tables(self, g: int) -> tuple[int, list[int], list[int]]:
+        """(half, lo, hi) for x -> g*x, an F_p-linear map: lo[v] and hi[v]
+        are the packed polynomials g*v and g*(v*half), half = p^(n//2), so
+        g*x is lo[x % half] ^ hi[x // half] for p = 2, and for odd p the
+        index of `red`(lo[x % half] + hi[x // half])."""
+        half, mulmod, pack = self.p ** (self.n // 2), self._mulmod, self._pack
+        g, gh = pack(g), pack(self._mul_raw(g, half))
+        return (half, [mulmod(g, pack(v)) for v in range(half)],
+                [mulmod(gh, pack(v)) for v in range(self.q // half)])
 
     def _find_primitive(self) -> int:
         qm1 = self.q - 1
@@ -431,14 +425,7 @@ class ExtensionField:
             raise ValueError(f"expected {self.n} coordinates, got {len(cs)}")
         if any(c < 0 or c >= self.p for c in cs):
             raise ValueError(f"coordinates must lie in [0, {self.p})")
-        return self.from_coeffs_unchecked(cs)
-
-    def from_coeffs_unchecked(self, coeffs) -> int:
-        acc = 0
-        for c, w in zip(coeffs, self._ppows):
-            if c:
-                acc += c * w
-        return acc
+        return sum(c * self.p ** i for i, c in enumerate(cs))
 
     # -- field operations -------------------------------------------------------
 

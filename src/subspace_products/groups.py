@@ -213,9 +213,10 @@ def mu_group_randomized(group: GroupSpec, r: int, s: int, trials: int,
     its swap sweeps over both sides to the end, so the count can pass `trials`.
 
     Before each side's swap sweep, masks[x] is the bitmask of x*B on the A
-    side (a sum of distinct bits, as a Cayley row is a permutation) or of
-    A*x on the B side, so the probe that swaps `out` for `into` is one OR
-    of masks[into] with the masks of the subset without `out`."""
+    side or of A*x on the B side, a sum of distinct bits 1 << v over Cayley
+    entries v (Cayley rows and columns are permutations), so the probe that
+    swaps `out` for `into` is one OR of masks[into] with the masks of the
+    subset without `out`."""
     k = group.order
     if not (1 <= r <= k and 1 <= s <= k):
         raise ValueError(f"r={r}, s={s} must lie in [1, {k}]")
@@ -224,6 +225,8 @@ def mu_group_randomized(group: GroupSpec, r: int, s: int, trials: int,
     e = group.identity
     others = [g for g in range(k) if g != e]
     cayley = group.cayley
+    rows = [[1 << v for v in row] for row in cayley]   # rows[x][y] = bit of x*y
+    cols = list(zip(*rows))
     rng = random.Random(seed)
     best = k + 1
     best_a = best_b = None
@@ -236,9 +239,8 @@ def mu_group_randomized(group: GroupSpec, r: int, s: int, trials: int,
         improved = True
         while improved and evals < trials:
             improved = False
-            for subset, a_side in ((a_set, True), (b_set, False)):
-                masks = ([sum(1 << row[b] for b in b_set) for row in cayley] if a_side
-                         else _translate_masks(cayley, a_set, k))
+            for subset, bits, other in ((a_set, cols, b_set), (b_set, rows, a_set)):
+                masks = list(map(sum, zip(*(bits[y] for y in other))))
                 move = None
                 move_value = value
                 for out in sorted(subset - {e}):

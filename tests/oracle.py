@@ -21,9 +21,16 @@ elimination that is not the one under test.
 Helpers the library itself does not need: the field operations `scale`,
 `add`, `neg` and `multiplicative_order`; the subspaces `whole_space` and
 `one_subspace` and the sum `sum_with`; and `group_to_json`, the inverse of
-`group_from_json`.  The field tables as the library first built them:
-coordinates by repeated divmod, and each power of the primitive element by
-one table-free multiplication of the previous power.
+`group_from_json`.
+
+Field arithmetic of its own, on coefficient lists (low degree first) for odd
+p and bit by bit on coefficient bitmasks for p = 2: the product of two
+elements by schoolbook multiplication and long division by the modulus, and
+the field tables built from it as the library first built them (coordinates
+by repeated divmod, each power of the primitive element by one
+multiplication of the previous power).  Irreducibility by sieving: the monic irreducibles of degree n are
+the monic polynomials of degree n that are no product of two monic
+polynomials of lower degree.
 """
 
 import json
@@ -34,6 +41,19 @@ from subspace_products.fields import prime_factors
 from subspace_products.linalg import Subspace, span
 from subspace_products.products import StabilizerReport, product_span
 from subspace_products.search import enumerate_subspaces
+
+
+def _digits(v, p, n):
+    """The base-p digits of v, low first: an element index's coordinates."""
+    cs = []
+    for _ in range(n):
+        v, c = divmod(v, p)
+        cs.append(c)
+    return cs
+
+
+def _index(cs, p):
+    return sum(c * p ** i for i, c in enumerate(cs))
 
 
 # F_2: rows are ints, pivot = lowest set bit.
@@ -114,7 +134,7 @@ def rref_rows(field, elements) -> tuple[int, ...]:
     if field.p == 2:
         return _rref_bits(elements)
     reduced = _rref_modp([list(field.coeffs(e)) for e in elements], field.p)
-    return tuple(field.from_coeffs_unchecked(v) for v in reduced)
+    return tuple(_index(v, field.p) for v in reduced)
 
 
 def reduce_against(field, rows, elem) -> int:
@@ -124,13 +144,13 @@ def reduce_against(field, rows, elem) -> int:
     coeffs = [field.coeffs(r) for r in rows]
     pivots = [next(j for j, c in enumerate(cs) if c) for cs in coeffs]
     v = _reduce_modp(coeffs, pivots, list(field.coeffs(elem)), field.p)
-    return field.from_coeffs_unchecked(v)
+    return _index(v, field.p)
 
 
 def scale(field, c, a):
     """The element a times the base-field scalar c (an int mod p)."""
     p = field.p
-    return field.from_coeffs_unchecked([c * x % p for x in field.coeffs(a)])
+    return _index([c * x % p for x in field.coeffs(a)], p)
 
 
 def add(field, a, b):
@@ -138,8 +158,7 @@ def add(field, a, b):
     if field.p == 2:
         return a ^ b
     p = field.p
-    return field.from_coeffs_unchecked([(x + y) % p for x, y in zip(field.coeffs(a),
-                                                                     field.coeffs(b))])
+    return _index([(x + y) % p for x, y in zip(field.coeffs(a), field.coeffs(b))], p)
 
 
 def neg(field, a):
@@ -179,26 +198,89 @@ def group_to_json(group) -> str:
                        "cayley": [list(row) for row in group.cayley]})
 
 
+def poly_mul(a, b, p):
+    """The product of two coefficient lists over F_p."""
+    res = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    res[i + j] = (res[i + j] + ai * bj) % p
+    return res
+
+
+def poly_mul_mod(a, b, modulus, p):
+    """a*b reduced by the monic `modulus`, as a list of len(modulus) - 1."""
+    n = len(modulus) - 1
+    res = poly_mul(a, b, p)
+    for i in range(len(res) - 1, n - 1, -1):
+        c = res[i]
+        if c:
+            res[i] = 0
+            for j in range(n):
+                if modulus[j]:
+                    res[i - n + j] = (res[i - n + j] - c * modulus[j]) % p
+    return (res + [0] * n)[:n]
+
+
+def mul(field, a, b):
+    """The product of two element indices."""
+    p, n = field.p, field.n
+    if p == 2:   # the same on coefficient bitmasks, bit by bit
+        f = _index(field.modulus, 2)
+        acc = 0
+        for i in range(n):
+            if b >> i & 1:
+                acc ^= a << i
+        for i in range(2 * n - 2, n - 1, -1):
+            if acc >> i & 1:
+                acc ^= f << i - n
+        return acc
+    return _index(poly_mul_mod(_digits(a, p, n), _digits(b, p, n), field.modulus, p), p)
+
+
+def power(field, a, e):
+    """a^e by square-and-multiply with `mul`."""
+    result = 1
+    while e:
+        if e & 1:
+            result = mul(field, result, a)
+        e >>= 1
+        a = mul(field, a, a)
+    return result
+
+
+def monic_irreducibles(p, n):
+    """The set of monic irreducible coefficient tuples of degree n over F_p."""
+    def monic(d):
+        return [tuple(_digits(v, p, d)) + (1,) for v in range(p ** d)]
+
+    reducible = {tuple(poly_mul(a, b, p)) for d in range(1, n // 2 + 1)
+                 for a in monic(d) for b in monic(n - d)}
+    return {f for f in monic(n) if f not in reducible}
+
+
+def has_root(coeffs, p):
+    """Whether the polynomial has a root in F_p: Horner at every x at once."""
+    values = [coeffs[-1]] * p
+    for c in reversed(coeffs[:-1]):
+        values = [(v * x + c) % p for x, v in enumerate(values)]
+    return 0 in values
+
+
 def field_tables(field):
     """(primitive, exp, log, coordinate cache) of `field`, built with
-    table-free arithmetic.  The primitive element is the least g whose power
-    (q-1)/f differs from 1 for every prime f dividing q - 1.  The exp and
-    log tables exist when q <= 2^16, and the coordinate cache also needs an
-    odd p and n > 1; each is None otherwise."""
+    `mul`.  The primitive element is the least g whose power (q-1)/f differs
+    from 1 for every prime f dividing q - 1.  The exp and log tables exist
+    when q <= 2^16, and the coordinate cache also needs an odd p and n > 1;
+    each is None otherwise."""
     p, n, q = field.p, field.n, field.q
     cache = None
     if p != 2 and n > 1 and q <= 1 << 16:
-        cache = []
-        for v in range(q):
-            cs = []
-            for _ in range(n):
-                v, c = divmod(v, p)
-                cs.append(c)
-            cache.append(tuple(cs))
-        cache = tuple(cache)
+        cache = tuple(tuple(_digits(v, p, n)) for v in range(q))
     checks = [(q - 1) // f for f in prime_factors(q - 1)] if q > 2 else []
     primitive = next(g for g in range(1, q)
-                     if all(field._pow_raw(g, e) != 1 for e in checks))
+                     if all(power(field, g, e) != 1 for e in checks))
     if q > 1 << 16:
         return primitive, None, None, cache
     exp = [0] * (q - 1)
@@ -207,7 +289,7 @@ def field_tables(field):
     for k in range(q - 1):
         exp[k] = g
         log[g] = k
-        g = field._mul_raw(g, primitive)
+        g = mul(field, g, primitive)
     return primitive, exp, log, cache
 
 
@@ -274,7 +356,7 @@ def intersect(u: Subspace, v: Subspace) -> Subspace:
     stacked = [list(f.coeffs(r)) * 2 for r in u.rows]
     stacked += [list(f.coeffs(r)) + [0] * n for r in v.rows]
     reduced = _rref_modp(stacked, f.p)
-    inter = [f.from_coeffs_unchecked(row[n:]) for row in reduced if not any(row[:n])]
+    inter = [_index(row[n:], f.p) for row in reduced if not any(row[:n])]
     return span(f, inter)
 
 

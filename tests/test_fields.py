@@ -4,7 +4,8 @@ import time
 
 import pytest
 
-from oracle import add, field_tables, multiplicative_order, neg
+from oracle import (add, field_tables, has_root, monic_irreducibles, mul, multiplicative_order,
+                    neg, poly_mul, power)
 from subspace_products.fields import (ExtensionField, find_irreducible, is_irreducible,
                                       is_prime, lane_layout, parse_field_spec,
                                       parse_modulus, poly_str, prime_factors)
@@ -33,11 +34,45 @@ def test_find_irreducible_scan_agrees_with_test():
             assert not is_irreducible(coeffs + [1], p)
 
 
+@pytest.mark.parametrize("p, top", ((2, 10), (3, 6), (5, 4)))
+def test_is_irreducible_matches_sieve(p, top):
+    # every monic polynomial of degree <= top; the sieve's counts must also
+    # satisfy Gauss's p^n = sum over d | n of d * (irreducibles of degree d)
+    counts = {}
+    for n in range(1, top + 1):
+        irreducible = monic_irreducibles(p, n)
+        counts[n] = len(irreducible)
+        assert sum(d * counts[d] for d in counts if n % d == 0) == p ** n
+        for v in range(p ** n):
+            coeffs = tuple(v // p ** i % p for i in range(n)) + (1,)
+            assert is_irreducible(coeffs, p) == (coeffs in irreducible), coeffs
+
+
+def test_is_irreducible_sampled_large_prime():
+    # degree 2 and 3 are irreducible iff rootless; degree 4 products never are
+    p = 65521
+    rng = random.Random(65521)
+    for n in (2, 3):
+        seen = set()
+        for _ in range(8):
+            coeffs = tuple(rng.randrange(p) for _ in range(n)) + (1,)
+            expected = not has_root(coeffs, p)
+            assert is_irreducible(coeffs, p) == expected, coeffs
+            seen.add(expected)
+        assert seen == {True, False}
+    for _ in range(20):
+        a, b = ([rng.randrange(p), rng.randrange(p), 1] for _ in range(2))
+        assert not is_irreducible(poly_mul(a, b, p), p)
+
+
 def test_is_irreducible_rejects_products():
     # (x^2+1)(x^2+x+2) over F_3
     assert not is_irreducible((2, 1, 0, 1, 1), 3)
     assert not is_irreducible((1, 0, 2, 0, 1), 3)  # (x^2+1)^2 = x^4+2x^2+1
     assert is_irreducible((1, 0, 1), 3)
+    for coeffs in ((1, 0, 2), (1, 3, 1), (-1, 0, 1)):   # not monic; not residues mod 3
+        with pytest.raises(ValueError):
+            is_irreducible(coeffs, 3)
 
 
 def test_primality_and_factoring():
@@ -45,6 +80,7 @@ def test_primality_and_factoring():
     assert prime_factors(2 ** 12 - 1) == (3, 5, 7, 13)
     assert prime_factors(2 ** 31 - 1) == (2147483647,)
     assert prime_factors(1) == ()
+    assert prime_factors(1000003 * 1000033) == (1000003, 1000033)   # needs Pollard rho
 
 
 def test_construction_validation():
@@ -194,14 +230,33 @@ def test_lane_reduction_is_exact_in_every_lane(p):
         assert lanes.red(packed) == sum(x % p << s for x, s in zip(row, lanes.shifts)), row
 
 
-@pytest.mark.parametrize("p, n", [pn for pn in TABLE_FIELDS if pn[0] != 2])
+@pytest.mark.parametrize("p, n", TABLE_FIELDS)
 def test_fixed_multiplier_matches_mul_raw(field_cache, p, n):
+    # the table loop's step x -> g*x, for any g, against the table-free
+    # product and the oracle's
     f = field_cache(p, n)
     rng = random.Random(p * 100 + n)
     for g in (f.primitive, rng.randrange(f.q), rng.randrange(f.q)):
-        times = f._times(g)
+        half, lo, hi = f._step_tables(g)
         for x in [0, 1, f.q - 1] + [rng.randrange(f.q) for _ in range(497)]:
-            assert times(x) == f._mul_raw(g, x), (g, x)
+            if p == 2:
+                got = lo[x % half] ^ hi[x // half]
+            else:
+                lanes = lane_layout(p, n + 1)
+                got = lanes.element(lanes.red(lo[x % half] + hi[x // half]))
+            assert got == f._mul_raw(g, x) == mul(f, g, x), (g, x)
+
+
+@pytest.mark.parametrize("p, n", ((2, 40), (3, 10), (3, 12), (65521, 3)))
+def test_raw_arithmetic_matches_oracle(p, n):
+    f = ExtensionField(p, n)
+    rng = random.Random(p + n)
+    for a, b in [(0, 1), (1, f.q - 1), (f.q - 1, f.q - 1)] + [
+            (rng.randrange(f.q), rng.randrange(f.q)) for _ in range(300)]:
+        assert f._mul_raw(a, b) == mul(f, a, b), (a, b)
+    for _ in range(10):
+        a, e = rng.randrange(f.q), rng.randrange(f.q)
+        assert f._pow_raw(a, e) == power(f, a, e), (a, e)
 
 
 def test_subfield_generator_trivial_cases(field_cache):
