@@ -55,18 +55,18 @@ def _field_results(field: ExtensionField, **results) -> dict:
 
 
 def _run_mu(args, head, exact, randomized, rows):
-    """Check that the flags choose one mode, then call head() and run
-    exact(budget) for --exhaustive or randomized(trials, seed) for --trials.
-    Returns head()'s results followed by the run's value, flags and witnesses
-    (`rows` formats one), with exit 3 when the budget truncated an exhaustive run."""
+    """Check that the flags choose one mode, run exact(budget) for --exhaustive
+    or randomized(trials, seed) for --trials, then call head(), so the run's own
+    range check speaks first.  Returns head()'s results followed by the run's value,
+    flags and witnesses (`rows` formats one); exit 3 if the budget truncated the run."""
     if args.exhaustive == (args.trials is not None):
         raise ValueError("choose exactly one of --exhaustive or --trials")
-    results = head()
     if args.exhaustive:
         seed, res = None, exact(args.budget)
     else:
         seed = _seed_of(args)
         res = randomized(args.trials, seed)
+    results = head()
     results.update(value=res.value, exhaustive=res.exhaustive,
                    pairs_examined=res.pairs_examined,
                    witness_a=rows(res.witness_a), witness_b=rows(res.witness_b))

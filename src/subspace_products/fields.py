@@ -9,8 +9,9 @@ w-bit lane, with n + 1 lanes so that the modulus fits.  Fields with at most
 2^16 elements get discrete log/antilog tables keyed to the primitive element
 g, which make mul/inv/pow O(1) on the hot search paths; for n > 1 each power
 of g is the last times g, an F_p-linear map that costs two table lookups and,
-for odd p, one Barrett reduction and one gather.  For odd p, n > 1 and
-q <= 2^16 the table `_coeff_cache` lists the n-lane form of every index.
+for odd p, one Barrett reduction and one gather.  `vector` packs an index,
+for odd p into the lane form that linalg's echelon rows also use (read from a
+table when n > 1 and q <= 2^16), and `element` unpacks it.
 """
 
 from __future__ import annotations
@@ -120,8 +121,8 @@ def _gf2_reduce(x: int, mod_mask: int, n: int) -> int:
 # ----------------------------------------------------------------------------
 
 class LaneLayout(NamedTuple):
-    """The w-bit lane layout of GF(p^n) for odd p, shared by the echelon
-    kernel in linalg and, with n + 1 lanes, by the packed polynomials below.
+    """n lanes of w bits for odd p; GF(p^m) takes m + 1, so that its modulus
+    fits, for its packed polynomials, table stepping and echelon rows alike.
 
     A lane may grow to p*(p-1) = (p-1) + (p-1)^2, the largest lane of
     v + c*row for residue lanes and c < p, before `red` brings every lane
@@ -152,7 +153,7 @@ class LaneLayout(NamedTuple):
 
 @lru_cache(maxsize=None)
 def lane_layout(p: int, n: int) -> LaneLayout:
-    """The lane layout of GF(p^n), built once per (p, n)."""
+    """The layout of n lanes for the prime p, built once per (p, n)."""
     top = p * (p - 1)
     k = (top * p).bit_length()
     m = (1 << k) // p + 1
@@ -276,8 +277,8 @@ class ExtensionField:
     All operations take and return element indices (ints in [0, p^n)).
     """
 
-    __slots__ = ("p", "n", "q", "modulus", "primitive", "lanes", "to_lanes",
-                 "_mulmod", "_pack", "_unpack", "_exp", "_log", "_coeff_cache")
+    __slots__ = ("p", "n", "q", "modulus", "primitive", "lanes", "vector", "element",
+                 "_mulmod", "_exp", "_log")
 
     def __init__(self, p: int, n: int, modulus: tuple[int, ...] | None = None):
         if not is_prime(p):
@@ -306,25 +307,18 @@ class ExtensionField:
                 raise ValueError("modulus is not irreducible over F_p")
         self.modulus = modulus
         self._mulmod = _poly_ring(p, modulus)[3]
-        # p = 2 polynomials are their indices; odd-p ones are n + 1 lanes wide
-        poly = lane_layout(p, n + 1) if p != 2 else None
-        self._pack, self._unpack = (poly.vector, poly.element) if poly else (int, int)
-        self._coeff_cache: list[int] | None = None
-        self.lanes: LaneLayout | None = None
-        self.to_lanes: Callable[[int], int] | None = None
-        if p != 2:
-            self.lanes = lane_layout(p, n)
-            self.to_lanes = self.lanes.vector
-            if n > 1 and q <= _TABLE_LIMIT:
-                # index i*p + c holds c in lane 0 and i's lanes one lane up,
-                # and index i*p^h + j holds j's lanes and i's lanes h lanes up
-                h, tab = n // 2, [0]
-                for _ in range(n - h):
-                    tab = [c | x << self.lanes.w for x in tab for c in range(p)]
-                low = tab[:p ** h]
-                tab = [x | y for x in [x << h * self.lanes.w for x in tab] for y in low]
-                self._coeff_cache = tab
-                self.to_lanes = tab.__getitem__
+        # p = 2 polynomials are their indices; odd-p ones, echelon rows
+        # included, are the n + 1 lanes of `lanes`, lane n zero for elements
+        self.lanes = lanes = lane_layout(p, n + 1) if p != 2 else None
+        self.vector, self.element = (lanes.vector, lanes.element) if lanes else (int, int)
+        if lanes and n > 1 and q <= _TABLE_LIMIT:
+            # index i*p + c holds c in lane 0 and i's lanes one lane up,
+            # and index i*p^h + j holds j's lanes and i's lanes h lanes up
+            h, tab = n // 2, [0]
+            for _ in range(n - h):
+                tab = [c | x << lanes.w for x in tab for c in range(p)]
+            low = tab[:p ** h]
+            self.vector = [x | y for x in [x << h * lanes.w for x in tab] for y in low].__getitem__
         self.primitive = g = self._find_primitive()
         self._exp = self._log = None
         if q > _TABLE_LIMIT:
@@ -344,10 +338,10 @@ class ExtensionField:
                 log[x] = k
                 x = lo[x % half] ^ hi[x // half]
         else:
-            # x -> g*x with the `red` and `element` of `poly` written out
+            # x -> g*x with the `red` and `element` of `lanes` written out
             half, lo, hi = self._step_tables(g)
-            m, kb, quotients, gather, at, mask = (poly.m, poly.k, poly.quotients,
-                                                  poly.gather, n * poly.w, poly.mask)
+            m, kb, quotients, gather, at, mask = (lanes.m, lanes.k, lanes.quotients,
+                                                  lanes.gather, n * lanes.w, lanes.mask)
             for k in range(q - 1):
                 exp[k] = x
                 log[x] = k
@@ -362,7 +356,7 @@ class ExtensionField:
     def from_spec(cls, spec: str, modulus_csv: str | None = None) -> "ExtensionField":
         """Build from a "p^n" string, e.g. "2^6"; bare "p" means n = 1."""
         p, n = parse_field_spec(spec)
-        modulus = parse_modulus(modulus_csv) if modulus_csv else None
+        modulus = parse_modulus(modulus_csv) if modulus_csv is not None else None
         return cls(p, n, modulus)
 
     def __eq__(self, other) -> bool:
@@ -384,17 +378,17 @@ class ExtensionField:
     # -- raw arithmetic (table-free; used to bootstrap the tables) ------------
 
     def _mul_raw(self, a: int, b: int) -> int:
-        return self._unpack(self._mulmod(self._pack(a), self._pack(b)))
+        return self.element(self._mulmod(self.vector(a), self.vector(b)))
 
     def _pow_raw(self, a: int, e: int) -> int:
-        return self._unpack(_poly_pow(self._mulmod, self._pack(a), e))
+        return self.element(_poly_pow(self._mulmod, self.vector(a), e))
 
     def _step_tables(self, g: int) -> tuple[int, list[int], list[int]]:
         """(half, lo, hi) for x -> g*x, an F_p-linear map: lo[v] and hi[v]
         are the packed polynomials g*v and g*(v*half), half = p^(n//2), so
         g*x is lo[x % half] ^ hi[x // half] for p = 2, and for odd p the
         index of `red`(lo[x % half] + hi[x // half])."""
-        half, mulmod, pack = self.p ** (self.n // 2), self._mulmod, self._pack
+        half, mulmod, pack = self.p ** (self.n // 2), self._mulmod, self.vector
         g, gh = pack(g), pack(self._mul_raw(g, half))
         return (half, [mulmod(g, pack(v)) for v in range(half)],
                 [mulmod(gh, pack(v)) for v in range(self.q // half)])

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .kappa import AdmissibleDegreeSet, KappaResult, kappa_rs
 from .search import MuResult
@@ -39,16 +39,19 @@ def _closure(cayley, gens, identity) -> frozenset:
 
 
 def subgroup_orders_of(cayley, identity) -> tuple[int, ...]:
-    """Orders of all subgroups, by closure enumeration over added generators."""
+    """Orders of all subgroups, by closure enumeration over added generators:
+    H joins one g per right coset Hg, since <H, xg> = <H, g> for x in H."""
     order = len(cayley)
     trivial = frozenset({identity})
     seen = {trivial}
     queue = [trivial]
     while queue:
         h = queue.pop()
+        covered = set(h)
         for g in range(order):
-            if g in h:
+            if g in covered:
                 continue
+            covered.update(cayley[x][g] for x in h)
             h2 = _closure(cayley, h | {g}, identity)
             if h2 not in seen:
                 seen.add(h2)
@@ -63,6 +66,10 @@ class GroupSpec:
     identity: int
     cayley: tuple[tuple[int, ...], ...]
     subgroup_orders: tuple[int, ...]
+    bits: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "bits", tuple(tuple(1 << v for v in row) for row in self.cayley))
 
     @classmethod
     def from_cayley(cls, cayley, name: str = "custom") -> "GroupSpec":
@@ -145,15 +152,10 @@ def kappa_group(r: int, s: int, group: GroupSpec) -> KappaResult:
     return kappa_rs(r, s, AdmissibleDegreeSet(n=group.order, degrees=group.subgroup_orders))
 
 
-def _translate_masks(cayley, a_elems, order) -> list[int]:
-    """masks[g] = bitmask of the set A*g."""
-    masks = [0] * order
-    for g in range(order):
-        m = 0
-        for a in a_elems:
-            m |= 1 << cayley[a][g]
-        masks[g] = m
-    return masks
+def _masks(bits, subset) -> list[int]:
+    """masks[g] = sum of bits[x][g] over x in subset, the bitmask of subset*g
+    for `GroupSpec.bits` (bits[x][y] = 1 << x*y), whose columns are permutations."""
+    return list(map(sum, zip(*(bits[x] for x in subset))))
 
 
 def mu_group_exact(group: GroupSpec, r: int, s: int,
@@ -183,7 +185,7 @@ def mu_group_exact(group: GroupSpec, r: int, s: int,
     nodes = 0
     for a_combo in itertools.combinations(elems[1:], r - 1):
         a_elems = (e, *a_combo)
-        masks = _translate_masks(group.cayley, a_elems, k)
+        masks = _masks(group.bits, a_elems)
         stack = [(masks[e], 1, 0)]   # (mask of AB', |B'|, index of B''s last element)
         while stack and best > floor and (nodes < budget or best_a is None):
             acc, depth, i = stack.pop()
@@ -213,10 +215,9 @@ def mu_group_randomized(group: GroupSpec, r: int, s: int, trials: int,
     its swap sweeps over both sides to the end, so the count can pass `trials`.
 
     Before each side's swap sweep, masks[x] is the bitmask of x*B on the A
-    side or of A*x on the B side, a sum of distinct bits 1 << v over Cayley
-    entries v (Cayley rows and columns are permutations), so the probe that
-    swaps `out` for `into` is one OR of masks[into] with the masks of the
-    subset without `out`."""
+    side (`_masks` of the transposed bit table) or of A*x on the B side, so
+    the probe that swaps `out` for `into` is one OR of masks[into] with the
+    masks of the subset without `out`."""
     k = group.order
     if not (1 <= r <= k and 1 <= s <= k):
         raise ValueError(f"r={r}, s={s} must lie in [1, {k}]")
@@ -225,8 +226,7 @@ def mu_group_randomized(group: GroupSpec, r: int, s: int, trials: int,
     e = group.identity
     others = [g for g in range(k) if g != e]
     cayley = group.cayley
-    rows = [[1 << v for v in row] for row in cayley]   # rows[x][y] = bit of x*y
-    cols = list(zip(*rows))
+    cols = list(zip(*group.bits))
     rng = random.Random(seed)
     best = k + 1
     best_a = best_b = None
@@ -239,8 +239,8 @@ def mu_group_randomized(group: GroupSpec, r: int, s: int, trials: int,
         improved = True
         while improved and evals < trials:
             improved = False
-            for subset, bits, other in ((a_set, cols, b_set), (b_set, rows, a_set)):
-                masks = list(map(sum, zip(*(bits[y] for y in other))))
+            for subset, bits, other in ((a_set, cols, b_set), (b_set, group.bits, a_set)):
+                masks = _masks(bits, other)
                 move = None
                 move_value = value
                 for out in sorted(subset - {e}):

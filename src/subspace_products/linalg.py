@@ -5,7 +5,7 @@ simultaneously a field element and its coordinate vector.  Elimination keeps
 an echelon basis as a dict from pivot (first nonzero coordinate, scaled to 1)
 to row, and a row is one int in both characteristics: over F_2 the element's
 bitmask, keyed by its lowest set bit; over odd p its lane form (coordinate j
-in the j-th w-bit lane, see fields.LaneLayout), keyed by the shift of its
+in the j-th w-bit lane of the field's `lanes`), keyed by the shift of its
 lowest nonzero lane.  The canonical RREF is finished from either the same
 way, so two subspaces are equal as sets iff their row tuples are identical.
 """
@@ -49,8 +49,8 @@ def _lane_kernel(lanes: LaneLayout) -> tuple:
     p, w, mask, red, steps = lanes.p, lanes.w, lanes.mask, lanes.red, range(lanes.n)
 
     def insert(basis: dict[int, int], v: int) -> int:
-        # each step clears v's lowest nonzero lane, so n steps leave v = 0
-        # unless `red` is wrong
+        # each step clears v's lowest nonzero lane, so n steps, one per
+        # lane, leave v = 0 unless `red` is wrong
         for _ in steps:
             if not v:
                 return 0
@@ -87,7 +87,7 @@ def echelon_ops(field: ExtensionField) -> tuple:
     order."""
     if field.p == 2:
         return _BIT_OPS
-    return (field.to_lanes, field.lanes.element) + _lane_kernel(field.lanes)
+    return (field.vector, field.element) + _lane_kernel(field.lanes)
 
 
 class Subspace:

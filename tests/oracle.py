@@ -18,8 +18,12 @@ pivot-indexed echelon basis: an ascending-pivot list of rows, kept sorted by
 insertion.  It checks `span` and `Subspace.reduce`, and gives `intersect` an
 elimination that is not the one under test.
 
+Subgroup orders by trying every subset for closure under the product, which
+checks the library's generator-by-generator closure search.
+
 Helpers the library itself does not need: the field operations `scale`,
-`add`, `neg` and `multiplicative_order`; the subspaces `whole_space` and
+`add`, `neg` and `multiplicative_order`, the trace form `trace` and the
+trace dual `trace_dual`; the subspaces `whole_space` and
 `one_subspace` and the sum `sum_with`; and `group_to_json`, the inverse of
 `group_from_json`.
 
@@ -250,6 +254,21 @@ def power(field, a, e):
     return result
 
 
+def trace(field, x):
+    """Tr(x) = x + x^p + ... + x^(p^(n-1)) by `add` and `power`: an index below p."""
+    t = 0
+    for _ in range(field.n):
+        t = add(field, t, x)
+        x = power(field, x, field.p)
+    return t
+
+
+def trace_dual(field, rows, traces) -> set:
+    """W^perp = {y : Tr(w*y) = 0 for every row w of W}, every element tried;
+    `traces` lists Tr of every element index."""
+    return {y for y in range(field.q) if not any(traces[mul(field, w, y)] for w in rows)}
+
+
 def monic_irreducibles(p, n):
     """The set of monic irreducible coefficient tuples of degree n over F_p."""
     def monic(d):
@@ -380,6 +399,18 @@ def stabilizer_oracle(v: Subspace) -> StabilizerReport:
     if verified:
         verified = product_span(h, v) == v
     return StabilizerReport(h=h, g=g, is_subfield_verified=verified)
+
+
+def subgroup_orders_brute(group) -> tuple[int, ...]:
+    """Sizes of the nonempty subsets closed under the product, every subset
+    tried: in a finite group these are exactly the subgroups."""
+    k, cayley = group.order, group.cayley
+    sizes = set()
+    for mask in range(1, 1 << k):
+        elems = [x for x in range(k) if mask >> x & 1]
+        if all(mask >> cayley[a][b] & 1 for a in elems for b in elems):
+            sizes.add(len(elems))
+    return tuple(sorted(sizes))
 
 
 def mu_group_brute(group, r, s):

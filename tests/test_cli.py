@@ -201,6 +201,12 @@ def test_construct_with_modulus_override(capsys):
     assert code == 0 and rep["results"]["modulus"] == "x^4+x^3+x^2+x+1"
 
 
+def test_empty_modulus_is_refused(capsys):
+    code, out, err = run(capsys, "mu-field", "--field", "2^4", "--modulus", "",
+                         "--r", "1", "--s", "1", "--exhaustive")
+    assert code == 2 and out == "" and err.startswith("error: bad modulus ''")
+
+
 def test_stabilizer_command(capsys, tmp_path):
     # F_4 inside GF(2^4): span{1, g} with g = x^2+x (primitive^5)
     path = tmp_path / "subspace.txt"
@@ -316,6 +322,25 @@ def test_mu_group_usage_errors(capsys):
         code, out, err = run(capsys, "mu-group", "--group", "cyclic:6",
                              "--r", "2", "--s", "2", *extra)
         assert code == 2 and out == "" and err.startswith("error:") and message in err
+
+
+def test_mu_group_checks_range_before_the_bound(capsys):
+    code, out, err = run(capsys, "mu-group", "--group", "Z7xZ3semidirect",
+                         "--r", "22", "--s", "1", "--exhaustive")
+    assert code == 2 and out == ""
+    assert err.strip() == "error: r=22, s=1 must lie in [1, 21]"
+
+
+def test_mu_group_loads_order64_group_file_quickly(capsys, tmp_path):
+    # the XOR table of (Z/2)^6 has 2,825 subgroups
+    path = tmp_path / "xor64.json"
+    path.write_text(json.dumps({"cayley": [[x ^ y for y in range(64)] for x in range(64)]}))
+    t0 = time.perf_counter()
+    code, rep, _ = run_report(capsys, "mu-group", "--group-file", str(path),
+                              "--r", "1", "--s", "1", "--exhaustive")
+    assert time.perf_counter() - t0 < 3.0
+    assert code == 0
+    assert rep["results"]["subgroup_orders"] == [1, 2, 4, 8, 16, 32, 64]
 
 
 @pytest.mark.parametrize("content, message", [

@@ -202,12 +202,19 @@ def test_field_tables_match_reference(field_cache, p, n):
     assert f.primitive == primitive
     assert f._exp == exp
     assert f._log == log
-    if cache is None:
-        assert f._coeff_cache is None
-    else:
-        # the table holds lane forms; coeffs decodes them, element gathers them
+    if p == 2:
+        assert f.vector is f.element is int
+        return
+    # vector spreads the digits of an index into the lanes of `lanes`, read
+    # from a table exactly when the oracle lists coordinates; element gathers
+    # them back
+    lanes = f.lanes
+    assert (f.vector is lanes.vector) == (cache is None)
+    vectors = [f.vector(e) for e in range(f.q)]
+    assert [f.element(v) for v in vectors] == list(range(f.q))
+    if cache is not None:
         assert tuple(f.coeffs(e) for e in range(f.q)) == cache
-        assert [f.lanes.element(v) for v in f._coeff_cache] == list(range(f.q))
+        assert vectors == [sum(c << s for c, s in zip(cs, lanes.shifts)) for cs in cache]
 
 
 @pytest.mark.parametrize("p", (3, 5, 7, 251, 257, 65521))
@@ -242,8 +249,7 @@ def test_fixed_multiplier_matches_mul_raw(field_cache, p, n):
             if p == 2:
                 got = lo[x % half] ^ hi[x // half]
             else:
-                lanes = lane_layout(p, n + 1)
-                got = lanes.element(lanes.red(lo[x % half] + hi[x // half]))
+                got = f.element(f.lanes.red(lo[x % half] + hi[x // half]))
             assert got == f._mul_raw(g, x) == mul(f, g, x), (g, x)
 
 

@@ -3,7 +3,7 @@ import tracemalloc
 
 import pytest
 
-from oracle import group_to_json, mu_group_brute
+from oracle import group_to_json, mu_group_brute, subgroup_orders_brute
 from subspace_products.groups import (GroupSpec, builtin_group, group_from_json,
                                       kappa_group, mu_group_exact, mu_group_randomized,
                                       subgroup_orders_of)
@@ -83,6 +83,13 @@ def test_subgroup_orders_sanity():
     assert v4.subgroup_orders == (1, 2, 4)
     table = builtin_group("cyclic:5").cayley
     assert subgroup_orders_of(table, 0) == (1, 5)
+
+
+@pytest.mark.parametrize("name", [f"cyclic:{k}" for k in range(1, 13)] + [
+    f"product:{a},{b}" for a in range(2, 7) for b in range(2, 7) if a * b <= 12])
+def test_subgroup_orders_match_closed_subsets(name):
+    g = builtin_group(name)
+    assert g.subgroup_orders == subgroup_orders_brute(g)
 
 
 def test_json_round_trip():
