@@ -5,11 +5,13 @@ vector (c_0, ..., c_{n-1}) in the power basis 1, x, ..., x^{n-1}.  Table-free
 arithmetic, the irreducibility test included, runs on polynomials packed into
 one int: for p = 2 the coefficient bitmask, which is the index itself, with
 carry-less products; for odd p the lane form of `LaneLayout`, c_j in the j-th
-w-bit lane, with n + 1 lanes so that the modulus fits.  Fields with at most
-2^16 elements get discrete log/antilog tables keyed to the primitive element
-g, which make mul/inv/pow O(1) on the hot search paths; for n > 1 each power
-of g is the last times g, an F_p-linear map that costs two table lookups and,
-for odd p, one Barrett reduction and one gather.  `vector` packs an index,
+w-bit lane, with n + 1 lanes so that the modulus fits.  A field with at most
+2^16 elements builds discrete log/antilog tables keyed to the primitive
+element g at its q // 16-th mul/inv/pow, which then run in O(1) on the hot
+search paths; a construction that needs only a few dozen products never
+pays for them.  For n > 1 each power of g is the last times g, an F_p-linear
+map that costs two table lookups and, for odd p, one Barrett reduction and
+one gather.  `vector` packs an index,
 for odd p into the lane form that linalg's echelon rows also use (read from a
 table when n > 1 and q <= 2^16), and `element` unpacks it.
 """
@@ -272,13 +274,13 @@ def find_irreducible(p: int, n: int) -> tuple[int, ...]:
 
 
 class ExtensionField:
-    """GF(p^n): immutable after construction.
-
-    All operations take and return element indices (ints in [0, p^n)).
-    """
+    """GF(p^n).  All operations take and return element indices (ints in
+    [0, p^n)).  The modulus, primitive element and conversions are fixed at
+    construction; the exp/log tables of a small field appear once, at its
+    q // 16-th mul/inv/pow, and never change a result."""
 
     __slots__ = ("p", "n", "q", "modulus", "primitive", "lanes", "vector", "element",
-                 "_mulmod", "_exp", "_log")
+                 "_mulmod", "_exp", "_log", "_untabled")
 
     def __init__(self, p: int, n: int, modulus: tuple[int, ...] | None = None):
         if not is_prime(p):
@@ -319,12 +321,18 @@ class ExtensionField:
                 tab = [c | x << lanes.w for x in tab for c in range(p)]
             low = tab[:p ** h]
             self.vector = [x | y for x in [x << h * lanes.w for x in tab] for y in low].__getitem__
-        self.primitive = g = self._find_primitive()
+        self.primitive = self._find_primitive()
+        # a small field runs table-free until its q // 16-th mul/inv/pow,
+        # which builds the tables; a large one never counts
         self._exp = self._log = None
-        if q > _TABLE_LIMIT:
-            return
-        exp = self._exp = [0] * (q - 1)
-        log = self._log = [-1] * q
+        self._untabled = max(q // 16, 1) if q <= _TABLE_LIMIT else 0
+
+    def _build_tables(self) -> None:
+        """The exp/log tables of the primitive element g: exp[k] = g^k and
+        log[g^k] = k, each power the last times g."""
+        p, n, q, g, lanes = self.p, self.n, self.q, self.primitive, self.lanes
+        exp = [0] * (q - 1)
+        log = [-1] * q
         x = 1
         if n == 1:
             for k in range(q - 1):
@@ -347,8 +355,17 @@ class ExtensionField:
                 log[x] = k
                 x = lo[x % half] + hi[x // half]
                 x = (x - p * (x * m >> kb & quotients)) * gather >> at & mask
-        if x != 1:
+        # g^(q-1) = 1 for every unit g; only a generator leaves no unit unlogged
+        if x != 1 or log.count(-1) != 1:
             raise AssertionError("primitive element failed to cycle the unit group")
+        self._exp, self._log = exp, log
+
+    def _count_untabled(self) -> None:
+        """Count one table-free mul/inv/pow of a small field; the count that
+        reaches q // 16 builds the tables, about where their cost pays off."""
+        self._untabled -= 1
+        if not self._untabled:
+            self._build_tables()
 
     # -- construction helpers -------------------------------------------------
 
@@ -433,6 +450,8 @@ class ExtensionField:
             if k >= qm1:
                 k -= qm1
             return self._exp[k]
+        if self._untabled:
+            self._count_untabled()
         return self._mul_raw(a, b)
 
     def inv(self, a: int) -> int:
@@ -442,6 +461,8 @@ class ExtensionField:
         if log is not None:
             qm1 = self.q - 1
             return self._exp[(qm1 - log[a]) % qm1]
+        if self._untabled:
+            self._count_untabled()
         return self._pow_raw(a, self.q - 2)
 
     def pow(self, a: int, e: int) -> int:
@@ -454,6 +475,8 @@ class ExtensionField:
         log = self._log
         if log is not None:
             return self._exp[log[a] * e % (self.q - 1)]
+        if self._untabled:
+            self._count_untabled()
         if e < 0:
             return self._pow_raw(self.inv(a), -e)
         return self._pow_raw(a, e)

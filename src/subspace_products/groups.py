@@ -24,17 +24,18 @@ def _check_order(order: int) -> None:
 
 
 def _closure(cayley, gens, identity) -> frozenset:
-    elems = {identity, *gens}
-    changed = True
-    while changed:
-        changed = False
-        for a in list(elems):
-            row = cayley[a]
-            for b in list(elems):
-                c = row[b]
-                if c not in elems:
-                    elems.add(c)
-                    changed = True
+    """The subgroup generated by gens: a walk from the identity that multiplies
+    each newly reached element by each generator once.  In a finite group every
+    inverse is a positive power, so the products reached are the subgroup."""
+    elems = {identity}
+    frontier = [identity]
+    while frontier:
+        row = cayley[frontier.pop()]
+        for g in gens:
+            c = row[g]
+            if c not in elems:
+                elems.add(c)
+                frontier.append(c)
     return frozenset(elems)
 
 

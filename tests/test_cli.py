@@ -338,7 +338,7 @@ def test_mu_group_loads_order64_group_file_quickly(capsys, tmp_path):
     t0 = time.perf_counter()
     code, rep, _ = run_report(capsys, "mu-group", "--group-file", str(path),
                               "--r", "1", "--s", "1", "--exhaustive")
-    assert time.perf_counter() - t0 < 3.0
+    assert time.perf_counter() - t0 < 1.5
     assert code == 0
     assert rep["results"]["subgroup_orders"] == [1, 2, 4, 8, 16, 32, 64]
 

@@ -6,6 +6,7 @@ import pytest
 
 from oracle import (add, field_tables, has_root, monic_irreducibles, mul, multiplicative_order,
                     neg, poly_mul, power)
+from subspace_products import cli
 from subspace_products.fields import (ExtensionField, find_irreducible, is_irreducible,
                                       is_prime, lane_layout, parse_field_spec,
                                       parse_modulus, poly_str, prime_factors)
@@ -196,12 +197,26 @@ TABLE_FIELDS = ((3, 10), (5, 6), (7, 5), (11, 4), (251, 2), (3, 6), (5, 2),
 
 
 @pytest.mark.parametrize("p, n", TABLE_FIELDS)
-def test_field_tables_match_reference(field_cache, p, n):
+def test_field_tables_match_reference(field_cache, monkeypatch, p, n):
     f = field_cache(p, n)
     primitive, exp, log, cache = field_tables(f)
     assert f.primitive == primitive
+    if exp is not None:
+        f._build_tables()
     assert f._exp == exp
     assert f._log == log
+    # a fresh field kept table-free answers as the tables do
+    with monkeypatch.context() as m:
+        m.setattr(ExtensionField, "_build_tables", lambda self: None)
+        fresh = ExtensionField(p, n)
+        rng = random.Random(p * 100 + n)
+        for a in [0, 1, f.q - 1] + [rng.randrange(f.q) for _ in range(97)]:
+            b, e = rng.randrange(1, f.q), rng.randrange(-f.q, f.q)
+            assert fresh.mul(a, b) == f.mul(a, b), (a, b)
+            assert fresh.inv(b) == f.inv(b), b
+            assert fresh.pow(b, e) == f.pow(b, e), (b, e)
+            assert fresh.pow(a, abs(e)) == f.pow(a, abs(e)), (a, e)
+        assert fresh._log is None
     if p == 2:
         assert f.vector is f.element is int
         return
@@ -215,6 +230,44 @@ def test_field_tables_match_reference(field_cache, p, n):
     if cache is not None:
         assert tuple(f.coeffs(e) for e in range(f.q)) == cache
         assert vectors == [sum(c << s for c, s in zip(cs, lanes.shifts)) for cs in cache]
+
+
+def test_tables_are_built_once_at_the_sixteenth_of_q(monkeypatch):
+    # GF(2^8) answers its first 15 mul/inv/pow table-free; the 16th builds
+    # the tables, and every later call reads them
+    built = []
+    calls = 0
+    build = ExtensionField._build_tables
+    monkeypatch.setattr(ExtensionField, "_build_tables",
+                        lambda self: (built.append(calls), build(self)))
+    f = ExtensionField(2, 8)
+    rng = random.Random(28)
+    for calls in range(1, 100):
+        a, b = rng.randrange(f.q), rng.randrange(1, f.q)
+        if calls % 3 == 0:
+            assert f.mul(a, b) == mul(f, a, b), (a, b)
+        elif calls % 3 == 1:
+            assert mul(f, f.inv(b), b) == 1, b
+        else:
+            assert f.pow(b, a) == power(f, b, a), (b, a)
+        assert (f._log is None) == (calls < f.q // 16)
+    assert built == [f.q // 16]
+
+
+def test_non_generator_fails_the_table_build(monkeypatch, capsys):
+    # g^3 has order 85 in GF(2^8); its powers miss most units
+    find = ExtensionField._find_primitive
+    monkeypatch.setattr(ExtensionField, "_find_primitive",
+                        lambda self: self._pow_raw(find(self), 3))
+    f = ExtensionField(2, 8)
+    with pytest.raises(AssertionError, match="failed to cycle the unit group"):
+        f._build_tables()
+    assert f._log is None
+    code = cli.main(["verify-kneser", "--field", "2^8", "--r", "3", "--s", "5",
+                     "--pairs", "20", "--seed", "1"])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert "invariant violated: primitive element failed to cycle the unit group" in err
 
 
 @pytest.mark.parametrize("p", (3, 5, 7, 251, 257, 65521))

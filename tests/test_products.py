@@ -250,6 +250,16 @@ def test_optimal_pair_contains_one_and_matches_kappa(field_cache):
                 assert product_span(a, b).dim == cert.value
 
 
+def test_construction_leaves_gf3_10_without_tables():
+    # certifying the construction takes a few dozen products, far fewer than
+    # the 59,049-entry tables would pay for
+    f = ExtensionField(3, 10)
+    a, b, cert = optimal_pair(f, 4, 6)
+    report = kneser_check(a, b)
+    assert report.dim_ab == cert.value == 8 and report.holds
+    assert f._exp is None and f._log is None
+
+
 def test_optimal_pair_range_errors(field_cache):
     f = field_cache(2, 4)
     with pytest.raises(ValueError):
@@ -314,8 +324,10 @@ def test_tower_construction_validates_inputs(field_cache):
     with pytest.raises(ValueError, match="too large"):
         tower_construction(f256, 4, 2, 2, span(f256, [1, gamma]),
                            span(f256, [1, f256.mul(gamma, gamma)]))
-    # a lift over an element of degree 1 over M, not n/m = 3, is dependent
+    # a lift over an element of degree 1 over M, not n/m = 3, is dependent;
+    # the tables are built first, from the true generator
     low = ExtensionField(2, 6)
+    low._build_tables()
     low.primitive = low.subfield_generator(2)
     with pytest.raises(AssertionError, match="dependent basis"):
         tower_construction(low, 2, 5, 3, one_subspace(low), one_subspace(low))
