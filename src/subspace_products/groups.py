@@ -41,22 +41,23 @@ def _closure(cayley, gens, identity) -> frozenset:
 
 def subgroup_orders_of(cayley, identity) -> tuple[int, ...]:
     """Orders of all subgroups, by closure enumeration over added generators:
-    H joins one g per right coset Hg, since <H, xg> = <H, g> for x in H."""
+    H joins one g per right coset Hg, since <H, xg> = <H, g> for x in H; H is
+    queued with the generators that built it, so <H, g> is their closure with g."""
     order = len(cayley)
     trivial = frozenset({identity})
     seen = {trivial}
-    queue = [trivial]
+    queue = [(trivial, ())]
     while queue:
-        h = queue.pop()
+        h, gens = queue.pop()
         covered = set(h)
         for g in range(order):
             if g in covered:
                 continue
             covered.update(cayley[x][g] for x in h)
-            h2 = _closure(cayley, h | {g}, identity)
+            h2 = _closure(cayley, (*gens, g), identity)
             if h2 not in seen:
                 seen.add(h2)
-                queue.append(h2)
+                queue.append((h2, (*gens, g)))
     return tuple(sorted({len(h) for h in seen}))
 
 
@@ -121,13 +122,20 @@ def group_from_json(text: str) -> GroupSpec:
 def builtin_group(name: str) -> GroupSpec:
     """Named groups: cyclic:n, product:n,m, Z7xZ3semidirect.  The order is
     checked before the Cayley table is built."""
+    if name.startswith(("cyclic:", "product:")):
+        try:
+            sizes = [int(t) for t in name.split(":", 1)[1].split(",")]
+        except ValueError:
+            sizes = []
+        if len(sizes) != 1 + name.startswith("product:"):
+            raise ValueError(f"malformed group name {name!r}: expected cyclic:n or product:n,m")
     if name.startswith("cyclic:"):
-        n = int(name.split(":", 1)[1])
+        n, = sizes
         _check_order(n)
         table = [[(i + j) % n for j in range(n)] for i in range(n)]
         return GroupSpec.from_cayley(table, name=name)
     if name.startswith("product:"):
-        n, m = (int(t) for t in name.split(":", 1)[1].split(","))
+        n, m = sizes
         order = n * m if n > 0 and m > 0 else 0
         _check_order(order)
         def mul(i, j):
@@ -165,12 +173,14 @@ def mu_group_exact(group: GroupSpec, r: int, s: int,
     both subsets contain the identity (translation preserves |AB|).
 
     For each A, in lexicographic order, B = (e, b_1 < ... < b_{s-1}) grows one
-    element at a time, depth first in lexicographic order.  A branch is cut
-    once |AB'| reaches the best value found, since |AB'| only grows with B';
-    every prefix of the first minimal pair in A-major order stays below the
-    best value found before it, so that pair is never cut.
-    `pairs_examined` counts search nodes (one |AB'| per partial or complete
-    B'); `budget` caps it once a first complete pair is found.
+    element at a time, depth first in lexicographic order; a stack frame holds
+    the mask of AB' and an iterator over the children left to visit, so a cut
+    child costs one OR and one bit count.  A branch is cut once |AB'| reaches
+    the best value found, since |AB'| only grows with B'; every prefix of the
+    first minimal pair in A-major order stays below the best value found
+    before it, so that pair is never cut.
+    `pairs_examined` counts search nodes, one |AB'| per partial or complete B'
+    visited, cut or not; `budget` caps it once a first complete pair is found.
     """
     k = group.order
     if not (1 <= r <= k and 1 <= s <= k):
@@ -184,23 +194,32 @@ def mu_group_exact(group: GroupSpec, r: int, s: int,
     best_a = best_b = None
     path = [e] * s
     nodes = 0
+    limit = max(budget, s)   # the first s nodes, never cut, reach the first pair
     for a_combo in itertools.combinations(elems[1:], r - 1):
         a_elems = (e, *a_combo)
         masks = _masks(group.bits, a_elems)
-        stack = [(masks[e], 1, 0)]   # (mask of AB', |B'|, index of B''s last element)
-        while stack and best > floor and (nodes < budget or best_a is None):
-            acc, depth, i = stack.pop()
-            nodes += 1
-            v = acc.bit_count()
-            if v >= best:
-                continue
-            path[depth - 1] = elems[i]
-            if depth == s:
-                best, best_a, best_b = v, a_elems, tuple(path)
-                continue
-            for j in range(k - s + depth, i, -1):   # reversed: pops in lex order
-                stack.append((acc | masks[elems[j]], depth + 1, j))
-        if stack or best <= floor:   # the floor or the budget stopped the search
+        stack = [(0, iter((0,)), 1)]   # (mask of AB', children left, their |B'|)
+        while stack:
+            acc, children, depth = stack[-1]
+            for j in children:
+                if nodes >= limit:
+                    break
+                nodes += 1
+                child = acc | masks[elems[j]]
+                if child.bit_count() >= best:
+                    continue
+                path[depth - 1] = elems[j]
+                if depth < s:
+                    stack.append((child, iter(range(j + 1, k - s + depth + 1)), depth + 1))
+                    break
+                best, best_a, best_b = child.bit_count(), a_elems, tuple(path)
+                if best <= floor:
+                    break
+            else:
+                stack.pop()
+            if len(stack) == depth:   # neither pushed nor popped: the floor or budget stop
+                break
+        if stack or best <= floor:
             break
     return MuResult(value=best, witness_a=tuple(sorted(best_a)),
                     witness_b=tuple(sorted(best_b)),

@@ -220,7 +220,7 @@ def _a_rows(field, r, skip):
         seen.discard(sp.rows)
 
 
-def _scan(field, a_rows, b_tables, b_count, floor, budget):
+def _scan(field, a_rows, b_tables, b_count, cap, floor, budget):
     """First pair, in A-major order, with the least capped product dimension.
 
     `a_rows` yields (rows, skipped) as _a_rows does.  A skipped A is not
@@ -240,10 +240,13 @@ def _scan(field, a_rows, b_tables, b_count, floor, budget):
     most its value, so value, witnesses and the pair count are those of the
     pair-by-pair scan.
 
-    Returns (value, a_rows, b_rows, pairs examined).  Stops as soon as the
-    value reaches `floor` or `budget` pairs have been examined."""
+    Returns (value, a_rows, b_rows, pairs examined), with `cap` as the best
+    value at the start: a scan that returns cap with no witness proves
+    dim<AB> >= cap for every pair.  cap must exceed `floor`, else the scan
+    stops at its first node (kappa = max(r, s) is trivial).  Stops as soon as
+    the value reaches `floor` or `budget` pairs have been examined."""
     ops, mul = echelon_ops(field), field.mul
-    best = field.n + 1
+    best = cap
     best_a = best_b = None
     processed = 0
     for ar, skipped in a_rows:
@@ -307,7 +310,7 @@ def mu_exact(field: ExtensionField, r: int, s: int,
     # Each profile's row table is built when the first A reaches it.
     b_tables = _Replayed(_row_tables(field, s, containing_one=True))
     best, best_a, best_b, processed = _scan(field, _a_rows(field, r, skip), b_tables,
-                                            b_count, floor, opts.budget)
+                                            b_count, n + 1, floor, opts.budget)
     # A's rows come from enumerate_subspaces and B's are a path through its row
     # tables, so both are canonical RREF already
     return MuResult(value=best,

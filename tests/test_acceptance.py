@@ -249,6 +249,9 @@ def test_criterion_09_long_exhaustive_order21():
         res = mu_group_exact(g, 5, 9)
         assert res.exhaustive
         assert res.value == 13
+        assert res.pairs_examined == 5263755
+        assert res.witness_a == (0, 3, 6, 9, 12)
+        assert res.witness_b == (0, 1, 3, 4, 6, 9, 12, 15, 18)
 
     _run(9, "order-21 exhaustive confirmation", 30.0, check)
 

@@ -331,6 +331,15 @@ def test_mu_group_checks_range_before_the_bound(capsys):
     assert err.strip() == "error: r=22, s=1 must lie in [1, 21]"
 
 
+@pytest.mark.parametrize("name", ["product:2", "cyclic:", "product:2,3,4"])
+def test_mu_group_names_the_form_of_a_malformed_group(capsys, name):
+    code, out, err = run(capsys, "mu-group", "--group", name, "--r", "1", "--s", "1",
+                         "--exhaustive")
+    assert code == 2 and out == ""
+    assert err.strip() == (f"error: malformed group name {name!r}: "
+                           "expected cyclic:n or product:n,m")
+
+
 def test_mu_group_loads_order64_group_file_quickly(capsys, tmp_path):
     # the XOR table of (Z/2)^6 has 2,825 subgroups
     path = tmp_path / "xor64.json"

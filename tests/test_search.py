@@ -9,7 +9,7 @@ import subspace_products.search as search
 from oracle import mu_field_brute
 from subspace_products.fields import ExtensionField
 from subspace_products.kappa import divisors, kappa_rs
-from subspace_products.linalg import span
+from subspace_products.linalg import Subspace, span
 from subspace_products.products import product_span
 from subspace_products.search import (SearchOptions, enumerate_subspaces,
                                       gaussian_binomial, mu_exact, mu_randomized,
@@ -293,6 +293,32 @@ def test_skip_matches_unreduced_scan(field_cache, monkeypatch):
     f = field_cache(2, 6)
     assert _fields_of(mu_exact(f, 4, 3, opts)) == _fields_of(_unreduced(f, 4, 3, opts))
     assert calls
+
+
+def test_scan_started_at_a_cap(field_cache):
+    # floor-free cells with kappa > max(r, s): a scan started at kappa finds
+    # no pair below it, and one started at kappa + 1 finds a pair at kappa
+    cells = 0
+    for p, n in ((2, 5), (3, 3)):
+        f = field_cache(p, n)
+        for r in range(1, n + 1):
+            for s in range(1, n + 1):
+                kappa = kappa_rs(r, s, divisors(n)).value
+                if kappa <= max(r, s):
+                    continue
+                b_count = gaussian_binomial(n - 1, s - 1, p)
+                for cap in (kappa, kappa + 1):
+                    b_tables = search._Replayed(search._row_tables(f, s, containing_one=True))
+                    value, a_rows, b_rows, _ = search._scan(
+                        f, search._a_rows(f, r, True), b_tables, b_count, cap, max(r, s), 10 ** 9)
+                    assert value == kappa, (p, n, r, s, cap)
+                    if cap == kappa:
+                        assert a_rows is None and b_rows is None, (p, n, r, s)
+                    else:
+                        span_ab = product_span(Subspace(f, a_rows), Subspace(f, b_rows))
+                        assert span_ab.dim == kappa, (p, n, r, s)
+                cells += 1
+    assert cells == 10
 
 
 def test_mu_randomized_is_reproducible_and_upper_bound(field_cache):
