@@ -235,9 +235,11 @@ def mu_group_randomized(group: GroupSpec, r: int, s: int, trials: int,
     its swap sweeps over both sides to the end, so the count can pass `trials`.
 
     Before each side's swap sweep, masks[x] is the bitmask of x*B on the A
-    side (`_masks` of the transposed bit table) or of A*x on the B side, so
-    the probe that swaps `out` for `into` is one OR of masks[into] with the
-    masks of the subset without `out`."""
+    side (`_masks` of the transposed bit table) or of A*x on the B side, and
+    the candidates (into, masks[into]) for `into` outside the subset are
+    listed once, so the probe that swaps `out` for `into` is one OR of
+    masks[into] with the masks of the subset other than `out`.  The first
+    strict improvement in sweep order is the move made."""
     k = group.order
     if not (1 <= r <= k and 1 <= s <= k):
         raise ValueError(f"r={r}, s={s} must lie in [1, {k}]")
@@ -261,17 +263,17 @@ def mu_group_randomized(group: GroupSpec, r: int, s: int, trials: int,
             improved = False
             for subset, bits, other in ((a_set, cols, b_set), (b_set, group.bits, a_set)):
                 masks = _masks(bits, other)
+                cand = [(into, masks[into]) for into in range(k) if into not in subset]
                 move = None
                 move_value = value
                 for out in sorted(subset - {e}):
                     rest = 0
-                    for x in subset - {out}:
-                        rest |= masks[x]
-                    for into in range(k):
-                        if into in subset:
-                            continue
-                        v = (rest | masks[into]).bit_count()
-                        evals += 1
+                    for x in subset:
+                        if x != out:
+                            rest |= masks[x]
+                    evals += len(cand)
+                    for into, m in cand:
+                        v = (rest | m).bit_count()
                         if v < move_value:
                             move_value, move = v, (out, into)
                 if move is not None:

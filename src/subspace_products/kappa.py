@@ -53,6 +53,9 @@ class AdmissibleDegreeSet:
         ds = self.degrees
         if not ds:
             raise ValueError("degree set is empty")
+        bad = [h for h in ds if h < 1]
+        if bad:
+            raise ValueError(f"degrees must be >= 1, got {bad}")
         if ds[0] != 1:
             raise ValueError("degree set must contain 1")
         if any(a >= b for a, b in zip(ds, ds[1:])):

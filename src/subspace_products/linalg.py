@@ -161,16 +161,22 @@ class Subspace:
 
 
 def span(field: ExtensionField, elements) -> Subspace:
-    """Canonical RREF span of arbitrary field elements (possibly dependent).
-
-    The echelon basis is finished into RREF by reducing each row against the
-    rows already finished, in descending pivot order; the rows are then
-    emitted by ascending pivot."""
-    vector, element, insert, reduce = echelon_ops(field)
+    """Canonical RREF span of arbitrary field elements (possibly dependent)."""
+    ops = echelon_ops(field)
+    vector, _, insert, _ = ops
     basis: dict = {}
     for e in elements:
         insert(basis, vector(e))
+    return rref(field, basis, ops)
+
+
+def rref(field: ExtensionField, basis: dict, ops: tuple) -> Subspace:
+    """The subspace of `basis`, a pivot-indexed echelon basis built with
+    `ops` = echelon_ops(field), in canonical RREF: each row is reduced against
+    the rows already finished, in descending pivot order, and the rows are
+    emitted by ascending pivot, the reverse of that order."""
+    _, element, _, reduce = ops
     done: dict = {}
     for piv in sorted(basis, reverse=True):
         done[piv] = reduce(done, basis[piv])
-    return Subspace(field, tuple(element(done[piv]) for piv in sorted(done)))
+    return Subspace(field, tuple(map(element, reversed(done.values()))))

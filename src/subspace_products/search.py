@@ -34,7 +34,7 @@ from typing import Any
 
 from .fields import ExtensionField
 from .kappa import divisors, kappa_rs
-from .linalg import Subspace, echelon_ops, span
+from .linalg import Subspace, echelon_ops, rref, span
 
 
 def gaussian_binomial(n: int, r: int, p: int) -> int:
@@ -98,18 +98,32 @@ def enumerate_subspaces(field: ExtensionField, r: int, containing_one: bool = Fa
             for combo in itertools.product(*rows))
 
 
+def _draw(field: ExtensionField, fixed: list, k: int, rng: random.Random, ops):
+    """(rows, basis): rows = fixed + k elements of rng.randrange(q), drawn
+    again until independent, and their echelon basis under `ops` =
+    echelon_ops(field).  A draw's k elements are drawn before its rank check."""
+    vector, _, insert, _ = ops
+    randrange, q = rng.randrange, field.q
+    while True:
+        rows = fixed + [randrange(q) for _ in range(k)]
+        basis: dict = {}
+        for v in map(vector, rows):
+            if not insert(basis, v):
+                break
+        else:
+            return rows, basis
+
+
 def random_subspace(field: ExtensionField, r: int, rng: random.Random,
                     containing_one: bool = False) -> Subspace:
     """Uniformly random r-dimensional subspace (spanning sets of full rank are
-    equidistributed over subspaces)."""
+    equidistributed over subspaces): the RREF of r independent elements drawn
+    uniformly, the first of them 1 with containing_one (see _draw)."""
     fixed = [1] if containing_one else []
     if not len(fixed) <= r <= field.n:
         raise ValueError(f"r={r} out of range [{len(fixed)}, {field.n}]")
-    k = r - len(fixed)
-    while True:
-        sp = span(field, fixed + [rng.randrange(field.q) for _ in range(k)])
-        if sp.dim == r:
-            return sp
+    ops = echelon_ops(field)
+    return rref(field, _draw(field, fixed, r - len(fixed), rng, ops)[1], ops)
 
 
 def _extend(ops, mul, ech, arows, y: int, cap: int):
@@ -323,20 +337,23 @@ def mu_exact(field: ExtensionField, r: int, s: int,
 def mu_randomized(field: ExtensionField, r: int, s: int, trials: int,
                   seed: int) -> MuResult:
     """Minimum of dim<AB> over `trials` uniformly sampled pairs of subspaces
-    containing 1.  Upper bound only; seed-reproducible."""
+    containing 1, drawn as random_subspace draws them but kept as spanning
+    lists (see _draw); only the reported witnesses are put in RREF.  Upper
+    bound only; seed-reproducible; `pairs_examined` is `trials`."""
     n = field.n
     if not (1 <= r <= n and 1 <= s <= n):
         raise ValueError(f"r={r}, s={s} must lie in [1, {n}]")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = random.Random(seed)
+    ops = echelon_ops(field)
     best = n + 1
     best_a = best_b = None
     for _ in range(trials):
-        a_sp = random_subspace(field, r, rng, containing_one=True)
-        b_sp = random_subspace(field, s, rng, containing_one=True)
-        d = product_dim_capped(field, a_sp.rows, b_sp.rows, best)
+        a = _draw(field, [1], r - 1, rng, ops)[0]
+        b = _draw(field, [1], s - 1, rng, ops)[0]
+        d = product_dim_capped(field, a, b, best)
         if d < best:
-            best, best_a, best_b = d, a_sp, b_sp
-    return MuResult(value=best, witness_a=best_a, witness_b=best_b,
+            best, best_a, best_b = d, a, b
+    return MuResult(value=best, witness_a=span(field, best_a), witness_b=span(field, best_b),
                     exhaustive=False, pairs_examined=trials)

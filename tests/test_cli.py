@@ -42,6 +42,13 @@ def test_kappa_usage_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("degrees, bad", [("1,-2", "[-2]"), ("0,1", "[0]")])
+def test_kappa_names_a_non_positive_degree(capsys, degrees, bad):
+    code, out, err = run(capsys, "kappa", "--degrees", degrees, "--r", "2", "--s", "3")
+    assert code == 2 and out == ""
+    assert err.strip() == f"error: degrees must be >= 1, got {bad}"
+
+
 def test_kappa_large_n(capsys):
     t0 = time.perf_counter()
     code, rep, _ = run_report(capsys, "kappa", "--n", "1000000000", "--r", "1", "--s", "1")

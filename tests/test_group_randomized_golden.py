@@ -1,7 +1,8 @@
 """mu_group_randomized against pinned outputs: value, both witnesses and the
 evaluation count, over seeded cells of cyclic:12, product:2,4 and
-Z7xZ3semidirect, plus edge cells (r = 1, s = order, a single trial, and a
-trial budget that runs out in the middle of a swap sweep).
+Z7xZ3semidirect, plus edge cells (r = 1, s = order, a single trial, a
+trial budget that runs out in the middle of a swap sweep, and subsets that
+fill the group, which leave a side's swap sweep no candidates).
 
 Regenerate (only when a change of results is intended) with
     PYTHONPATH=src python tests/test_group_randomized_golden.py
@@ -30,6 +31,10 @@ def golden_cases():
     yield "Z7xZ3semidirect", 4, 5, 1, 7
     # 10 evaluations run out during the first A sweep of 18 probes
     yield "cyclic:12", 3, 4, 10, 2
+    # A is the whole group: the A sweep has no element to swap in
+    yield "cyclic:12", 12, 3, 300, 8
+    # both sides are the whole group, so only restarts count
+    yield "product:2,2", 4, 4, 50, 9
 
 
 def compute(groups, case):

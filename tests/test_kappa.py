@@ -1,3 +1,4 @@
+import re
 import time
 
 import pytest
@@ -74,6 +75,10 @@ def test_degree_set_validation():
         AdmissibleDegreeSet(n=6, degrees=(1, 4))  # 4 does not divide 6
     with pytest.raises(ValueError):
         AdmissibleDegreeSet(n=6, degrees=(1, 3, 3))  # not strictly ascending
+    # a non-positive degree is named, not reported as a missing 1
+    for degrees, bad in (((-2, 1), "[-2]"), ((0, 1), "[0]"), ((-3, 0, 1, 2), "[-3, 0]")):
+        with pytest.raises(ValueError, match=re.escape(f"degrees must be >= 1, got {bad}")):
+            AdmissibleDegreeSet(n=INFINITE, degrees=degrees)
     # infinite sentinel skips divisibility
     AdmissibleDegreeSet(n=INFINITE, degrees=(1, 7))
 

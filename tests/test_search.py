@@ -9,7 +9,7 @@ import subspace_products.search as search
 from oracle import mu_field_brute
 from subspace_products.fields import ExtensionField
 from subspace_products.kappa import divisors, kappa_rs
-from subspace_products.linalg import Subspace, span
+from subspace_products.linalg import Subspace, echelon_ops, span
 from subspace_products.products import product_span
 from subspace_products.search import (SearchOptions, enumerate_subspaces,
                                       gaussian_binomial, mu_exact, mu_randomized,
@@ -77,6 +77,31 @@ def test_random_subspace_dimension_and_membership(field_cache):
         assert sp1.dim == 3 and sp1.contains(1)
     assert random_subspace(f, 0, rng).dim == 0
     assert random_subspace(f, 8, rng, containing_one=True).dim == 8
+
+
+def test_raw_draw_matches_random_subspace(field_cache):
+    # mu_randomized keeps the raw rows of search._draw; their span must be the
+    # subspace random_subspace returns for the same seed, after the same rng
+    # calls, and both must be the span of the first full-rank draw
+    def reference(f, fixed, r, rng):
+        while True:
+            sp = span(f, fixed + [rng.randrange(f.q) for _ in range(r - len(fixed))])
+            if sp.dim == r:
+                return sp
+
+    for p, n in ((2, 2), (3, 2), (2, 6), (3, 4)):
+        f = field_cache(p, n)
+        ops = echelon_ops(f)
+        for one in (False, True):
+            fixed = [1] if one else []
+            for r in range(len(fixed), n + 1):
+                for seed in range(100):
+                    rng_raw, rng_sub, rng_ref = (random.Random(seed) for _ in range(3))
+                    rows, _ = search._draw(f, fixed, r - len(fixed), rng_raw, ops)
+                    sp = random_subspace(f, r, rng_sub, containing_one=one)
+                    assert len(rows) == r and rows[:len(fixed)] == fixed
+                    assert span(f, rows) == sp == reference(f, fixed, r, rng_ref)
+                    assert rng_raw.getstate() == rng_sub.getstate() == rng_ref.getstate()
 
 
 def test_random_subspace_rejects_impossible_dimensions(run_python):
