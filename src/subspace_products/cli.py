@@ -16,7 +16,7 @@ import sys
 import time
 
 from . import __version__
-from .fields import ExtensionField
+from .fields import ExtensionField, parse_ints
 from .kappa import AdmissibleDegreeSet, INFINITE, divisors, f_h, kappa_rs, kappa_table
 from .linalg import Subspace
 from .products import kneser_check, optimal_pair, stabilizer
@@ -41,7 +41,7 @@ def _degree_set(args) -> AdmissibleDegreeSet:
         return divisors(args.n)
     if args.n is not None and args.n < 1:   # n = 0 would read as INFINITE, "no --n"
         raise ValueError(f"n={args.n} must be >= 1")
-    degs = tuple(sorted({int(t) for t in args.degrees.split(",")}))
+    degs = tuple(sorted(set(parse_ints(args.degrees, "degrees"))))
     return AdmissibleDegreeSet(n=INFINITE if args.n is None else args.n, degrees=degs)
 
 

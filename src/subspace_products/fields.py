@@ -11,9 +11,11 @@ element g at its q // 16-th mul/inv/pow, which then run in O(1) on the hot
 search paths; a construction that needs only a few dozen products never
 pays for them.  For n > 1 each power of g is the last times g, an F_p-linear
 map that costs two table lookups and, for odd p, one Barrett reduction and
-one gather.  `vector` packs an index,
-for odd p into the lane form that linalg's echelon rows also use (read from a
-table when n > 1 and q <= 2^16), and `element` unpacks it.
+one gather.  The field also owns the form of its echelon rows: `vector`
+packs an index, for odd p into the lane form of its polynomials (read from a
+table when n > 1 and q <= 2^16), `element` unpacks it, and `insert`/`reduce`
+eliminate on it, the bit kernels below for p = 2 and the lane kernels that
+`lane_layout` builds once per layout for odd p.
 """
 
 from __future__ import annotations
@@ -98,7 +100,8 @@ def prime_factors(m: int) -> tuple[int, ...]:
 
 
 # ----------------------------------------------------------------------------
-# Carry-less helpers for p = 2 (elements as bitmasks, bit i = coeff of x^i).
+# p = 2: elements as bitmasks (bit i = coeff of x^i), for carry-less products
+# and for echelon rows, each keyed by its lowest set bit.
 # ----------------------------------------------------------------------------
 
 def _clmul(a: int, b: int) -> int:
@@ -118,6 +121,28 @@ def _gf2_reduce(x: int, mod_mask: int, n: int) -> int:
     return x
 
 
+def _same(v: int) -> int:
+    return v
+
+
+def _insert_bits(basis: dict[int, int], v: int) -> int:
+    while v:
+        low = v & -v
+        row = basis.get(low)
+        if row is None:
+            basis[low] = v
+            return 1
+        v ^= row
+    return 0
+
+
+def _reduce_bits(basis: dict[int, int], v: int) -> int:
+    for low, row in basis.items():
+        if v & low:
+            v ^= row
+    return v
+
+
 # ----------------------------------------------------------------------------
 # Lane form for odd p: coordinate c_j of an element in bits [j*w, (j+1)*w).
 # ----------------------------------------------------------------------------
@@ -134,7 +159,7 @@ class LaneLayout(NamedTuple):
     the w - k quotient bits of every lane.  `element` multiplies by
     gather = sum p^(n-1-j) 2^(jw), which gathers the index sum c_j p^j into
     lane n-1; `vector` spreads an index into lanes one base-p digit at a
-    time."""
+    time; `insert` and `reduce` are the echelon kernels of `_lane_echelon`."""
 
     p: int
     n: int
@@ -148,9 +173,42 @@ class LaneLayout(NamedTuple):
     red: Callable[[int], int]
     element: Callable[[int], int]
     vector: Callable[[int], int]
+    insert: Callable[[dict, int], int]
+    reduce: Callable[[dict, int], int]
 
-    # one layout per (p, n), so hashing by identity keeps cache keys cheap
-    __hash__ = object.__hash__
+
+def _lane_echelon(p: int, n: int, w: int, mask: int, red: Callable[[int], int]) -> tuple:
+    """(insert, reduce) on the lane forms of n lanes of w bits, each row keyed
+    by the shift of its lowest nonzero lane, which holds 1.  Subtracting c
+    times a row is v + (p - c)*row, then one `red` of every lane at once."""
+    steps = range(n)
+
+    def insert(basis: dict[int, int], v: int) -> int:
+        # each step clears v's lowest nonzero lane, so n steps, one per
+        # lane, leave v = 0 unless `red` is wrong
+        for _ in steps:
+            if not v:
+                return 0
+            low = (v & -v).bit_length() - 1
+            s = low - low % w
+            c = v >> s & mask
+            row = basis.get(s)
+            if row is None:
+                basis[s] = red(v * pow(c, -1, p))
+                return 1
+            v = red(v + (p - c) * row)
+        if v:
+            raise AssertionError("lane reduction left a nonzero vector after n steps")
+        return 0
+
+    def reduce(basis: dict[int, int], v: int) -> int:
+        for s, row in basis.items():
+            c = v >> s & mask
+            if c:
+                v = red(v + (p - c) * row)
+        return v
+
+    return insert, reduce
 
 
 @lru_cache(maxsize=None)
@@ -178,7 +236,8 @@ def lane_layout(p: int, n: int) -> LaneLayout:
             v |= c << s
         return v
 
-    return LaneLayout(p, n, w, shifts, mask, m, k, quotients, gather, red, element, vector)
+    return LaneLayout(p, n, w, shifts, mask, m, k, quotients, gather, red, element, vector,
+                      *_lane_echelon(p, n, w, mask, red))
 
 
 # ----------------------------------------------------------------------------
@@ -277,10 +336,19 @@ class ExtensionField:
     """GF(p^n).  All operations take and return element indices (ints in
     [0, p^n)).  The modulus, primitive element and conversions are fixed at
     construction; the exp/log tables of a small field appear once, at its
-    q // 16-th mul/inv/pow, and never change a result."""
+    q // 16-th mul/inv/pow, and never change a result.
+
+    An echelon basis over F_p is a dict from pivot to row, and the field owns
+    the row form.  vector(e) is the form in which a basis holds the element
+    e, one int: e's bitmask over F_2, e's lane form over odd p; element(v)
+    turns it back.  insert(basis, v) stores v's remainder under its pivot and
+    returns 1, or returns 0 when v lies in the span.  reduce(basis, v)
+    subtracts each row at its pivot, which fully reduces v against a fully
+    reduced basis in any row order.  Fields of one (p, n) share insert and
+    reduce."""
 
     __slots__ = ("p", "n", "q", "modulus", "primitive", "lanes", "vector", "element",
-                 "_mulmod", "_exp", "_log", "_untabled")
+                 "insert", "reduce", "_mulmod", "_exp", "_log", "_untabled")
 
     def __init__(self, p: int, n: int, modulus: tuple[int, ...] | None = None):
         if not is_prime(p):
@@ -312,7 +380,9 @@ class ExtensionField:
         # p = 2 polynomials are their indices; odd-p ones, echelon rows
         # included, are the n + 1 lanes of `lanes`, lane n zero for elements
         self.lanes = lanes = lane_layout(p, n + 1) if p != 2 else None
-        self.vector, self.element = (lanes.vector, lanes.element) if lanes else (int, int)
+        self.vector, self.element, self.insert, self.reduce = (
+            (lanes.vector, lanes.element, lanes.insert, lanes.reduce) if lanes
+            else (_same, _same, _insert_bits, _reduce_bits))
         if lanes and n > 1 and q <= _TABLE_LIMIT:
             # index i*p + c holds c in lane 0 and i's lanes one lane up,
             # and index i*p^h + j holds j's lanes and i's lanes h lanes up
@@ -490,21 +560,28 @@ class ExtensionField:
 
 def parse_field_spec(spec: str) -> tuple[int, int]:
     """Parse "p^n" (or bare "p") into (p, n)."""
-    text = spec.strip()
-    if "^" in text:
-        left, _, right = text.partition("^")
-        p, n = int(left), int(right)
-    else:
-        p, n = int(text), 1
-    return p, n
+    left, hat, right = spec.strip().partition("^")
+    try:
+        return int(left), int(right) if hat else 1
+    except ValueError:
+        raise ValueError(f"bad field spec {spec!r}: expected p^n or p, "
+                         f"with integers p and n") from None
+
+
+def parse_ints(csv: str, what: str) -> tuple[int, ...]:
+    """Comma-separated ints; a bad entry is named, with the `what` it was in."""
+    out = []
+    for tok in csv.split(","):
+        try:
+            out.append(int(tok))
+        except ValueError:
+            raise ValueError(f"bad {what} {csv!r}: {tok!r} is not an integer") from None
+    return tuple(out)
 
 
 def parse_modulus(csv: str) -> tuple[int, ...]:
     """Comma-separated coefficients, low degree first, e.g. "1,1,0,0,1"."""
-    try:
-        return tuple(int(tok) for tok in csv.split(","))
-    except ValueError as exc:
-        raise ValueError(f"bad modulus {csv!r}: {exc}") from None
+    return parse_ints(csv, "modulus")
 
 
 def poly_str(coeffs) -> str:

@@ -34,7 +34,7 @@ from typing import Any
 
 from .fields import ExtensionField
 from .kappa import divisors, kappa_rs
-from .linalg import Subspace, echelon_ops, rref, span
+from .linalg import Subspace, rref, span
 
 
 def gaussian_binomial(n: int, r: int, p: int) -> int:
@@ -98,11 +98,11 @@ def enumerate_subspaces(field: ExtensionField, r: int, containing_one: bool = Fa
             for combo in itertools.product(*rows))
 
 
-def _draw(field: ExtensionField, fixed: list, k: int, rng: random.Random, ops):
+def _draw(field: ExtensionField, fixed: list, k: int, rng: random.Random):
     """(rows, basis): rows = fixed + k elements of rng.randrange(q), drawn
-    again until independent, and their echelon basis under `ops` =
-    echelon_ops(field).  A draw's k elements are drawn before its rank check."""
-    vector, _, insert, _ = ops
+    again until independent, and their echelon basis in the field's row form.
+    A draw's k elements are drawn before its rank check."""
+    vector, insert = field.vector, field.insert
     randrange, q = rng.randrange, field.q
     while True:
         rows = fixed + [randrange(q) for _ in range(k)]
@@ -122,15 +122,15 @@ def random_subspace(field: ExtensionField, r: int, rng: random.Random,
     fixed = [1] if containing_one else []
     if not len(fixed) <= r <= field.n:
         raise ValueError(f"r={r} out of range [{len(fixed)}, {field.n}]")
-    ops = echelon_ops(field)
-    return rref(field, _draw(field, fixed, r - len(fixed), rng, ops)[1], ops)
+    return rref(field, _draw(field, fixed, r - len(fixed), rng)[1])
 
 
-def _extend(ops, mul, ech, arows, y: int, cap: int):
+def _extend(field, mul, ech, arows, y: int, cap: int):
     """Insert x*y for each x in arows into a copy of the pivot-indexed echelon
     basis `ech` (see linalg) until its rank reaches cap; returns (new basis,
-    rank).  The rank is exact when below cap."""
-    vector, _, insert, _ = ops
+    rank).  The rank is exact when below cap.  mul is field.mul, bound once
+    by the caller rather than once per walk node."""
+    vector, insert = field.vector, field.insert
     basis = ech.copy()
     rank = len(basis)
     for x in arows:
@@ -143,10 +143,10 @@ def _extend(ops, mul, ech, arows, y: int, cap: int):
 def product_dim_capped(field: ExtensionField, arows, brows, cap: int) -> int:
     """min(dim span{a*b}, cap), built B row by B row; stops as soon as the
     running rank reaches cap (the exact value is only needed below cap)."""
-    ops, mul = echelon_ops(field), field.mul
+    mul = field.mul
     ech, rank = {}, 0
     for y in brows:
-        ech, rank = _extend(ops, mul, ech, arows, y, cap)
+        ech, rank = _extend(field, mul, ech, arows, y, cap)
         if rank >= cap:
             return cap
     return rank
@@ -193,7 +193,7 @@ def _orbit(field, rows) -> set:
     under the unit scalings that keep 1 inside and under Frobenius.  a and c*a
     for c in F_p^* give the same image, so a runs over one point per line."""
     p, n = field.p, field.n
-    vector, element = echelon_ops(field)[:2]
+    vector, element = field.vector, field.element
     add = int.__xor__ if p == 2 else (lambda u, v: field.lanes.red(u + v))
     # a line's point: its first nonzero row with coefficient 1, plus any
     # combination of the rows after it
@@ -259,7 +259,7 @@ def _scan(field, a_rows, b_tables, b_count, cap, floor, budget):
     dim<AB> >= cap for every pair.  cap must exceed `floor`, else the scan
     stops at its first node (kappa = max(r, s) is trivial).  Stops as soon as
     the value reaches `floor` or `budget` pairs have been examined."""
-    ops, mul = echelon_ops(field), field.mul
+    mul = field.mul
     best = cap
     best_a = best_b = None
     processed = 0
@@ -281,7 +281,7 @@ def _scan(field, a_rows, b_tables, b_count, cap, floor, budget):
                     stack.pop()
                     continue
                 path[depth] = y
-                child, rank = _extend(ops, mul, ech, ar, y, best)
+                child, rank = _extend(field, mul, ech, ar, y, best)
                 if rank >= best:
                     processed += sizes[depth]
                 elif depth < last:
@@ -346,12 +346,11 @@ def mu_randomized(field: ExtensionField, r: int, s: int, trials: int,
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = random.Random(seed)
-    ops = echelon_ops(field)
     best = n + 1
     best_a = best_b = None
     for _ in range(trials):
-        a = _draw(field, [1], r - 1, rng, ops)[0]
-        b = _draw(field, [1], s - 1, rng, ops)[0]
+        a = _draw(field, [1], r - 1, rng)[0]
+        b = _draw(field, [1], s - 1, rng)[0]
         d = product_dim_capped(field, a, b, best)
         if d < best:
             best, best_a, best_b = d, a, b

@@ -49,6 +49,13 @@ def test_kappa_names_a_non_positive_degree(capsys, degrees, bad):
     assert err.strip() == f"error: degrees must be >= 1, got {bad}"
 
 
+@pytest.mark.parametrize("degrees, bad", [("1,,2", ""), ("1,x", "x"), ("", "")])
+def test_kappa_names_a_degree_that_is_not_an_integer(capsys, degrees, bad):
+    code, out, err = run(capsys, "kappa", "--degrees", degrees, "--r", "2", "--s", "3")
+    assert code == 2 and out == ""
+    assert err.strip() == f"error: bad degrees {degrees!r}: {bad!r} is not an integer"
+
+
 def test_kappa_large_n(capsys):
     t0 = time.perf_counter()
     code, rep, _ = run_report(capsys, "kappa", "--n", "1000000000", "--r", "1", "--s", "1")
@@ -214,6 +221,14 @@ def test_empty_modulus_is_refused(capsys):
     assert code == 2 and out == "" and err.startswith("error: bad modulus ''")
 
 
+@pytest.mark.parametrize("spec", ["2^x", "2^", "2^6^2", "x"])
+def test_bad_field_spec_is_named(capsys, spec):
+    code, out, err = run(capsys, "construct", "--field", spec, "--r", "2", "--s", "2")
+    assert code == 2 and out == ""
+    assert err.strip() == (f"error: bad field spec {spec!r}: "
+                           f"expected p^n or p, with integers p and n")
+
+
 def test_stabilizer_command(capsys, tmp_path):
     # F_4 inside GF(2^4): span{1, g} with g = x^2+x (primitive^5)
     path = tmp_path / "subspace.txt"
@@ -230,6 +245,10 @@ def test_stabilizer_malformed_file(capsys, tmp_path):
     path.write_text("1,0\n")
     code, _, err = run(capsys, "stabilizer", "--field", "2^4", "--subspace", str(path))
     assert code == 2 and "error" in err
+    path.write_text("1,0,0,0\n1,0,x,0\n")
+    code, out, err = run(capsys, "stabilizer", "--field", "2^4", "--subspace", str(path))
+    assert code == 2 and out == ""
+    assert err.strip() == "error: bad subspace row '1,0,x,0': 'x' is not an integer"
     code, _, err = run(capsys, "stabilizer", "--field", "2^4",
                        "--subspace", str(tmp_path / "missing.txt"))
     assert code == 2

@@ -4,7 +4,7 @@ import pytest
 
 from oracle import (add, intersect, reduce_against, rref_rows, scale, sum_with,
                     whole_space)
-from subspace_products.fields import ExtensionField
+from subspace_products.fields import ExtensionField, is_irreducible
 from subspace_products.linalg import Subspace, span
 
 
@@ -29,6 +29,25 @@ def test_span_power_basis_is_whole_field(field_cache):
     f = field_cache(2, 4)
     powers = [f.pow(2, i) for i in range(4)]  # 1, x, x^2, x^3
     assert span(f, powers) == whole_space(f)
+
+
+@pytest.mark.parametrize("p, n", ((2, 4), (3, 4), (5, 3)))
+def test_fields_of_one_size_share_their_echelon_kernels(p, n):
+    # insert and reduce are built once per (p, n), whatever the modulus, and
+    # each field's spans and remainders still agree with the oracle's
+    candidates = (tuple(v // p ** i % p for i in range(n)) + (1,) for v in range(p ** n))
+    moduli = [m for m in candidates if is_irreducible(m, p)][:2]
+    f, g = (ExtensionField(p, n, m) for m in moduli)
+    assert f != g
+    assert f.insert is g.insert and f.reduce is g.reduce
+    rng = random.Random(p * 100 + n)
+    for field in (f, g):
+        for _ in range(100):
+            elems = [rng.randrange(field.q) for _ in range(rng.randrange(n + 2))]
+            sp = span(field, elems)
+            assert sp.rows == rref_rows(field, elems)
+            for e in [rng.randrange(field.q) for _ in range(5)] + list(elems):
+                assert sp.reduce(e) == reduce_against(field, sp.rows, e)
 
 
 def test_rref_canonical_form_properties(field_cache):
@@ -162,12 +181,12 @@ def test_text_round_trip(field_cache):
 # test fail on its timeout rather than stall the suite.
 _NO_LANE_REDUCTION = """
 import sys
-from subspace_products import cli, linalg
-from subspace_products.fields import ExtensionField
-kernel = linalg._lane_kernel.__wrapped__
-# no reduction at all: a pivot lane that should clear to 0 is left at p
-linalg._lane_kernel = lambda lanes: kernel(lanes._replace(red=lambda x: x))
-insert = linalg._lane_kernel(ExtensionField(3, 4).lanes)[0]
+from subspace_products import cli, fields
+kernel = fields._lane_echelon
+# no reduction at all in the echelon kernels: a pivot lane that should clear
+# to 0 is left at p
+fields._lane_echelon = lambda p, n, w, mask, red: kernel(p, n, w, mask, lambda x: x)
+insert = fields.ExtensionField(3, 4).insert
 basis = {}
 assert insert(basis, 1) == 1
 try:
