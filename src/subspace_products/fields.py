@@ -13,9 +13,9 @@ pays for them.  For n > 1 each power of g is the last times g, an F_p-linear
 map that costs two table lookups and, for odd p, one Barrett reduction and
 one gather.  The field also owns the form of its echelon rows: `vector`
 packs an index, for odd p into the lane form of its polynomials (read from a
-table when n > 1 and q <= 2^16), `element` unpacks it, and `insert`/`reduce`
-eliminate on it, the bit kernels below for p = 2 and the lane kernels that
-`lane_layout` builds once per layout for odd p.
+table when n > 1 and q <= 2^16), `element` unpacks it, `add` sums two rows
+and `insert`/`reduce` eliminate on it, the bit kernels below for p = 2 and
+the lane kernels that `lane_layout` builds once per layout for odd p.
 """
 
 from __future__ import annotations
@@ -159,7 +159,9 @@ class LaneLayout(NamedTuple):
     the w - k quotient bits of every lane.  `element` multiplies by
     gather = sum p^(n-1-j) 2^(jw), which gathers the index sum c_j p^j into
     lane n-1; `vector` spreads an index into lanes one base-p digit at a
-    time; `insert` and `reduce` are the echelon kernels of `_lane_echelon`."""
+    time; `add` is `red` of the lane sum, for residue lanes plus c times
+    residue lanes with c < p; `insert` and `reduce` are the echelon kernels
+    of `_lane_echelon`."""
 
     p: int
     n: int
@@ -173,6 +175,7 @@ class LaneLayout(NamedTuple):
     red: Callable[[int], int]
     element: Callable[[int], int]
     vector: Callable[[int], int]
+    add: Callable[[int, int], int]
     insert: Callable[[dict, int], int]
     reduce: Callable[[dict, int], int]
 
@@ -236,8 +239,11 @@ def lane_layout(p: int, n: int) -> LaneLayout:
             v |= c << s
         return v
 
+    def add(u: int, v: int) -> int:
+        return red(u + v)
+
     return LaneLayout(p, n, w, shifts, mask, m, k, quotients, gather, red, element, vector,
-                      *_lane_echelon(p, n, w, mask, red))
+                      add, *_lane_echelon(p, n, w, mask, red))
 
 
 # ----------------------------------------------------------------------------
@@ -341,14 +347,22 @@ class ExtensionField:
     An echelon basis over F_p is a dict from pivot to row, and the field owns
     the row form.  vector(e) is the form in which a basis holds the element
     e, one int: e's bitmask over F_2, e's lane form over odd p; element(v)
-    turns it back.  insert(basis, v) stores v's remainder under its pivot and
-    returns 1, or returns 0 when v lies in the span.  reduce(basis, v)
+    turns it back.  add(u, v) is the form of the sum, for v = c times a row
+    with c < p as well.  insert(basis, v) stores v's remainder under its
+    pivot and returns 1, or returns 0 when v lies in the span.  reduce(basis, v)
     subtracts each row at its pivot, which fully reduces v against a fully
-    reduced basis in any row order.  Fields of one (p, n) share insert and
-    reduce."""
+    reduced basis in any row order.  Fields of one (p, n) share add, insert
+    and reduce.
+
+    orbit_skips maps r to the skip flags of the exhaustive search's orbit
+    rejection (see search._a_rows), one byte per r-dimensional subspace
+    containing 1, at most search.MAX_HELD_ROWS of them, stored once a scan
+    has enumerated every such subspace; like the tables, they never change
+    a result."""
 
     __slots__ = ("p", "n", "q", "modulus", "primitive", "lanes", "vector", "element",
-                 "insert", "reduce", "_mulmod", "_exp", "_log", "_untabled")
+                 "add", "insert", "reduce", "orbit_skips", "_mulmod", "_exp", "_log",
+                 "_untabled")
 
     def __init__(self, p: int, n: int, modulus: tuple[int, ...] | None = None):
         if not is_prime(p):
@@ -380,9 +394,9 @@ class ExtensionField:
         # p = 2 polynomials are their indices; odd-p ones, echelon rows
         # included, are the n + 1 lanes of `lanes`, lane n zero for elements
         self.lanes = lanes = lane_layout(p, n + 1) if p != 2 else None
-        self.vector, self.element, self.insert, self.reduce = (
-            (lanes.vector, lanes.element, lanes.insert, lanes.reduce) if lanes
-            else (_same, _same, _insert_bits, _reduce_bits))
+        self.vector, self.element, self.add, self.insert, self.reduce = (
+            (lanes.vector, lanes.element, lanes.add, lanes.insert, lanes.reduce) if lanes
+            else (_same, _same, int.__xor__, _insert_bits, _reduce_bits))
         if lanes and n > 1 and q <= _TABLE_LIMIT:
             # index i*p + c holds c in lane 0 and i's lanes one lane up,
             # and index i*p^h + j holds j's lanes and i's lanes h lanes up
@@ -396,6 +410,7 @@ class ExtensionField:
         # which builds the tables; a large one never counts
         self._exp = self._log = None
         self._untabled = max(q // 16, 1) if q <= _TABLE_LIMIT else 0
+        self.orbit_skips = {}
 
     def _build_tables(self) -> None:
         """The exp/log tables of the primitive element g: exp[k] = g^k and

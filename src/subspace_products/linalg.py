@@ -66,7 +66,11 @@ class Subspace:
             line = line.strip()
             if not line:
                 continue
-            elems.append(field.from_coeffs(parse_ints(line, "subspace row")))
+            coeffs = parse_ints(line, "subspace row")
+            try:
+                elems.append(field.from_coeffs(coeffs))
+            except ValueError as exc:
+                raise ValueError(f"bad subspace row {line!r}: {exc}") from None
         return span(field, elems)
 
     def _check_ambient(self, other: "Subspace") -> None:

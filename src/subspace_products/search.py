@@ -22,7 +22,11 @@ permutes the B's containing 1.  So only the first A of each orbit is walked
 (isomorph rejection by least representatives: Read, "Every one a winner",
 1978; McKay, "Isomorph-free exhaustive generation", 1998); every later A of
 the orbit counts its B pairs as decided, since none of them can beat the
-value its representative already reached.
+value its representative already reached.  The skip flags depend only on
+the field and dim A, so the first scan that enumerates every A keeps them on
+the field (one byte per A, see ExtensionField), and every later scan of that
+field and dimension replays them without building an orbit; they are the
+flags the scan computes, so no result changes.
 """
 
 from __future__ import annotations
@@ -193,8 +197,7 @@ def _orbit(field, rows) -> set:
     under the unit scalings that keep 1 inside and under Frobenius.  a and c*a
     for c in F_p^* give the same image, so a runs over one point per line."""
     p, n = field.p, field.n
-    vector, element = field.vector, field.element
-    add = int.__xor__ if p == 2 else (lambda u, v: field.lanes.red(u + v))
+    vector, element, add = field.vector, field.element, field.add
     # a line's point: its first nonzero row with coefficient 1, plus any
     # combination of the rows after it
     points, tail = [], [0]
@@ -224,14 +227,29 @@ def _a_rows(field, r, skip):
     Walking A in order, an A not yet seen is the least of its orbit, and its
     orbit is added to `seen` only when the next A is asked for, that is, after
     the scan has walked it: a scan that stops inside its first A computes no
-    orbit.  A skipped A is dropped from `seen`, since it never comes again."""
+    orbit.  A skipped A is dropped from `seen`, since it never comes again.
+
+    The flags depend only on the field and r.  Once the caller has asked past
+    the last A, they are kept in field.orbit_skips[r], one byte per A, so at
+    most MAX_HELD_ROWS bytes, and a later call replays them instead of
+    building any orbit; they are the flags computed here, so no result
+    changes.  A scan stopped by its floor or budget keeps nothing.  Without
+    `skip` (more A than MAX_HELD_ROWS) the flags are neither read nor kept."""
+    a_rows = (sp.rows for sp in enumerate_subspaces(field, r, containing_one=True))
+    flags = field.orbit_skips.get(r) if skip else itertools.repeat(False)
+    if flags is not None:
+        yield from zip(a_rows, flags)
+        return
     seen: set = set()
-    for sp in enumerate_subspaces(field, r, containing_one=True):
-        skipped = sp.rows in seen
-        yield sp.rows, skipped
-        if skip and not skipped:
-            seen |= _orbit(field, sp.rows)
-        seen.discard(sp.rows)
+    flags = bytearray()
+    for rows in a_rows:
+        skipped = rows in seen
+        flags.append(skipped)
+        yield rows, skipped
+        if not skipped:
+            seen |= _orbit(field, rows)
+        seen.discard(rows)
+    field.orbit_skips[r] = flags
 
 
 def _scan(field, a_rows, b_tables, b_count, cap, floor, budget):

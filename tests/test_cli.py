@@ -245,6 +245,11 @@ def test_stabilizer_malformed_file(capsys, tmp_path):
     path.write_text("1,0\n")
     code, _, err = run(capsys, "stabilizer", "--field", "2^4", "--subspace", str(path))
     assert code == 2 and "error" in err
+    assert err.strip() == "error: bad subspace row '1,0': expected 4 coordinates, got 2"
+    path.write_text("1,0,0,0\n1,0,2,0\n")
+    code, out, err = run(capsys, "stabilizer", "--field", "2^4", "--subspace", str(path))
+    assert code == 2 and out == ""
+    assert err.strip() == "error: bad subspace row '1,0,2,0': coordinates must lie in [0, 2)"
     path.write_text("1,0,0,0\n1,0,x,0\n")
     code, out, err = run(capsys, "stabilizer", "--field", "2^4", "--subspace", str(path))
     assert code == 2 and out == ""

@@ -5,7 +5,7 @@ import time
 import pytest
 
 from oracle import (add, field_tables, has_root, monic_irreducibles, mul, multiplicative_order,
-                    neg, poly_mul, power)
+                    neg, poly_mul, power, scale)
 from subspace_products import cli
 from subspace_products.fields import (ExtensionField, find_irreducible, is_irreducible,
                                       is_prime, lane_layout, parse_field_spec,
@@ -288,6 +288,16 @@ def test_lane_reduction_is_exact_in_every_lane(p):
         row = [values[(i + j) % len(values)] for j in range(n)]
         packed = sum(x << s for x, s in zip(row, lanes.shifts))
         assert lanes.red(packed) == sum(x % p << s for x, s in zip(row, lanes.shifts)), row
+
+
+@pytest.mark.parametrize("p, n", ((2, 8), (3, 4), (5, 3), (65521, 2)))
+def test_row_add_matches_oracle(field_cache, p, n):
+    # add on the row form, of a row and of c times a row, is the field sum
+    f = field_cache(p, n)
+    rng = random.Random(p * 100 + n)
+    for _ in range(300):
+        a, b, c = rng.randrange(f.q), rng.randrange(f.q), rng.randrange(p)
+        assert f.element(f.add(f.vector(a), c * f.vector(b))) == add(f, a, scale(f, c, b))
 
 
 @pytest.mark.parametrize("p, n", TABLE_FIELDS)

@@ -174,8 +174,8 @@ def _orbit_reps(f, r):
 
 @pytest.mark.parametrize("p, n, r", [(2, 6, r) for r in range(2, 6)]
                          + [(3, 4, r) for r in range(2, 4)])
-def test_orbits_partition_canonical_subspaces(field_cache, p, n, r):
-    f = field_cache(p, n)
+def test_orbits_partition_canonical_subspaces(fresh_field, p, n, r):
+    f = fresh_field(p, n)
     canonical = [sp.rows for sp in enumerate_subspaces(f, r, containing_one=True)]
     reps = _orbit_reps(f, r)
     orbits = [search._orbit(f, rows) for rows in reps]
@@ -198,12 +198,15 @@ def test_subfield_is_its_own_orbit(field_cache):
         assert search._orbit(f, sub.rows) == {sub.rows}
 
 
-def test_orbit_representative_counts(field_cache):
-    assert (len(_orbit_reps(field_cache(2, 6), 3)), gaussian_binomial(5, 2, 2)) == (7, 155)
-    assert (len(_orbit_reps(field_cache(2, 7), 3)), gaussian_binomial(6, 2, 2)) == (15, 651)
+def test_orbit_representative_counts(fresh_field):
+    assert (len(_orbit_reps(fresh_field(2, 6), 3)), gaussian_binomial(5, 2, 2)) == (7, 155)
+    assert (len(_orbit_reps(fresh_field(2, 7), 3)), gaussian_binomial(6, 2, 2)) == (15, 651)
 
 
 def _count_orbits(monkeypatch):
+    """The rows of every _orbit call from here on; a scan of a field that
+    already holds the skip flags of its r makes none, so count on fresh
+    fields."""
     calls = []
     orbit = search._orbit
 
@@ -217,16 +220,18 @@ def _count_orbits(monkeypatch):
 
 def _unreduced(f, r, s, opts):
     """Serial mu_exact with the orbit skip off: every orbit is empty, so no A
-    is skipped."""
+    is skipped.  f must be a fresh field used for nothing else: replayed flags
+    would skip A, and the flags of empty orbits stay on f."""
+    assert not f.orbit_skips
     with pytest.MonkeyPatch.context() as m:
         m.setattr(search, "_orbit", lambda field, rows: set())
         return mu_exact(f, r, s, opts)
 
 
-def test_mu_exact_turns_the_skip_off_when_seen_set_exceeds_limit(field_cache):
+def test_mu_exact_turns_the_skip_off_when_seen_set_exceeds_limit(fresh_field):
     # a limit one below the number of A turns the skip off; the basis rows of
     # GF(2^6), at most 16 values, still fit under it
-    f = field_cache(2, 6)
+    f = fresh_field(2, 6)
     for r, s, budget in ((3, 3, 10 ** 9), (3, 4, 10 ** 9), (2, 5, 10 ** 9), (4, 3, 5000)):
         opts = SearchOptions(budget=budget, use_kappa_floor=False)
         with pytest.MonkeyPatch.context() as m:
@@ -234,7 +239,8 @@ def test_mu_exact_turns_the_skip_off_when_seen_set_exceeds_limit(field_cache):
             m.setattr(search, "MAX_HELD_ROWS", gaussian_binomial(f.n - 1, r - 1, f.p) - 1)
             res = mu_exact(f, r, s, opts)
         assert not calls, (r, s)
-        assert _fields_of(res) == _fields_of(_unreduced(f, r, s, opts)), (r, s, budget)
+        assert _fields_of(res) == _fields_of(_unreduced(fresh_field(2, 6), r, s, opts)), \
+            (r, s, budget)
 
 
 def test_mu_exact_refuses_scans_too_large_to_hold(run_python, field_cache):
@@ -294,14 +300,14 @@ def test_mu_exact_truncated_runs_match_brute_force(field_cache, data):
     _check_against_oracle(field_cache(p, n), r, s, data.draw(st.booleans()), budget)
 
 
-def test_skip_matches_unreduced_scan(field_cache, monkeypatch):
+def test_skip_matches_unreduced_scan(fresh_field, monkeypatch):
     # the skip keeps the first minimal pair and counts skipped pairs as
     # decided, so every field of the result matches the unreduced scan's.  A
     # single A (r = 1 or r = n) reaches the floor max(r, s) with its first
     # pair, so the scan ends before it would build that A's orbit.
     calls = _count_orbits(monkeypatch)
     for p, n in ((2, 4), (3, 3), (2, 5), (2, 6), (3, 4)):
-        f = field_cache(p, n)
+        f = fresh_field(p, n)
         for r in range(1, n + 1):
             single = r in (1, n)
             for s in range(1, n + 1):
@@ -310,13 +316,55 @@ def test_skip_matches_unreduced_scan(field_cache, monkeypatch):
                         opts = SearchOptions(budget=budget, use_kappa_floor=floor)
                         before = len(calls)
                         assert _fields_of(mu_exact(f, r, s, opts)) == \
-                            _fields_of(_unreduced(f, r, s, opts)), (p, n, r, s, floor, budget)
+                            _fields_of(_unreduced(fresh_field(p, n), r, s, opts)), \
+                            (p, n, r, s, floor, budget)
                         assert not single or len(calls) == before, (p, n, r, s, floor, budget)
     # a truncating budget: the prefix counts skipped A as decided pairs
     opts = SearchOptions(budget=5000, use_kappa_floor=False)
-    f = field_cache(2, 6)
-    assert _fields_of(mu_exact(f, 4, 3, opts)) == _fields_of(_unreduced(f, 4, 3, opts))
+    f = fresh_field(2, 6)
+    assert _fields_of(mu_exact(f, 4, 3, opts)) == \
+        _fields_of(_unreduced(fresh_field(2, 6), 4, 3, opts))
     assert calls
+
+
+def test_skip_flags_replay_on_one_field(fresh_field, monkeypatch):
+    # a scan that enumerates every A keeps its skip flags on the field, and a
+    # second scan of that field and r replays them without building an orbit;
+    # a scan stopped by its floor or budget keeps none, so the next one builds
+    # the same orbits again.  Either way the second scan's result is the first's.
+    calls = _count_orbits(monkeypatch)
+    cells = [(2, 6, r, s, 10 ** 9) for r in range(1, 7) for s in range(1, 7)]
+    cells += [(3, 4, r, s, 10 ** 9) for r in range(1, 5) for s in range(1, 5)]
+    cells += [(2, 6, r, s, budget) for r, s in ((2, 3), (4, 2)) for budget in (100, 400, 1300)]
+    stopped_with_orbits = 0
+    for p, n, r, s, budget in cells:
+        opts = SearchOptions(budget=budget, use_kappa_floor=False)
+        f = fresh_field(p, n)
+        before = len(calls)
+        first = _fields_of(mu_exact(f, r, s, opts))
+        cold = len(calls) - before
+        # floor-free, the scan stops early iff it reaches max(r, s) or the budget
+        stopped = first[0] <= max(r, s) or first[4] >= budget
+        assert (r in f.orbit_skips) == (not stopped), (p, n, r, s, budget)
+        if not stopped:
+            assert len(f.orbit_skips[r]) == gaussian_binomial(n - 1, r - 1, p)
+        stopped_with_orbits += stopped and cold > 0
+        before = len(calls)
+        assert _fields_of(mu_exact(f, r, s, opts)) == first, (p, n, r, s, budget)
+        assert len(calls) - before == (cold if stopped else 0), (p, n, r, s, budget)
+    assert stopped_with_orbits
+    # with the skip off, the flags are neither read nor written: flags that
+    # skip every A are ignored, and a fresh field keeps none after a scan of
+    # every A (mu(3, 4) = 6 > max(r, s), so the floor never stops it)
+    opts = SearchOptions(use_kappa_floor=False)
+    f, g = fresh_field(2, 6), fresh_field(2, 6)
+    reference = _fields_of(mu_exact(fresh_field(2, 6), 3, 4, opts))
+    assert reference[0] == 6
+    f.orbit_skips[3] = bytearray([1]) * gaussian_binomial(5, 2, 2)
+    monkeypatch.setattr(search, "MAX_HELD_ROWS", gaussian_binomial(5, 2, 2) - 1)
+    assert _fields_of(mu_exact(f, 3, 4, opts)) == _fields_of(mu_exact(g, 3, 4, opts)) \
+        == reference
+    assert f.orbit_skips == {3: bytearray([1]) * 155} and not g.orbit_skips
 
 
 def test_scan_started_at_a_cap(field_cache):
