@@ -17,7 +17,7 @@ import time
 
 from . import __version__
 from .fields import ExtensionField, parse_ints
-from .kappa import AdmissibleDegreeSet, INFINITE, divisors, f_h, kappa_rs, kappa_table
+from .kappa import AdmissibleDegreeSet, INFINITE, check_rs, divisors, f_h, kappa_rs, kappa_table
 from .linalg import Subspace
 from .products import kneser_check, optimal_pair, stabilizer
 from .groups import builtin_group, group_from_json, kappa_group, mu_group_exact, \
@@ -144,8 +144,7 @@ def _cmd_stabilizer(args):
 
 def _cmd_verify_kneser(args):
     field = _load_field(args)
-    if not (1 <= args.r <= field.n and 1 <= args.s <= field.n):
-        raise ValueError(f"r={args.r}, s={args.s} must lie in [1, {field.n}]")
+    check_rs(args.r, args.s, field.n)
     if args.pairs < 1:
         raise ValueError("--pairs must be >= 1")
     seed = _seed_of(args)

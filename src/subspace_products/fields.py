@@ -9,9 +9,9 @@ w-bit lane, with n + 1 lanes so that the modulus fits.  A field with at most
 2^16 elements builds discrete log/antilog tables keyed to the primitive
 element g at its q // 16-th mul/inv/pow, which then run in O(1) on the hot
 search paths; a construction that needs only a few dozen products never
-pays for them.  For n > 1 each power of g is the last times g, an F_p-linear
-map that costs two table lookups and, for odd p, one Barrett reduction and
-one gather.  The field also owns the form of its echelon rows: `vector`
+pays for them.  Each power of g is the last times g, an F_p-linear map: two
+table lookups, one row `add` and one `element`, the same loop for every p
+and n.  The field also owns the form of its echelon rows: `vector`
 packs an index, for odd p into the lane form of its polynomials (read from a
 table when n > 1 and q <= 2^16), `element` unpacks it, `add` sums two rows
 and `insert`/`reduce` eliminate on it, the bit kernels below for p = 2 and
@@ -150,28 +150,15 @@ def _reduce_bits(basis: dict[int, int], v: int) -> int:
 class LaneLayout(NamedTuple):
     """n lanes of w bits for odd p; GF(p^m) takes m + 1, so that its modulus
     fits, for its packed polynomials, table stepping and echelon rows alike.
+    `red` brings every lane back into [0, p) and `element` gathers the lanes
+    into an index (see lane_layout); `vector` spreads an index into lanes one
+    base-p digit at a time; `add` is `red` of the lane sum, for residue lanes
+    plus c times residue lanes with c < p; `insert` and `reduce` are the
+    echelon kernels of `_lane_echelon`."""
 
-    A lane may grow to p*(p-1) = (p-1) + (p-1)^2, the largest lane of
-    v + c*row for residue lanes and c < p, before `red` brings every lane
-    back into [0, p) with one Barrett step: x*m >> k is x // p for each lane
-    value x <= p*(p-1), since m = 2^k // p + 1 with 2^k > p*p*(p-1), and w
-    leaves room for x*m, so no lane spills into the next; `quotients` keeps
-    the w - k quotient bits of every lane.  `element` multiplies by
-    gather = sum p^(n-1-j) 2^(jw), which gathers the index sum c_j p^j into
-    lane n-1; `vector` spreads an index into lanes one base-p digit at a
-    time; `add` is `red` of the lane sum, for residue lanes plus c times
-    residue lanes with c < p; `insert` and `reduce` are the echelon kernels
-    of `_lane_echelon`."""
-
-    p: int
-    n: int
     w: int
     shifts: tuple[int, ...]
     mask: int
-    m: int
-    k: int
-    quotients: int
-    gather: int
     red: Callable[[int], int]
     element: Callable[[int], int]
     vector: Callable[[int], int]
@@ -216,7 +203,16 @@ def _lane_echelon(p: int, n: int, w: int, mask: int, red: Callable[[int], int]) 
 
 @lru_cache(maxsize=None)
 def lane_layout(p: int, n: int) -> LaneLayout:
-    """The layout of n lanes for the prime p, built once per (p, n)."""
+    """The layout of n lanes for the prime p, built once per (p, n).
+
+    A lane may grow to p*(p-1) = (p-1) + (p-1)^2, the largest lane of
+    v + c*row for residue lanes and c < p, before `red` brings every lane
+    back into [0, p) with one Barrett step: x*m >> k is x // p for each lane
+    value x <= p*(p-1), since m = 2^k // p + 1 with 2^k > p*p*(p-1), and w
+    leaves room for x*m, so no lane spills into the next; `quotients` keeps
+    the w - k quotient bits of every lane.  `element` multiplies by
+    gather = sum p^(n-1-j) 2^(jw), which gathers the index sum c_j p^j into
+    lane n-1."""
     top = p * (p - 1)
     k = (top * p).bit_length()
     m = (1 << k) // p + 1
@@ -242,8 +238,8 @@ def lane_layout(p: int, n: int) -> LaneLayout:
     def add(u: int, v: int) -> int:
         return red(u + v)
 
-    return LaneLayout(p, n, w, shifts, mask, m, k, quotients, gather, red, element, vector,
-                      add, *_lane_echelon(p, n, w, mask, red))
+    return LaneLayout(w, shifts, mask, red, element, vector, add,
+                      *_lane_echelon(p, n, w, mask, red))
 
 
 # ----------------------------------------------------------------------------
@@ -253,11 +249,11 @@ def lane_layout(p: int, n: int) -> LaneLayout:
 # ----------------------------------------------------------------------------
 
 def _poly_ring(p: int, modulus) -> tuple:
-    """(f, w, sub, mulmod, gcd): f is the packed monic `modulus` of degree n,
-    w the width of a coefficient, sub(a, b) = a - b, mulmod(a, b) = a*b mod f
-    by Horner over b's coefficients, and gcd(a, b) a gcd by Euclid, each step
-    clearing a's leading lane with a monic b as the echelon kernel does, so
-    no odd-p lane passes p*(p-1) before its `red`."""
+    """(f, w, add, mulmod, gcd): f is the packed monic `modulus` of degree n,
+    w the width of a coefficient, add the field's row `add`, mulmod(a, b) =
+    a*b mod f by Horner over b's coefficients, and gcd(a, b) a gcd by Euclid,
+    each step clearing a's leading lane with a monic b as the echelon kernel
+    does, so no odd-p lane passes p*(p-1) before its `red`."""
     n = len(modulus) - 1
     w = 1 if p == 2 else lane_layout(p, n + 1).w
     f = sum(c << i * w for i, c in enumerate(modulus))
@@ -296,7 +292,7 @@ def _poly_ring(p: int, modulus) -> tuple:
             a, b = b, a
         return a
 
-    return f, w, lambda a, b: red(a + (p - 1) * b), mulmod, gcd
+    return f, w, lanes.add, mulmod, gcd
 
 
 def _poly_pow(mulmod, a: int, e: int) -> int:
@@ -319,11 +315,11 @@ def is_irreducible(coeffs: tuple[int, ...] | list[int], p: int) -> bool:
         raise ValueError("polynomial must be monic of degree >= 1, coefficients in [0, p)")
     if n == 1:
         return True
-    f, w, sub, mulmod, gcd = _poly_ring(p, coeffs)
+    f, w, add, mulmod, gcd = _poly_ring(p, coeffs)
     x = g = 1 << w
     for k in range(n):
         g = _poly_pow(mulmod, g, p)
-        if k < n // 2 and gcd(f, sub(g, x)) >> w:
+        if k < n // 2 and gcd(f, add(g, (p - 1) * x)) >> w:
             return False
     return g == x
 
@@ -360,9 +356,8 @@ class ExtensionField:
     has enumerated every such subspace; like the tables, they never change
     a result."""
 
-    __slots__ = ("p", "n", "q", "modulus", "primitive", "lanes", "vector", "element",
-                 "add", "insert", "reduce", "orbit_skips", "_mulmod", "_exp", "_log",
-                 "_untabled")
+    __slots__ = ("p", "n", "q", "modulus", "primitive", "vector", "element", "add",
+                 "insert", "reduce", "orbit_skips", "_mulmod", "_exp", "_log", "_untabled")
 
     def __init__(self, p: int, n: int, modulus: tuple[int, ...] | None = None):
         if not is_prime(p):
@@ -393,7 +388,7 @@ class ExtensionField:
         self._mulmod = _poly_ring(p, modulus)[3]
         # p = 2 polynomials are their indices; odd-p ones, echelon rows
         # included, are the n + 1 lanes of `lanes`, lane n zero for elements
-        self.lanes = lanes = lane_layout(p, n + 1) if p != 2 else None
+        lanes = lane_layout(p, n + 1) if p != 2 else None
         self.vector, self.element, self.add, self.insert, self.reduce = (
             (lanes.vector, lanes.element, lanes.add, lanes.insert, lanes.reduce) if lanes
             else (_same, _same, int.__xor__, _insert_bits, _reduce_bits))
@@ -414,32 +409,16 @@ class ExtensionField:
 
     def _build_tables(self) -> None:
         """The exp/log tables of the primitive element g: exp[k] = g^k and
-        log[g^k] = k, each power the last times g."""
-        p, n, q, g, lanes = self.p, self.n, self.q, self.primitive, self.lanes
+        log[g^k] = k, each power the last times g (see _step_tables)."""
+        q, add, element = self.q, self.add, self.element
+        half, lo, hi = self._step_tables(self.primitive)
         exp = [0] * (q - 1)
         log = [-1] * q
         x = 1
-        if n == 1:
-            for k in range(q - 1):
-                exp[k] = x
-                log[x] = k
-                x = x * g % p
-        elif p == 2:
-            half, lo, hi = self._step_tables(g)
-            for k in range(q - 1):
-                exp[k] = x
-                log[x] = k
-                x = lo[x % half] ^ hi[x // half]
-        else:
-            # x -> g*x with the `red` and `element` of `lanes` written out
-            half, lo, hi = self._step_tables(g)
-            m, kb, quotients, gather, at, mask = (lanes.m, lanes.k, lanes.quotients,
-                                                  lanes.gather, n * lanes.w, lanes.mask)
-            for k in range(q - 1):
-                exp[k] = x
-                log[x] = k
-                x = lo[x % half] + hi[x // half]
-                x = (x - p * (x * m >> kb & quotients)) * gather >> at & mask
+        for k in range(q - 1):
+            exp[k] = x
+            log[x] = k
+            x = element(add(lo[x % half], hi[x // half]))
         # g^(q-1) = 1 for every unit g; only a generator leaves no unit unlogged
         if x != 1 or log.count(-1) != 1:
             raise AssertionError("primitive element failed to cycle the unit group")
@@ -488,8 +467,7 @@ class ExtensionField:
     def _step_tables(self, g: int) -> tuple[int, list[int], list[int]]:
         """(half, lo, hi) for x -> g*x, an F_p-linear map: lo[v] and hi[v]
         are the packed polynomials g*v and g*(v*half), half = p^(n//2), so
-        g*x is lo[x % half] ^ hi[x // half] for p = 2, and for odd p the
-        index of `red`(lo[x % half] + hi[x // half])."""
+        g*x is element(add(lo[x % half], hi[x // half]))."""
         half, mulmod, pack = self.p ** (self.n // 2), self._mulmod, self.vector
         g, gh = pack(g), pack(self._mul_raw(g, half))
         return (half, [mulmod(g, pack(v)) for v in range(half)],
@@ -542,13 +520,7 @@ class ExtensionField:
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero in a finite field")
-        log = self._log
-        if log is not None:
-            qm1 = self.q - 1
-            return self._exp[(qm1 - log[a]) % qm1]
-        if self._untabled:
-            self._count_untabled()
-        return self._pow_raw(a, self.q - 2)
+        return self.pow(a, -1)
 
     def pow(self, a: int, e: int) -> int:
         if a == 0:
@@ -562,9 +534,7 @@ class ExtensionField:
             return self._exp[log[a] * e % (self.q - 1)]
         if self._untabled:
             self._count_untabled()
-        if e < 0:
-            return self._pow_raw(self.inv(a), -e)
-        return self._pow_raw(a, e)
+        return self._pow_raw(a, e % (self.q - 1))
 
     def subfield_generator(self, d: int) -> int:
         """Generator of the unique subfield of order p^d (requires d | n)."""

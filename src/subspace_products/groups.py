@@ -12,7 +12,7 @@ import json
 import random
 from dataclasses import dataclass, field
 
-from .kappa import AdmissibleDegreeSet, KappaResult, kappa_rs
+from .kappa import AdmissibleDegreeSet, KappaResult, check_rs, kappa_rs
 from .search import MuResult
 
 MAX_ORDER = 64
@@ -183,8 +183,7 @@ def mu_group_exact(group: GroupSpec, r: int, s: int,
     visited, cut or not; `budget` caps it once a first complete pair is found.
     """
     k = group.order
-    if not (1 <= r <= k and 1 <= s <= k):
-        raise ValueError(f"r={r}, s={s} must lie in [1, {k}]")
+    check_rs(r, s, k)
     if budget < 1:
         raise ValueError("budget must be >= 1")
     e = group.identity
@@ -241,8 +240,7 @@ def mu_group_randomized(group: GroupSpec, r: int, s: int, trials: int,
     masks[into] with the masks of the subset other than `out`.  The first
     strict improvement in sweep order is the move made."""
     k = group.order
-    if not (1 <= r <= k and 1 <= s <= k):
-        raise ValueError(f"r={r}, s={s} must lie in [1, {k}]")
+    check_rs(r, s, k)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     e = group.identity

@@ -66,6 +66,12 @@ class AdmissibleDegreeSet:
                 raise ValueError(f"degrees {bad} do not divide n={self.n}")
 
 
+def check_rs(r: int, s: int, n: int) -> None:
+    """ValueError unless the dimensions (or subset sizes) r, s lie in [1, n]."""
+    if not (1 <= r <= n and 1 <= s <= n):
+        raise ValueError(f"r={r}, s={s} must lie in [1, {n}]")
+
+
 def divisors(n: int) -> AdmissibleDegreeSet:
     """All divisors of n, as the degree set of a full subfield lattice, built
     from the prime factors of n; n must lie below 2^64, where they are exact."""

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .fields import ExtensionField
-from .kappa import KappaResult, divisors, kappa_rs
+from .kappa import KappaResult, check_rs, divisors, kappa_rs
 from .linalg import Subspace, span
 
 
@@ -117,8 +117,7 @@ def optimal_pair(field: ExtensionField, r: int, s: int) -> tuple[Subspace, Subsp
     Its first r RREF rows (1 always leads) give the trimmed witness.
     """
     n = field.n
-    if not (1 <= r <= n and 1 <= s <= n):
-        raise ValueError(f"r={r}, s={s} must lie in [1, {n}]")
+    check_rs(r, s, n)
     cert = kappa_rs(r, s, divisors(n))
     a0 = _h_span(field, cert.h0, field.primitive, cert.r0)
     b0 = a0 if cert.s0 == cert.r0 else _h_span(field, cert.h0, field.primitive, cert.s0)
@@ -140,8 +139,7 @@ def tower_construction(field: ExtensionField, m: int, r: int, s: int,
     n = field.n
     if m < 1 or n % m != 0:
         raise ValueError(f"m={m} does not divide n={n}")
-    if not (1 <= r <= n and 1 <= s <= n):
-        raise ValueError(f"r={r}, s={s} must lie in [1, {n}]")
+    check_rs(r, s, n)
     r0 = (r - 1) % m + 1
     s0 = (s - 1) % m + 1
     _require_nonzero(a0, b0)

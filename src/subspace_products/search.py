@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from .fields import ExtensionField
-from .kappa import divisors, kappa_rs
+from .kappa import check_rs, divisors, kappa_rs
 from .linalg import Subspace, rref, span
 
 
@@ -90,6 +90,12 @@ def _row_tables(field: ExtensionField, r: int, containing_one: bool = False):
         yield rows, sizes
 
 
+def _row_tuples(field: ExtensionField, r: int, containing_one: bool = False):
+    """The RREF row tuple of each subspace of _row_tables, in its order."""
+    return (combo for rows, _ in _row_tables(field, r, containing_one)
+            for combo in itertools.product(*rows))
+
+
 def enumerate_subspaces(field: ExtensionField, r: int, containing_one: bool = False):
     """Iterator over each r-dimensional subspace exactly once, in
     deterministic profile order; r is checked at the call.  With
@@ -98,8 +104,7 @@ def enumerate_subspaces(field: ExtensionField, r: int, containing_one: bool = Fa
     n = field.n
     if r < 0 or r > n:
         raise ValueError(f"r={r} out of range [0, {n}]")
-    return (Subspace(field, combo) for rows, _ in _row_tables(field, r, containing_one)
-            for combo in itertools.product(*rows))
+    return (Subspace(field, rows) for rows in _row_tuples(field, r, containing_one))
 
 
 def _draw(field: ExtensionField, fixed: list, k: int, rng: random.Random):
@@ -235,7 +240,7 @@ def _a_rows(field, r, skip):
     building any orbit; they are the flags computed here, so no result
     changes.  A scan stopped by its floor or budget keeps nothing.  Without
     `skip` (more A than MAX_HELD_ROWS) the flags are neither read nor kept."""
-    a_rows = (sp.rows for sp in enumerate_subspaces(field, r, containing_one=True))
+    a_rows = _row_tuples(field, r, containing_one=True)
     flags = field.orbit_skips.get(r) if skip else itertools.repeat(False)
     if flags is not None:
         yield from zip(a_rows, flags)
@@ -330,8 +335,7 @@ def mu_exact(field: ExtensionField, r: int, s: int,
     """
     opts = options or SearchOptions()
     n, p = field.n, field.p
-    if not (1 <= r <= n and 1 <= s <= n):
-        raise ValueError(f"r={r}, s={s} must lie in [1, {n}]")
+    check_rs(r, s, n)
     if opts.budget < 1:
         raise ValueError("budget must be >= 1")
     floor = (kappa_rs(r, s, divisors(n)).value if opts.use_kappa_floor
@@ -343,8 +347,8 @@ def mu_exact(field: ExtensionField, r: int, s: int,
     b_tables = _Replayed(_row_tables(field, s, containing_one=True))
     best, best_a, best_b, processed = _scan(field, _a_rows(field, r, skip), b_tables,
                                             b_count, n + 1, floor, opts.budget)
-    # A's rows come from enumerate_subspaces and B's are a path through its row
-    # tables, so both are canonical RREF already
+    # A's rows and B's are paths through row tables, so both are canonical
+    # RREF already
     return MuResult(value=best,
                     witness_a=Subspace(field, best_a),
                     witness_b=Subspace(field, best_b),
@@ -359,8 +363,7 @@ def mu_randomized(field: ExtensionField, r: int, s: int, trials: int,
     lists (see _draw); only the reported witnesses are put in RREF.  Upper
     bound only; seed-reproducible; `pairs_examined` is `trials`."""
     n = field.n
-    if not (1 <= r <= n and 1 <= s <= n):
-        raise ValueError(f"r={r}, s={s} must lie in [1, {n}]")
+    check_rs(r, s, n)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = random.Random(seed)

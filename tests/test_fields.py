@@ -191,9 +191,10 @@ def test_primitive_has_full_order():
         assert multiplicative_order(f, f.primitive) == f.q - 1
 
 
-# Odd-p fields with tables (n > 1 and n = 1), one without tables, and F_2 fields.
+# Odd-p fields with tables (n > 1 and n = 1), one without tables, and F_2
+# fields, the prime fields GF(2) and GF(3) among them.
 TABLE_FIELDS = ((3, 10), (5, 6), (7, 5), (11, 4), (251, 2), (3, 6), (5, 2),
-                (7, 1), (65521, 1), (257, 2), (2, 8), (2, 16))
+                (7, 1), (65521, 1), (257, 2), (2, 8), (2, 16), (2, 1), (3, 1))
 
 
 @pytest.mark.parametrize("p, n", TABLE_FIELDS)
@@ -220,10 +221,10 @@ def test_field_tables_match_reference(field_cache, monkeypatch, p, n):
     if p == 2:
         assert all(f.vector(e) == e == f.element(e) for e in range(f.q))
         return
-    # vector spreads the digits of an index into the lanes of `lanes`, read
-    # from a table exactly when the oracle lists coordinates; element gathers
-    # them back
-    lanes = f.lanes
+    # vector spreads the digits of an index into the lanes of its layout,
+    # read from a table exactly when the oracle lists coordinates; element
+    # gathers them back
+    lanes = lane_layout(p, n + 1)
     assert (f.vector is lanes.vector) == (cache is None)
     vectors = [f.vector(e) for e in range(f.q)]
     assert [f.element(v) for v in vectors] == list(range(f.q))
@@ -234,7 +235,8 @@ def test_field_tables_match_reference(field_cache, monkeypatch, p, n):
 
 def test_tables_are_built_once_at_the_sixteenth_of_q(monkeypatch):
     # GF(2^8) answers its first 15 mul/inv/pow table-free; the 16th builds
-    # the tables, and every later call reads them
+    # the tables, and every later call reads them; a negative power, like
+    # inv, counts once
     built = []
     calls = 0
     build = ExtensionField._build_tables
@@ -248,8 +250,10 @@ def test_tables_are_built_once_at_the_sixteenth_of_q(monkeypatch):
             assert f.mul(a, b) == mul(f, a, b), (a, b)
         elif calls % 3 == 1:
             assert mul(f, f.inv(b), b) == 1, b
-        else:
+        elif calls % 2:
             assert f.pow(b, a) == power(f, b, a), (b, a)
+        else:
+            assert mul(f, f.pow(b, -a), power(f, b, a)) == 1, (b, a)
         assert (f._log is None) == (calls < f.q // 16)
     assert built == [f.q // 16]
 
@@ -302,17 +306,14 @@ def test_row_add_matches_oracle(field_cache, p, n):
 
 @pytest.mark.parametrize("p, n", TABLE_FIELDS)
 def test_fixed_multiplier_matches_mul_raw(field_cache, p, n):
-    # the table loop's step x -> g*x, for any g, against the table-free
-    # product and the oracle's
+    # the table loop's one step x -> g*x, for any g and every p, against the
+    # table-free product and the oracle's
     f = field_cache(p, n)
     rng = random.Random(p * 100 + n)
     for g in (f.primitive, rng.randrange(f.q), rng.randrange(f.q)):
         half, lo, hi = f._step_tables(g)
         for x in [0, 1, f.q - 1] + [rng.randrange(f.q) for _ in range(497)]:
-            if p == 2:
-                got = lo[x % half] ^ hi[x // half]
-            else:
-                got = f.element(f.lanes.red(lo[x % half] + hi[x // half]))
+            got = f.element(f.add(lo[x % half], hi[x // half]))
             assert got == f._mul_raw(g, x) == mul(f, g, x), (g, x)
 
 
