@@ -435,9 +435,10 @@ class ExtensionField:
 
     @classmethod
     def from_spec(cls, spec: str, modulus_csv: str | None = None) -> "ExtensionField":
-        """Build from a "p^n" string, e.g. "2^6"; bare "p" means n = 1."""
+        """Build from a "p^n" string, e.g. "2^6"; bare "p" means n = 1, and
+        a modulus_csv lists coefficients low degree first, e.g. "1,1,0,0,1"."""
         p, n = parse_field_spec(spec)
-        modulus = parse_modulus(modulus_csv) if modulus_csv is not None else None
+        modulus = parse_ints(modulus_csv, "modulus") if modulus_csv is not None else None
         return cls(p, n, modulus)
 
     def __eq__(self, other) -> bool:
@@ -467,11 +468,15 @@ class ExtensionField:
     def _step_tables(self, g: int) -> tuple[int, list[int], list[int]]:
         """(half, lo, hi) for x -> g*x, an F_p-linear map: lo[v] and hi[v]
         are the packed polynomials g*v and g*(v*half), half = p^(n//2), so
-        g*x is element(add(lo[x % half], hi[x // half]))."""
-        half, mulmod, pack = self.p ** (self.n // 2), self._mulmod, self.vector
-        g, gh = pack(g), pack(self._mul_raw(g, half))
-        return (half, [mulmod(g, pack(v)) for v in range(half)],
-                [mulmod(gh, pack(v)) for v in range(self.q // half)])
+        g*x is element(add(lo[x % half], hi[x // half])).  By linearity each
+        table grows one base-p digit of v at a time, digit j = c adding c
+        times the image g*x^j, so the n images are the only raw products."""
+        p, h, add = self.p, self.n // 2, self.add
+        tabs = [[0], [0]]   # lo takes digits j < h of x, hi the digits above
+        for j in range(self.n):
+            row = self.vector(self._mul_raw(g, p ** j))
+            tabs[j >= h] = [add(t, c * row) for c in range(p) for t in tabs[j >= h]]
+        return p ** h, tabs[0], tabs[1]
 
     def _find_primitive(self) -> int:
         qm1 = self.q - 1
@@ -562,11 +567,6 @@ def parse_ints(csv: str, what: str) -> tuple[int, ...]:
         except ValueError:
             raise ValueError(f"bad {what} {csv!r}: {tok!r} is not an integer") from None
     return tuple(out)
-
-
-def parse_modulus(csv: str) -> tuple[int, ...]:
-    """Comma-separated coefficients, low degree first, e.g. "1,1,0,0,1"."""
-    return parse_ints(csv, "modulus")
 
 
 def poly_str(coeffs) -> str:

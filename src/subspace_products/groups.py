@@ -120,40 +120,29 @@ def group_from_json(text: str) -> GroupSpec:
 
 
 def builtin_group(name: str) -> GroupSpec:
-    """Named groups: cyclic:n, product:n,m, Z7xZ3semidirect.  The order is
-    checked before the Cayley table is built."""
-    if name.startswith(("cyclic:", "product:")):
+    """Named groups, each the semidirect product Z/n ⋊_t Z/m with
+    (a, b) * (c, d) = (a + t^b c mod n, b + d mod m), element a*m + b being
+    the pair (a, b): cyclic:n is (n, 1, 1), product:n,m is (n, m, 1) and
+    Z7xZ3semidirect is (7, 3, 2), whose twist is multiplication by 2 on Z/7,
+    an automorphism of order 3 (2^3 = 8 = 1 mod 7).  The order is checked
+    before the Cayley table is built."""
+    if name == "Z7xZ3semidirect":
+        n, m, t = 7, 3, 2
+    elif name.startswith(("cyclic:", "product:")):
         try:
-            sizes = [int(t) for t in name.split(":", 1)[1].split(",")]
+            sizes = [int(x) for x in name.split(":", 1)[1].split(",")]
         except ValueError:
             sizes = []
         if len(sizes) != 1 + name.startswith("product:"):
             raise ValueError(f"malformed group name {name!r}: expected cyclic:n or product:n,m")
-    if name.startswith("cyclic:"):
-        n, = sizes
-        _check_order(n)
-        table = [[(i + j) % n for j in range(n)] for i in range(n)]
-        return GroupSpec.from_cayley(table, name=name)
-    if name.startswith("product:"):
-        n, m = sizes
-        order = n * m if n > 0 and m > 0 else 0
-        _check_order(order)
-        def mul(i, j):
-            a1, b1 = divmod(i, m)
-            a2, b2 = divmod(j, m)
-            return ((a1 + a2) % n) * m + (b1 + b2) % m
-        table = [[mul(i, j) for j in range(order)] for i in range(order)]
-        return GroupSpec.from_cayley(table, name=name)
-    if name == "Z7xZ3semidirect":
-        # (a, b) * (c, d) = (a + 2^b c, b + d): the order-3 automorphism is
-        # multiplication by 2 on Z/7 (2^3 = 8 = 1 mod 7).
-        def mul(i, j):
-            a1, b1 = divmod(i, 3)
-            a2, b2 = divmod(j, 3)
-            return ((a1 + pow(2, b1, 7) * a2) % 7) * 3 + (b1 + b2) % 3
-        table = [[mul(i, j) for j in range(21)] for i in range(21)]
-        return GroupSpec.from_cayley(table, name=name)
-    raise ValueError(f"unknown builtin group {name!r}")
+        n, m, t = (*sizes, 1, 1)[:3]
+        # a cyclic name checks n itself; a product needs two positive sizes
+        _check_order(n if len(sizes) == 1 else n * m if n > 0 and m > 0 else 0)
+    else:
+        raise ValueError(f"unknown builtin group {name!r}")
+    table = [[(a + pow(t, b, n) * c) % n * m + (b + d) % m for c in range(n) for d in range(m)]
+             for a in range(n) for b in range(m)]
+    return GroupSpec.from_cayley(table, name=name)
 
 
 def kappa_group(r: int, s: int, group: GroupSpec) -> KappaResult:

@@ -52,10 +52,6 @@ class Subspace:
     def contains(self, elem: int) -> bool:
         return self.reduce(elem) == 0
 
-    def contains_subspace(self, other: "Subspace") -> bool:
-        self._check_ambient(other)
-        return all(self.contains(r) for r in other.rows)
-
     def to_text(self) -> str:
         return "\n".join(",".join(str(c) for c in row) for row in self.basis_coeffs())
 

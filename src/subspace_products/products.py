@@ -144,8 +144,10 @@ def tower_construction(field: ExtensionField, m: int, r: int, s: int,
     s0 = (s - 1) % m + 1
     _require_nonzero(a0, b0)
     m_space = _h_span(field, m, 1, 1)
-    if not (m_space.contains_subspace(a0) and m_space.contains_subspace(b0)):
-        raise ValueError("A0 and B0 must be contained in the subfield M")
+    for base in (a0, b0):
+        m_space._check_ambient(base)
+        if not all(map(m_space.contains, base.rows)):
+            raise ValueError("A0 and B0 must be contained in the subfield M")
     if a0.dim != r0 or b0.dim != s0:
         raise ValueError(f"A0/B0 dimensions ({a0.dim}, {b0.dim}) do not match "
                          f"the remainders ({r0}, {s0})")

@@ -123,15 +123,13 @@ def _draw(field: ExtensionField, fixed: list, k: int, rng: random.Random):
             return rows, basis
 
 
-def random_subspace(field: ExtensionField, r: int, rng: random.Random,
-                    containing_one: bool = False) -> Subspace:
+def random_subspace(field: ExtensionField, r: int, rng: random.Random) -> Subspace:
     """Uniformly random r-dimensional subspace (spanning sets of full rank are
     equidistributed over subspaces): the RREF of r independent elements drawn
-    uniformly, the first of them 1 with containing_one (see _draw)."""
-    fixed = [1] if containing_one else []
-    if not len(fixed) <= r <= field.n:
-        raise ValueError(f"r={r} out of range [{len(fixed)}, {field.n}]")
-    return rref(field, _draw(field, fixed, r - len(fixed), rng)[1])
+    uniformly (see _draw)."""
+    if not 0 <= r <= field.n:
+        raise ValueError(f"r={r} out of range [0, {field.n}]")
+    return rref(field, _draw(field, [], r, rng)[1])
 
 
 def _extend(field, mul, ech, arows, y: int, cap: int):
@@ -359,9 +357,9 @@ def mu_exact(field: ExtensionField, r: int, s: int,
 def mu_randomized(field: ExtensionField, r: int, s: int, trials: int,
                   seed: int) -> MuResult:
     """Minimum of dim<AB> over `trials` uniformly sampled pairs of subspaces
-    containing 1, drawn as random_subspace draws them but kept as spanning
-    lists (see _draw); only the reported witnesses are put in RREF.  Upper
-    bound only; seed-reproducible; `pairs_examined` is `trials`."""
+    containing 1, each drawn by _draw as 1 and independent uniform elements
+    and kept as that spanning list; only the reported witnesses are put in
+    RREF.  Upper bound only; seed-reproducible; `pairs_examined` is `trials`."""
     n = field.n
     check_rs(r, s, n)
     if trials < 1:

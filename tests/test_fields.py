@@ -9,7 +9,7 @@ from oracle import (add, field_tables, has_root, monic_irreducibles, mul, multip
 from subspace_products import cli
 from subspace_products.fields import (ExtensionField, find_irreducible, is_irreducible,
                                       is_prime, lane_layout, parse_field_spec,
-                                      parse_modulus, poly_str, prime_factors)
+                                      parse_ints, poly_str, prime_factors)
 from subspace_products.linalg import span
 
 
@@ -371,9 +371,9 @@ def test_subfield_span_is_the_subfield(field_cache):
 def test_parse_helpers():
     assert parse_field_spec("2^6") == (2, 6)
     assert parse_field_spec("7") == (7, 1)
-    assert parse_modulus("1,1,0,0,1") == (1, 1, 0, 0, 1)
-    with pytest.raises(ValueError):
-        parse_modulus("1,x,0")
+    assert parse_ints("1,1,0,0,1", "modulus") == (1, 1, 0, 0, 1)
+    with pytest.raises(ValueError, match=r"^bad modulus '1,x,0': 'x' is not an integer$"):
+        ExtensionField.from_spec("2^2", "1,x,0")
     f = ExtensionField.from_spec("2^4", "1,1,0,0,1")
     assert f.modulus == (1, 1, 0, 0, 1)
     assert poly_str((1, 1, 0, 0, 1)) == "x^4+x+1"

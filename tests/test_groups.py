@@ -1,3 +1,4 @@
+import itertools
 import time
 import tracemalloc
 
@@ -90,6 +91,68 @@ def test_subgroup_orders_sanity():
 def test_subgroup_orders_match_closed_subsets(name):
     g = builtin_group(name)
     assert g.subgroup_orders == subgroup_orders_brute(g)
+
+
+def _old_builtin_table(name):
+    """Each family's table by its own formula, a reference for the one
+    semidirect-product table of builtin_group."""
+    if name == "Z7xZ3semidirect":
+        def mul(i, j):
+            a1, b1 = divmod(i, 3)
+            a2, b2 = divmod(j, 3)
+            return ((a1 + pow(2, b1, 7) * a2) % 7) * 3 + (b1 + b2) % 3
+        return [[mul(i, j) for j in range(21)] for i in range(21)]
+    sizes = [int(t) for t in name.split(":")[1].split(",")]
+    if name.startswith("cyclic:"):
+        n, = sizes
+        return [[(i + j) % n for j in range(n)] for i in range(n)]
+    n, m = sizes
+
+    def mul(i, j):
+        a1, b1 = divmod(i, m)
+        a2, b2 = divmod(j, m)
+        return ((a1 + a2) % n) * m + (b1 + b2) % m
+    return [[mul(i, j) for j in range(n * m)] for i in range(n * m)]
+
+
+def test_builtin_tables_and_refusals_are_pinned():
+    names = [f"cyclic:{n}" for n in range(1, 65)] + [
+        f"product:{a},{b}" for a in range(1, 65) for b in range(1, 65) if a * b <= 64]
+    for name in names + ["Z7xZ3semidirect"]:
+        g = builtin_group(name)
+        table = _old_builtin_table(name)
+        assert (g.name, g.order, g.identity) == (name, len(table), 0), name
+        assert g.cayley == tuple(map(tuple, table)), name
+    order = "group order must be in [1, 64], got "
+    malformed = ": expected cyclic:n or product:n,m"
+    for name, message in [
+        ("cyclic:0", order + "0"),
+        ("cyclic:-3", order + "-3"),
+        ("cyclic:65", order + "65"),
+        ("product:-2,-3", order + "0"),
+        ("product:1,-1", order + "0"),
+        ("product:2", "malformed group name 'product:2'" + malformed),
+        ("cyclic:2,3", "malformed group name 'cyclic:2,3'" + malformed),
+        ("cyclic:x", "malformed group name 'cyclic:x'" + malformed),
+        ("dihedral:4", "unknown builtin group 'dihedral:4'"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            builtin_group(name)
+        assert str(err.value) == message, name
+
+
+def test_subgroup_orders_of_a4():
+    # a subgroup walk may not skip g only because g lies in a subgroup K
+    # already seen that contains H: <H, g> can be a proper subgroup of K.  In
+    # A4, once A4 itself is seen, every g would be skipped for H = <(01)(23)>,
+    # and the Klein four-group, its only subgroup of order 4, would be lost
+    perms = [p for p in itertools.permutations(range(4))
+             if sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4)) % 2 == 0]
+    index = {p: i for i, p in enumerate(perms)}
+    table = [[index[tuple(a[b[x]] for x in range(4))] for b in perms] for a in perms]
+    a4 = GroupSpec.from_cayley(table, name="A4")
+    assert a4.order == 12 and a4.identity == 0
+    assert a4.subgroup_orders == subgroup_orders_brute(a4) == (1, 2, 3, 4, 12)
 
 
 def test_json_round_trip():

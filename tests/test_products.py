@@ -315,6 +315,8 @@ def test_tower_construction_validates_inputs(field_cache):
         ((2, 5, 3, one, f8), "contained in the subfield M"),
         ((2, 5, 3, m, one), "do not match"),
         ((2, 5, 3, one, m), "do not match"),
+        ((2, 5, 3, one_subspace(field_cache(2, 4)), one), "different ambient fields"),
+        ((2, 5, 3, one, one_subspace(field_cache(2, 4))), "different ambient fields"),
     ]:
         with pytest.raises(ValueError, match=message):
             tower_construction(f, *args)

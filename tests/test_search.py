@@ -9,7 +9,7 @@ import subspace_products.search as search
 from oracle import mu_field_brute
 from subspace_products.fields import ExtensionField
 from subspace_products.kappa import divisors, kappa_rs
-from subspace_products.linalg import Subspace, span
+from subspace_products.linalg import Subspace, rref, span
 from subspace_products.products import product_span
 from subspace_products.search import (SearchOptions, enumerate_subspaces,
                                       gaussian_binomial, mu_exact, mu_randomized,
@@ -73,16 +73,17 @@ def test_random_subspace_dimension_and_membership(field_cache):
     for _ in range(100):
         sp = random_subspace(f, 3, rng)
         assert sp.dim == 3
-        sp1 = random_subspace(f, 3, rng, containing_one=True)
+        sp1 = rref(f, search._draw(f, [1], 2, rng)[1])
         assert sp1.dim == 3 and sp1.contains(1)
     assert random_subspace(f, 0, rng).dim == 0
-    assert random_subspace(f, 8, rng, containing_one=True).dim == 8
+    assert rref(f, search._draw(f, [1], 7, rng)[1]).dim == 8
 
 
 def test_raw_draw_matches_random_subspace(field_cache):
     # mu_randomized keeps the raw rows of search._draw; their span must be the
-    # subspace random_subspace returns for the same seed, after the same rng
-    # calls, and both must be the span of the first full-rank draw
+    # subspace random_subspace returns for the same seed (with 1 fixed, the
+    # RREF of the draw's echelon basis), after the same rng calls, and both
+    # must be the span of the first full-rank draw
     def reference(f, fixed, r, rng):
         while True:
             sp = span(f, fixed + [rng.randrange(f.q) for _ in range(r - len(fixed))])
@@ -97,7 +98,8 @@ def test_raw_draw_matches_random_subspace(field_cache):
                 for seed in range(100):
                     rng_raw, rng_sub, rng_ref = (random.Random(seed) for _ in range(3))
                     rows, _ = search._draw(f, fixed, r - len(fixed), rng_raw)
-                    sp = random_subspace(f, r, rng_sub, containing_one=one)
+                    sp = (rref(f, search._draw(f, fixed, r - 1, rng_sub)[1]) if one
+                          else random_subspace(f, r, rng_sub))
                     assert len(rows) == r and rows[:len(fixed)] == fixed
                     assert span(f, rows) == sp == reference(f, fixed, r, rng_ref)
                     assert rng_raw.getstate() == rng_sub.getstate() == rng_ref.getstate()
@@ -110,12 +112,12 @@ def test_random_subspace_rejects_impossible_dimensions(run_python):
         from subspace_products.fields import ExtensionField
         from subspace_products.search import random_subspace
         f = ExtensionField(2, 4)
-        for r, one in ((5, False), (-1, False), (0, True)):
+        for r in (5, -1):
             try:
-                random_subspace(f, r, random.Random(0), containing_one=one)
+                random_subspace(f, r, random.Random(0))
             except ValueError:
                 continue
-            raise SystemExit(f"no error for r={r}, containing_one={one}")
+            raise SystemExit(f"no error for r={r}")
     """
     proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
