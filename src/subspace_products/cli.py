@@ -182,7 +182,7 @@ def _load_group(args):
                 return group_from_json(fh.read())
         except OSError as exc:
             raise ValueError(f"cannot read group file: {exc}") from None
-        except (KeyError, json.JSONDecodeError) as exc:
+        except (KeyError, json.JSONDecodeError, RecursionError) as exc:
             raise ValueError(f"malformed group file: {exc}") from None
     if args.group:
         return builtin_group(args.group)

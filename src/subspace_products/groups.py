@@ -42,12 +42,14 @@ def _closure(cayley, gens, identity) -> frozenset:
 def subgroup_orders_of(cayley, identity) -> tuple[int, ...]:
     """Orders of all subgroups, by closure enumeration over added generators:
     H joins one g per right coset Hg, since <H, xg> = <H, g> for x in H; H is
-    queued with the generators that built it, so <H, g> is their closure with g."""
+    queued with the generators that built it, so <H, g> is their closure with g.
+    By Lagrange every order divides |G|, so the walk stops once each divisor is seen."""
     order = len(cayley)
     trivial = frozenset({identity})
     seen = {trivial}
+    unseen = {d for d in range(2, order + 1) if order % d == 0}
     queue = [(trivial, ())]
-    while queue:
+    while queue and unseen:
         h, gens = queue.pop()
         covered = set(h)
         for g in range(order):
@@ -57,6 +59,7 @@ def subgroup_orders_of(cayley, identity) -> tuple[int, ...]:
             h2 = _closure(cayley, (*gens, g), identity)
             if h2 not in seen:
                 seen.add(h2)
+                unseen.discard(len(h2))
                 queue.append((h2, (*gens, g)))
     return tuple(sorted({len(h) for h in seen}))
 

@@ -22,8 +22,9 @@ permutes the B's containing 1.  So only the first A of each orbit is walked
 (isomorph rejection by least representatives: Read, "Every one a winner",
 1978; McKay, "Isomorph-free exhaustive generation", 1998); every later A of
 the orbit counts its B pairs as decided, since none of them can beat the
-value its representative already reached.  The skip flags depend only on
-the field and dim A, so the first scan that enumerates every A keeps them on
+value its representative already reached, and the first minimal A is the
+least of its orbit, so it is walked.  The skip flags depend only on the
+field and dim A, so the first scan that enumerates every A keeps them on
 the field (one byte per A, see ExtensionField), and every later scan of that
 field and dimension replays them without building an orbit; they are the
 flags the scan computes, so no result changes.
@@ -179,21 +180,6 @@ class MuResult:
 MAX_HELD_ROWS = 2 ** 20
 
 
-class _Replayed:
-    """Iterable over `items` that draws each item on first demand and keeps
-    it, so every later pass reuses what earlier passes drew."""
-
-    def __init__(self, items):
-        self._items = iter(items)
-        self._kept: list = []
-
-    def __iter__(self):
-        yield from self._kept
-        for item in self._items:
-            self._kept.append(item)
-            yield item
-
-
 def _orbit(field, rows) -> set:
     """Row tuples of the canonical subspaces span((x/a)^(p^k) : x in A) for
     nonzero a in A and 0 <= k < n, where A = span(rows) contains 1: A's orbit
@@ -222,10 +208,9 @@ def _orbit(field, rows) -> set:
     return orbit
 
 
-def _a_rows(field, r, skip):
+def _a_rows(field, r):
     """(rows, skipped) for each r-dimensional A containing 1 in enumeration
-    order; with `skip`, an A is skipped iff an earlier A lies in its orbit
-    (see _orbit).
+    order; an A is skipped iff an earlier A lies in its orbit (see _orbit).
 
     Walking A in order, an A not yet seen is the least of its orbit, and its
     orbit is added to `seen` only when the next A is asked for, that is, after
@@ -233,12 +218,12 @@ def _a_rows(field, r, skip):
     orbit.  A skipped A is dropped from `seen`, since it never comes again.
 
     The flags depend only on the field and r.  Once the caller has asked past
-    the last A, they are kept in field.orbit_skips[r], one byte per A, so at
-    most MAX_HELD_ROWS bytes, and a later call replays them instead of
-    building any orbit; they are the flags computed here, so no result
-    changes.  A scan stopped by its floor or budget keeps nothing.  Without
-    `skip` (more A than MAX_HELD_ROWS) the flags are neither read nor kept."""
+    the last A, they are kept in field.orbit_skips[r], one byte per A, and a
+    later call replays them instead of building any orbit.  A scan stopped by
+    its floor or budget keeps nothing.  With more A than MAX_HELD_ROWS, which
+    `seen` could reach, no A is skipped and the flags are neither read nor kept."""
     a_rows = _row_tuples(field, r, containing_one=True)
+    skip = gaussian_binomial(field.n - 1, r - 1, field.p) <= MAX_HELD_ROWS
     flags = field.orbit_skips.get(r) if skip else itertools.repeat(False)
     if flags is not None:
         yield from zip(a_rows, flags)
@@ -255,42 +240,50 @@ def _a_rows(field, r, skip):
     field.orbit_skips[r] = flags
 
 
-def _scan(field, a_rows, b_tables, b_count, cap, floor, budget):
-    """First pair, in A-major order, with the least capped product dimension.
+def _scan(field, r, s, cap, floor, budget):
+    """First pair, in A-major order, of r-dim A and s-dim B containing 1 with
+    the least capped product dimension.
 
-    `a_rows` yields (rows, skipped) as _a_rows does.  A skipped A is not
-    walked: its `b_count` pairs count as decided, as a skipped subtree's do.
-    Its orbit's least member, whose minimum over B is the same, was walked
-    before it, so a pair-by-pair scan would have rejected each of its pairs;
-    and the first minimal A is the least of its orbit, so it is walked.
+    A comes from _a_rows.  A skipped A is not walked: its pairs count as
+    decided, as a skipped subtree's do (see the module docstring).
 
-    For each other A, B is walked depth first over the rows of `b_tables` (from
-    _row_tables), so B's come in enumeration order.  A node at depth i
-    holds the echelon basis of A*b_0 + ... + A*b_i, its parent's basis
+    For each other A, B is walked depth first over the rows of its RREF
+    profiles (_row_tables), so B's come in enumeration order.  A node at
+    depth i holds the echelon basis of A*b_0 + ... + A*b_i, its parent's basis
     extended by A*b_i alone, built with cap = the best value found.  Since
     dim<AB'> only grows with B', a node whose rank reaches that value is
     skipped with its subtree, and its sizes[i] pairs count as examined:
     a pair-by-pair scan would have examined and rejected each of them.  The
     first minimal pair is never skipped, as every prefix of it has rank at
     most its value, so value, witnesses and the pair count are those of the
-    pair-by-pair scan.
+    pair-by-pair scan.  B's tables are built as the first walked A reaches
+    them and are kept for this scan only: a walked A leaves its B loop only
+    by returning, so that A either draws every table or ends the scan, and
+    the list it fills serves every later A.
 
-    Returns (value, a_rows, b_rows, pairs examined), with `cap` as the best
-    value at the start: a scan that returns cap with no witness proves
-    dim<AB> >= cap for every pair.  cap must exceed `floor`, else the scan
-    stops at its first node (kappa = max(r, s) is trivial).  Stops as soon as
-    the value reaches `floor` or `budget` pairs have been examined."""
+    Returns (value, a_rows, b_rows, pairs examined, exhaustive), with `cap`
+    as the best value at the start: a scan that returns cap with no witness
+    proves dim<AB> >= cap for every pair.  cap must exceed `floor`, else the
+    scan stops at its first node (kappa = max(r, s) is trivial).  Stops as
+    soon as the value reaches `floor` or `budget` pairs have been examined;
+    exhaustive is False only when the budget stops it before its last pair
+    and its floor."""
+    a_count, b_count = (gaussian_binomial(field.n - 1, k - 1, field.p) for k in (r, s))
+    whole = a_count * b_count <= budget
     mul = field.mul
     best = cap
     best_a = best_b = None
     processed = 0
-    for ar, skipped in a_rows:
+    b_tables, kept = _row_tables(field, s, containing_one=True), []
+    for ar, skipped in _a_rows(field, r):
         if skipped:
             processed += b_count
             if processed >= budget:
-                return best, best_a, best_b, budget
+                return best, best_a, best_b, budget, whole
             continue
         for rows, sizes in b_tables:
+            if b_tables is not kept:
+                kept.append((rows, sizes))
             last = len(rows) - 1
             path = [0] * len(rows)
             stack = [({}, iter(rows[0]))]   # (parent's basis, values left for this row)
@@ -312,14 +305,15 @@ def _scan(field, a_rows, b_tables, b_count, cap, floor, budget):
                     processed += 1
                     best, best_a, best_b = rank, ar, tuple(path)
                 if best <= floor or processed >= budget:
-                    return best, best_a, best_b, min(processed, budget)
-    return best, best_a, best_b, processed
+                    return best, best_a, best_b, min(processed, budget), whole or best <= floor
+        b_tables = kept
+    return best, best_a, best_b, processed, True   # every pair decided
 
 
 def mu_exact(field: ExtensionField, r: int, s: int,
              options: SearchOptions | None = None) -> MuResult:
-    """Exact minimum of dim<AB> over all pairs with dim A = r, dim B = s.
-    Only subspaces containing 1 are scanned (see the module docstring), so
+    """Exact minimum of dim<AB> over all pairs with dim A = r, dim B = s, by
+    _scan over the subspaces containing 1 (see the module docstring), so
     both witnesses contain 1.
 
     When the number of pairs exceeds the budget the run is truncated: it
@@ -327,30 +321,20 @@ def mu_exact(field: ExtensionField, r: int, s: int,
     only if that prefix reaches the proven floor.  Otherwise the reported
     value is the exact minimum even when floor pruning stops the scan early.
     Raises ValueError before the first pair when the rows of one RREF profile
-    of A or B take more than MAX_HELD_ROWS values.  The scan skips orbit
-    members (see _scan) only while its set of seen A, at most the number of
-    A, fits under that limit as well; results are the same either way.
+    of A or B take more than MAX_HELD_ROWS values.
     """
     opts = options or SearchOptions()
-    n, p = field.n, field.p
-    check_rs(r, s, n)
+    check_rs(r, s, field.n)
     if opts.budget < 1:
         raise ValueError("budget must be >= 1")
-    floor = (kappa_rs(r, s, divisors(n)).value if opts.use_kappa_floor
+    floor = (kappa_rs(r, s, divisors(field.n)).value if opts.use_kappa_floor
              else max(r, s))
-
-    a_count, b_count = (gaussian_binomial(n - 1, k - 1, p) for k in (r, s))
-    skip = a_count <= MAX_HELD_ROWS
-    # Each profile's row table is built when the first A reaches it.
-    b_tables = _Replayed(_row_tables(field, s, containing_one=True))
-    best, best_a, best_b, processed = _scan(field, _a_rows(field, r, skip), b_tables,
-                                            b_count, n + 1, floor, opts.budget)
+    best, best_a, best_b, processed, exhaustive = _scan(field, r, s, field.n + 1, floor,
+                                                        opts.budget)
     # A's rows and B's are paths through row tables, so both are canonical
     # RREF already
-    return MuResult(value=best,
-                    witness_a=Subspace(field, best_a),
-                    witness_b=Subspace(field, best_b),
-                    exhaustive=a_count * b_count <= opts.budget or best <= floor,
+    return MuResult(value=best, witness_a=Subspace(field, best_a),
+                    witness_b=Subspace(field, best_b), exhaustive=exhaustive,
                     pairs_examined=processed)
 
 

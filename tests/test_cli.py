@@ -396,9 +396,10 @@ def test_mu_group_loads_order64_group_file_quickly(capsys, tmp_path):
     ('{"cayley": [[0]], "order": 1.0, "identity": false}', "'order' must be of type int"),
     ('{"cayley": [[0]], "order": true}', "'order' must be of type int"),
     ('{"cayley": [[0]], "identity": false}', "'identity' must be of type int"),
+    ("[" * 100000 + "]" * 100000, "malformed group file: maximum recursion depth exceeded"),
 ], ids=["cayley-int", "top-level-list", "null-entry", "float-entry", "unreadable",
         "not-json", "wrong-identity", "int-name", "list-name", "float-order",
-        "bool-order", "bool-identity"])
+        "bool-order", "bool-identity", "deep-nesting"])
 def test_mu_group_rejects_bad_group_file(capsys, tmp_path, content, message):
     path = tmp_path / "group.json"
     if content is not None:

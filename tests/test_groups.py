@@ -4,6 +4,8 @@ import tracemalloc
 
 import pytest
 
+import subspace_products.groups as groups_module
+
 from oracle import group_to_json, mu_group_brute, subgroup_orders_brute
 from subspace_products.groups import (GroupSpec, builtin_group, group_from_json,
                                       kappa_group, mu_group_exact, mu_group_randomized,
@@ -153,6 +155,21 @@ def test_subgroup_orders_of_a4():
     a4 = GroupSpec.from_cayley(table, name="A4")
     assert a4.order == 12 and a4.identity == 0
     assert a4.subgroup_orders == subgroup_orders_brute(a4) == (1, 2, 3, 4, 12)
+
+
+def test_subgroup_orders_stop_once_every_divisor_is_seen(monkeypatch):
+    # by Lagrange no other order is possible: the XOR table of (Z/2)^6 has
+    # 2,825 subgroups, and a walk that finds them all makes 23,562 closures
+    closure, calls = groups_module._closure, []
+
+    def counted(*args):
+        calls.append(args)
+        return closure(*args)
+
+    monkeypatch.setattr(groups_module, "_closure", counted)
+    xor = [[x ^ y for y in range(64)] for x in range(64)]
+    assert subgroup_orders_of(xor, 0) == (1, 2, 4, 8, 16, 32, 64)
+    assert len(calls) <= 200
 
 
 def test_json_round_trip():

@@ -171,7 +171,7 @@ def _fields_of(res):
 
 
 def _orbit_reps(f, r):
-    return [rows for rows, skipped in search._a_rows(f, r, True) if not skipped]
+    return [rows for rows, skipped in search._a_rows(f, r) if not skipped]
 
 
 @pytest.mark.parametrize("p, n, r", [(2, 6, r) for r in range(2, 6)]
@@ -369,6 +369,27 @@ def test_skip_flags_replay_on_one_field(fresh_field, monkeypatch):
     assert f.orbit_skips == {3: bytearray([1]) * 155} and not g.orbit_skips
 
 
+def test_scan_builds_each_b_table_once(fresh_field, monkeypatch):
+    # B's profiles are drawn by the first walked A and kept for every later
+    # one; a scan that stops inside its first A draws only what it reached
+    calls = _count_orbits(monkeypatch)
+    row_tables = search._row_tables
+    drawn = []
+
+    def counted(f, k, containing_one=False):
+        for table in row_tables(f, k, containing_one):
+            drawn.append(k)
+            yield table
+
+    monkeypatch.setattr(search, "_row_tables", counted)
+    res = mu_exact(fresh_field(2, 6), 3, 4, SearchOptions(use_kappa_floor=False))
+    assert (res.value, res.exhaustive, len(calls)) == (6, True, 7)
+    assert drawn.count(4) == 10     # C(5, 3) profiles of 4-dim B containing 1
+    drawn.clear()
+    res = mu_exact(fresh_field(2, 6), 3, 4, SearchOptions(budget=1, use_kappa_floor=False))
+    assert (res.pairs_examined, res.exhaustive, drawn.count(4)) == (1, False, 1)
+
+
 def test_scan_started_at_a_cap(field_cache):
     # floor-free cells with kappa > max(r, s): a scan started at kappa finds
     # no pair below it, and one started at kappa + 1 finds a pair at kappa
@@ -380,12 +401,10 @@ def test_scan_started_at_a_cap(field_cache):
                 kappa = kappa_rs(r, s, divisors(n)).value
                 if kappa <= max(r, s):
                     continue
-                b_count = gaussian_binomial(n - 1, s - 1, p)
                 for cap in (kappa, kappa + 1):
-                    b_tables = search._Replayed(search._row_tables(f, s, containing_one=True))
-                    value, a_rows, b_rows, _ = search._scan(
-                        f, search._a_rows(f, r, True), b_tables, b_count, cap, max(r, s), 10 ** 9)
-                    assert value == kappa, (p, n, r, s, cap)
+                    value, a_rows, b_rows, _, exhaustive = search._scan(
+                        f, r, s, cap, max(r, s), 10 ** 9)
+                    assert value == kappa and exhaustive, (p, n, r, s, cap)
                     if cap == kappa:
                         assert a_rows is None and b_rows is None, (p, n, r, s)
                     else:
