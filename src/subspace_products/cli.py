@@ -130,7 +130,7 @@ def _cmd_stabilizer(args):
     try:
         with open(args.subspace, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read subspace file: {exc}") from None
     v = Subspace.from_text(field, text)
     if v.is_zero():
@@ -180,7 +180,7 @@ def _load_group(args):
         try:
             with open(args.group_file, "r", encoding="utf-8") as fh:
                 return group_from_json(fh.read())
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ValueError(f"cannot read group file: {exc}") from None
         except (KeyError, json.JSONDecodeError, RecursionError) as exc:
             raise ValueError(f"malformed group file: {exc}") from None

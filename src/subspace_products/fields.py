@@ -3,19 +3,18 @@
 Elements are plain ints in [0, p^n): the base-p packing of the coefficient
 vector (c_0, ..., c_{n-1}) in the power basis 1, x, ..., x^{n-1}.  Table-free
 arithmetic, the irreducibility test included, runs on polynomials packed into
-one int: for p = 2 the coefficient bitmask, which is the index itself, with
-carry-less products; for odd p the lane form of `LaneLayout`, c_j in the j-th
-w-bit lane, with n + 1 lanes so that the modulus fits.  A field with at most
-2^16 elements builds discrete log/antilog tables keyed to the primitive
-element g at its q // 16-th mul/inv/pow, which then run in O(1) on the hot
-search paths; a construction that needs only a few dozen products never
-pays for them.  Each power of g is the last times g, an F_p-linear map: two
-table lookups, one row `add` and one `element`, the same loop for every p
-and n.  The field also owns the form of its echelon rows: `vector`
-packs an index, for odd p into the lane form of its polynomials (read from a
-table when n > 1 and q <= 2^16), `element` unpacks it, `add` sums two rows
-and `insert`/`reduce` eliminate on it, the bit kernels below for p = 2 and
-the lane kernels that `lane_layout` builds once per layout for odd p.
+one int, c_j in the j-th w-bit lane of `lane_layout(p, n + 1)` (n + 1 lanes,
+so that the modulus fits): one-bit lanes for p = 2, the bitmask, which is the
+index itself, with carry-less products; Barrett-reduced lanes for odd p.  The
+layout is the one place that picks a characteristic's kernels.  A field with
+at most 2^16 elements builds discrete log/antilog tables keyed to the
+primitive element g at its q // 16-th mul/inv/pow, which then run in O(1) on
+the hot search paths; a construction that needs only a few dozen products
+never pays for them.  Each power of g is the last times g, an F_p-linear map:
+two table lookups, one row `add` and one `element`, the same loop for every p
+and n.  The field's echelon rows are its layout's too: `vector` packs an
+index (for odd p read from a table when n > 1 and q <= 2^16), `element`
+unpacks it, `add` sums two rows and `insert`/`reduce` eliminate on it.
 """
 
 from __future__ import annotations
@@ -100,8 +99,8 @@ def prime_factors(m: int) -> tuple[int, ...]:
 
 
 # ----------------------------------------------------------------------------
-# p = 2: elements as bitmasks (bit i = coeff of x^i), for carry-less products
-# and for echelon rows, each keyed by its lowest set bit.
+# p = 2: elements and polynomials as bitmasks (bit i = coeff of x^i), for
+# carry-less products and for echelon rows, each keyed by its lowest set bit.
 # ----------------------------------------------------------------------------
 
 def _clmul(a: int, b: int) -> int:
@@ -119,6 +118,15 @@ def _gf2_reduce(x: int, mod_mask: int, n: int) -> int:
         x ^= mod_mask << (xb - 1 - n)
         xb = x.bit_length()
     return x
+
+
+def _gcd_bits(a: int, b: int) -> int:
+    while b:
+        db = b.bit_length()
+        while a.bit_length() >= db:
+            a ^= b << a.bit_length() - db
+        a, b = b, a
+    return a
 
 
 def _same(v: int) -> int:
@@ -144,17 +152,19 @@ def _reduce_bits(basis: dict[int, int], v: int) -> int:
 
 
 # ----------------------------------------------------------------------------
-# Lane form for odd p: coordinate c_j of an element in bits [j*w, (j+1)*w).
+# Lane form: coefficient c_j of an element or polynomial in bits [j*w, (j+1)*w).
 # ----------------------------------------------------------------------------
 
 class LaneLayout(NamedTuple):
-    """n lanes of w bits for odd p; GF(p^m) takes m + 1, so that its modulus
-    fits, for its packed polynomials, table stepping and echelon rows alike.
-    `red` brings every lane back into [0, p) and `element` gathers the lanes
-    into an index (see lane_layout); `vector` spreads an index into lanes one
-    base-p digit at a time; `add` is `red` of the lane sum, for residue lanes
-    plus c times residue lanes with c < p; `insert` and `reduce` are the
-    echelon kernels of `_lane_echelon`."""
+    """n lanes of w bits; GF(p^m) takes m + 1, so that its modulus fits, for
+    its packed polynomials, table stepping and echelon rows alike.  p = 2 has
+    one-bit lanes: `red`, `element` and `vector` are the identity, `add` is
+    XOR, and the kernels are the bit kernels above.  For odd p, `red` brings
+    every lane back into [0, p), `element` gathers the lanes into an index,
+    `vector` spreads an index into lanes one base-p digit at a time, `add` is
+    `red` of the lane sum (for v plus c times a row as well, c < p), and
+    `insert`/`reduce` are `_lane_echelon`'s.  `gcd` is Euclid on packed
+    polynomials; ring(f) is a*b mod a packed monic f of degree n - 1."""
 
     w: int
     shifts: tuple[int, ...]
@@ -165,6 +175,8 @@ class LaneLayout(NamedTuple):
     add: Callable[[int, int], int]
     insert: Callable[[dict, int], int]
     reduce: Callable[[dict, int], int]
+    gcd: Callable[[int, int], int]
+    ring: Callable[[int], Callable[[int, int], int]]
 
 
 def _lane_echelon(p: int, n: int, w: int, mask: int, red: Callable[[int], int]) -> tuple:
@@ -203,16 +215,22 @@ def _lane_echelon(p: int, n: int, w: int, mask: int, red: Callable[[int], int]) 
 
 @lru_cache(maxsize=None)
 def lane_layout(p: int, n: int) -> LaneLayout:
-    """The layout of n lanes for the prime p, built once per (p, n).
+    """The layout of n lanes for the prime p, built once per (p, n): the one
+    place that picks the kernels of a characteristic.
 
-    A lane may grow to p*(p-1) = (p-1) + (p-1)^2, the largest lane of
-    v + c*row for residue lanes and c < p, before `red` brings every lane
+    For odd p a lane may grow to p*(p-1) = (p-1) + (p-1)^2, the largest lane
+    of v + c*row for residue lanes and c < p, before `red` brings every lane
     back into [0, p) with one Barrett step: x*m >> k is x // p for each lane
     value x <= p*(p-1), since m = 2^k // p + 1 with 2^k > p*p*(p-1), and w
     leaves room for x*m, so no lane spills into the next; `quotients` keeps
     the w - k quotient bits of every lane.  `element` multiplies by
     gather = sum p^(n-1-j) 2^(jw), which gathers the index sum c_j p^j into
-    lane n-1."""
+    lane n-1.  ring(f) (Horner) and `gcd` (Euclid, each step clearing a's top
+    lane with a monic b) keep every lane within p*(p-1) before its `red` too."""
+    if p == 2:
+        return LaneLayout(1, tuple(range(n)), 1, _same, _same, _same, int.__xor__,
+                          _insert_bits, _reduce_bits, _gcd_bits,
+                          lambda f: lambda a, b: _gf2_reduce(_clmul(a, b), f, n - 1))
     top = p * (p - 1)
     k = (top * p).bit_length()
     m = (1 << k) // p + 1
@@ -238,50 +256,6 @@ def lane_layout(p: int, n: int) -> LaneLayout:
     def add(u: int, v: int) -> int:
         return red(u + v)
 
-    return LaneLayout(w, shifts, mask, red, element, vector, add,
-                      *_lane_echelon(p, n, w, mask, red))
-
-
-# ----------------------------------------------------------------------------
-# Polynomials over F_p as one packed int, the coefficient of x^j in bits
-# [j*w, (j+1)*w): the bitmask (w = 1) for p = 2, and for odd p the lane form
-# of `lane_layout(p, n + 1)`, so that a modulus of degree n fits.
-# ----------------------------------------------------------------------------
-
-def _poly_ring(p: int, modulus) -> tuple:
-    """(f, w, add, mulmod, gcd): f is the packed monic `modulus` of degree n,
-    w the width of a coefficient, add the field's row `add`, mulmod(a, b) =
-    a*b mod f by Horner over b's coefficients, and gcd(a, b) a gcd by Euclid,
-    each step clearing a's leading lane with a monic b as the echelon kernel
-    does, so no odd-p lane passes p*(p-1) before its `red`."""
-    n = len(modulus) - 1
-    w = 1 if p == 2 else lane_layout(p, n + 1).w
-    f = sum(c << i * w for i, c in enumerate(modulus))
-    if p == 2:
-        def gcd(a: int, b: int) -> int:
-            while b:
-                db = b.bit_length()
-                while a.bit_length() >= db:
-                    a ^= b << a.bit_length() - db
-                a, b = b, a
-            return a
-
-        return f, 1, int.__xor__, lambda a, b: _gf2_reduce(_clmul(a, b), f, n), gcd
-    lanes = lane_layout(p, n + 1)
-    mask, red, top = lanes.mask, lanes.red, n * w
-
-    def mulmod(a: int, b: int) -> int:
-        acc = 0
-        for s in range((b.bit_length() - 1) // w * w, -1, -w):
-            acc <<= w
-            t = acc >> top
-            if t:                      # minus t*f: lane n becomes p, `red` clears it
-                acc = red(acc + (p - t) * f)
-            c = b >> s & mask
-            if c:
-                acc = red(acc + c * a)
-        return acc
-
     def gcd(a: int, b: int) -> int:
         while b:
             db = (b.bit_length() - 1) // w * w
@@ -292,7 +266,22 @@ def _poly_ring(p: int, modulus) -> tuple:
             a, b = b, a
         return a
 
-    return f, w, lanes.add, mulmod, gcd
+    def ring(f: int) -> Callable[[int, int], int]:
+        def mulmod(a: int, b: int) -> int:
+            acc = 0
+            for s in range((b.bit_length() - 1) // w * w, -1, -w):
+                acc <<= w
+                t = acc >> at
+                if t:                      # minus t*f: lane n-1 becomes p, `red` clears it
+                    acc = red(acc + (p - t) * f)
+                c = b >> s & mask
+                if c:
+                    acc = red(acc + c * a)
+            return acc
+        return mulmod
+
+    return LaneLayout(w, shifts, mask, red, element, vector, add,
+                      *_lane_echelon(p, n, w, mask, red), gcd, ring)
 
 
 def _poly_pow(mulmod, a: int, e: int) -> int:
@@ -315,11 +304,12 @@ def is_irreducible(coeffs: tuple[int, ...] | list[int], p: int) -> bool:
         raise ValueError("polynomial must be monic of degree >= 1, coefficients in [0, p)")
     if n == 1:
         return True
-    f, w, add, mulmod, gcd = _poly_ring(p, coeffs)
-    x = g = 1 << w
+    lanes = lane_layout(p, n + 1)
+    f, x = sum(c << i * lanes.w for i, c in enumerate(coeffs)), 1 << lanes.w
+    mulmod, g = lanes.ring(f), x
     for k in range(n):
         g = _poly_pow(mulmod, g, p)
-        if k < n // 2 and gcd(f, add(g, (p - 1) * x)) >> w:
+        if k < n // 2 and lanes.gcd(f, lanes.add(g, (p - 1) * x)) >> lanes.w:
             return False
     return g == x
 
@@ -385,14 +375,13 @@ class ExtensionField:
             if not is_irreducible(modulus, p):
                 raise ValueError("modulus is not irreducible over F_p")
         self.modulus = modulus
-        self._mulmod = _poly_ring(p, modulus)[3]
-        # p = 2 polynomials are their indices; odd-p ones, echelon rows
-        # included, are the n + 1 lanes of `lanes`, lane n zero for elements
-        lanes = lane_layout(p, n + 1) if p != 2 else None
+        # polynomials and echelon rows are the n + 1 lanes of `lanes`, lane n
+        # zero for elements; a table spreads an index that is not its own form
+        lanes = lane_layout(p, n + 1)
+        self._mulmod = lanes.ring(sum(c << i * lanes.w for i, c in enumerate(modulus)))
         self.vector, self.element, self.add, self.insert, self.reduce = (
-            (lanes.vector, lanes.element, lanes.add, lanes.insert, lanes.reduce) if lanes
-            else (_same, _same, int.__xor__, _insert_bits, _reduce_bits))
-        if lanes and n > 1 and q <= _TABLE_LIMIT:
+            lanes.vector, lanes.element, lanes.add, lanes.insert, lanes.reduce)
+        if lanes.vector is not _same and n > 1 and q <= _TABLE_LIMIT:
             # index i*p + c holds c in lane 0 and i's lanes one lane up,
             # and index i*p^h + j holds j's lanes and i's lanes h lanes up
             h, tab = n // 2, [0]

@@ -213,6 +213,10 @@ def test_construct_with_modulus_override(capsys):
     code, rep, _ = run_report(capsys, "construct", "--field", "2^4",
                               "--modulus", "1,1,1,1,1", "--r", "2", "--s", "2")
     assert code == 0 and rep["results"]["modulus"] == "x^4+x^3+x^2+x+1"
+    code, out, err = run(capsys, "construct", "--field", "2^4",
+                         "--modulus", "1,1,0,0,2", "--r", "2", "--s", "2")
+    assert code == 2 and out == ""
+    assert err.strip() == "error: modulus coefficients must lie in [0, p)"
 
 
 def test_empty_modulus_is_refused(capsys):
@@ -289,6 +293,32 @@ def test_unverified_stabilizer_fails_construct_and_verify_kneser(capsys, monkeyp
     assert code == 4
     assert rep["results"]["subfield_check_failures"] == 5
     assert rep["results"]["violations"] == 0
+
+
+def test_verify_kneser_reports_its_first_violation(capsys, monkeypatch):
+    import dataclasses
+
+    import subspace_products.cli as cli
+
+    real, seen = cli.kneser_check, []
+
+    def check(a, b):
+        # the third seeded pair reports a violation, with its true slack
+        seen.append((a, b, real(a, b)))
+        rep = seen[-1][2]
+        return dataclasses.replace(rep, holds=False) if len(seen) == 3 else rep
+
+    monkeypatch.setattr(cli, "kneser_check", check)
+    code, rep, _ = run_report(capsys, "verify-kneser", "--field", "2^6",
+                              "--r", "2", "--s", "3", "--pairs", "20", "--seed", "1")
+    res = rep["results"]
+    a, b, bad = seen[2]
+    assert code == 4 and len(seen) == 20
+    assert res["violations"] == 1 and res["subfield_check_failures"] == 0
+    assert res["slack_histogram"][str(bad.slack)] >= 1
+    assert sum(res["slack_histogram"].values()) == 20
+    assert res["first_violation"] == {"witness_a": a.to_text().splitlines(),
+                                      "witness_b": b.to_text().splitlines()}
 
 
 @pytest.mark.parametrize("r, s", [(9, 3), (2, 9)])
@@ -407,6 +437,19 @@ def test_mu_group_rejects_bad_group_file(capsys, tmp_path, content, message):
     code, out, err = run(capsys, "mu-group", "--group-file", str(path),
                          "--r", "1", "--s", "1", "--exhaustive")
     assert code == 2 and out == "" and err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize("argv, what", [
+    (("mu-group", "--r", "1", "--s", "1", "--exhaustive", "--group-file"), "group"),
+    (("stabilizer", "--field", "2^4", "--subspace"), "subspace"),
+], ids=["group-file", "subspace-file"])
+def test_non_utf8_file_is_named(capsys, tmp_path, argv, what):
+    path = tmp_path / "bytes.txt"
+    path.write_bytes(b"\xff\xfe1,0,0,0\n")
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 2 and out == ""
+    assert err.strip() == (f"error: cannot read {what} file: 'utf-8' codec can't decode "
+                           f"byte 0xff in position 0: invalid start byte")
 
 
 @pytest.mark.parametrize("exc, code, message", [

@@ -5,7 +5,7 @@ import time
 import pytest
 
 from oracle import (add, field_tables, has_root, monic_irreducibles, mul, multiplicative_order,
-                    neg, poly_mul, power, scale)
+                    neg, poly_mul, poly_mul_mod, power, scale)
 from subspace_products import cli
 from subspace_products.fields import (ExtensionField, find_irreducible, is_irreducible,
                                       is_prime, lane_layout, parse_field_spec,
@@ -81,6 +81,8 @@ def test_primality_and_factoring():
     assert prime_factors(2 ** 12 - 1) == (3, 5, 7, 13)
     assert prime_factors(2 ** 31 - 1) == (2147483647,)
     assert prime_factors(1) == ()
+    with pytest.raises(ValueError, match="m must be >= 1, got 0"):
+        prime_factors(0)
     assert prime_factors(1000003 * 1000033) == (1000003, 1000033)   # needs Pollard rho
 
 
@@ -272,6 +274,57 @@ def test_non_generator_fails_the_table_build(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert code == 4
     assert "invariant violated: primitive element failed to cycle the unit group" in err
+
+
+def test_lane_layout_of_p2_is_the_bitmask():
+    # one-bit lanes: the packed form of an index or polynomial is its bitmask
+    for k in (1, 5, 13, 64):
+        lanes = lane_layout(2, k)
+        assert (lanes.w, lanes.mask, lanes.shifts) == (1, 1, tuple(range(k)))
+        rng = random.Random(k)
+        for u, v in [(0, 0), (1, 0)] + [(rng.getrandbits(k), rng.getrandbits(k))
+                                        for _ in range(200)]:
+            assert lanes.vector(u) == lanes.element(u) == lanes.red(u) == u
+            assert lanes.add(u, v) == u ^ v
+
+
+def _pack(lanes, coeffs):
+    return sum(c << s for c, s in zip(coeffs, lanes.shifts))
+
+
+def _unpack(lanes, v):
+    return [v >> s & lanes.mask for s in lanes.shifts]
+
+
+def _monic(cs, p):
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    inv = pow(cs[-1], -1, p)
+    return [c * inv % p for c in cs]
+
+
+@pytest.mark.parametrize("p, k", ((2, 2), (2, 9), (2, 41), (3, 2), (3, 7), (7, 5), (251, 4)))
+def test_lane_layout_ring_and_gcd_match_oracle(p, k):
+    # ring(f) is a*b mod any monic f of degree k - 1, and gcd(a, b) is a
+    # common divisor of a and b that every common factor divides
+    lanes, d = lane_layout(p, k), k - 1
+    rng = random.Random(p * 100 + k)
+
+    def poly(deg):
+        return [rng.randrange(p) for _ in range(deg)]
+
+    for _ in range(60):
+        f, a, b = poly(d) + [1], poly(d), poly(d)
+        got = lanes.ring(_pack(lanes, f))(_pack(lanes, a), _pack(lanes, b))
+        assert _unpack(lanes, got) == poly_mul_mod(a, b, f, p) + [0], (f, a, b)
+        # a common factor h of degree 1 or more, when k leaves room for one
+        h = poly(rng.randrange(1, k)) + [rng.randrange(1, p)]
+        u, v = (poly_mul(h, poly(k - len(h)) + [rng.randrange(1, p)], p) for _ in "uv")
+        g = _monic(_unpack(lanes, lanes.gcd(_pack(lanes, u), _pack(lanes, v))), p)
+        for x in (u, v):
+            assert not any(poly_mul_mod(x, [1], g, p)), (u, v, g)
+        assert not any(poly_mul_mod(g, [1], _monic(h, p), p)), (u, v, g, h)
 
 
 @pytest.mark.parametrize("p", (3, 5, 7, 251, 257, 65521))

@@ -75,6 +75,8 @@ def test_degree_set_validation():
         AdmissibleDegreeSet(n=6, degrees=(1, 4))  # 4 does not divide 6
     with pytest.raises(ValueError):
         AdmissibleDegreeSet(n=6, degrees=(1, 3, 3))  # not strictly ascending
+    with pytest.raises(ValueError, match="ambient degree must be >= 0, got -1"):
+        AdmissibleDegreeSet(n=-1, degrees=(1,))
     # a non-positive degree is named, not reported as a missing 1
     for degrees, bad in (((-2, 1), "[-2]"), ((0, 1), "[0]"), ((-3, 0, 1, 2), "[-3, 0]")):
         with pytest.raises(ValueError, match=re.escape(f"degrees must be >= 1, got {bad}")):
@@ -173,6 +175,8 @@ def test_kappa_table_basics():
 
 
 def test_kappa_table_refuses_large_n_at_once():
+    with pytest.raises(ValueError, match="n=0 must be >= 1"):
+        kappa_table(0)
     # the table has n^2 entries: n = 100000 would run for hours
     for n in (MAX_TABLE_N + 1, 100000, 10 ** 12):
         t0 = time.perf_counter()

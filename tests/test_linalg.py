@@ -170,6 +170,8 @@ def test_text_round_trip(field_cache):
             sp = _random_span(f, rng, 3)
             again = Subspace.from_text(f, sp.to_text())
             assert again == sp
+            # blank lines between rows are skipped
+            assert Subspace.from_text(f, sp.to_text().replace("\n", "\n\n  \n")) == sp
     f = field_cache(2, 6)
     with pytest.raises(ValueError):
         Subspace.from_text(f, "1,0,0\n")            # wrong length

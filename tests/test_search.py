@@ -63,7 +63,7 @@ def test_enumeration_containing_one(field_cache):
 def test_enumeration_rejects_dimension_at_the_call(field_cache):
     f = field_cache(2, 4)
     for r in (-1, 5, 99):
-        with pytest.raises(ValueError, match="out of range"):
+        with pytest.raises(ValueError, match=r"out of range \[0, 4\]"):
             enumerate_subspaces(f, r)
 
 
@@ -76,6 +76,9 @@ def test_random_subspace_dimension_and_membership(field_cache):
         sp1 = rref(f, search._draw(f, [1], 2, rng)[1])
         assert sp1.dim == 3 and sp1.contains(1)
     assert random_subspace(f, 0, rng).dim == 0
+    for r in (-1, 9):
+        with pytest.raises(ValueError, match=r"out of range \[0, 8\]"):
+            random_subspace(f, r, rng)
     assert rref(f, search._draw(f, [1], 7, rng)[1]).dim == 8
 
 
