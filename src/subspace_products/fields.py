@@ -70,20 +70,14 @@ def _pollard_rho(m: int, rng: random.Random) -> int:
 
 
 def prime_factors(m: int) -> tuple[int, ...]:
-    """Sorted distinct prime factors; trial division then Pollard rho."""
+    """Sorted distinct prime factors: the witness primes by division, then Pollard rho."""
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     factors: set[int] = set()
-    for sp in (2, 3, 5):
+    for sp in _MR_WITNESSES:
         while m % sp == 0:
             factors.add(sp)
             m //= sp
-    d = 7
-    while d * d <= m and d < 10_000:
-        while m % d == 0:
-            factors.add(d)
-            m //= d
-        d += 2
     stack, rng = ([m], random.Random(0xFAC70)) if m > 1 else ([], None)
     while stack:
         v = stack.pop()
@@ -356,11 +350,9 @@ class ExtensionField:
             raise ValueError(f"p={p} exceeds the supported bound {MAX_PRIME}")
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
-        if n >= MAX_FIELD_SIZE.bit_length():   # p^n >= 2^n; refuse before the power
+        if n >= MAX_FIELD_SIZE.bit_length() or p ** n > MAX_FIELD_SIZE:  # n first: p^n >= 2^n
             raise ValueError(f"p^n = {p}^{n} exceeds the supported bound {MAX_FIELD_SIZE}")
         q = p ** n
-        if q > MAX_FIELD_SIZE:
-            raise ValueError(f"p^n = {p}^{n} exceeds the supported bound {MAX_FIELD_SIZE}")
         self.p = p
         self.n = n
         self.q = q
@@ -469,7 +461,7 @@ class ExtensionField:
 
     def _find_primitive(self) -> int:
         qm1 = self.q - 1
-        checks = [qm1 // f for f in prime_factors(qm1)] if qm1 > 1 else []
+        checks = [qm1 // f for f in prime_factors(qm1)]
         # for n > 1 the indices below p are the prime field, of order dividing p - 1
         for g in range(self.p if self.n > 1 else 1, self.q):
             if all(self._pow_raw(g, e) != 1 for e in checks):

@@ -79,7 +79,8 @@ def divisors(n: int) -> AdmissibleDegreeSet:
         raise ValueError(f"n={n} must lie in [1, 2^64)")
     ds = [1]
     for f in prime_factors(n):
-        ds = [d * f ** e for d in ds for e in range(n.bit_length()) if n % f ** e == 0]
+        powers = [f ** e for e in range(n.bit_length()) if n % f ** e == 0]
+        ds = [d * pw for d in ds for pw in powers]
     return AdmissibleDegreeSet(n=n, degrees=tuple(sorted(ds)))
 
 

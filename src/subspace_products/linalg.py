@@ -17,9 +17,10 @@ from .fields import ExtensionField, parse_ints
 class Subspace:
     """An F_p-subspace of GF(p^n) held by its canonical RREF basis.
 
-    Immutable value type: construction goes through span(); rows are element
-    indices sorted by ascending pivot column.  The pivot-indexed basis that
-    reduce() works on is built on first use.
+    Immutable value type: span() builds one from any elements, and rref,
+    mu_exact, enumerate_subspaces and optimal_pair build one directly from
+    canonical RREF rows, element indices sorted by ascending pivot column.
+    The pivot-indexed basis that reduce() works on is built on first use.
     """
 
     __slots__ = ("field", "rows", "_basis")

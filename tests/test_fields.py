@@ -84,6 +84,19 @@ def test_primality_and_factoring():
     with pytest.raises(ValueError, match="m must be >= 1, got 0"):
         prime_factors(0)
     assert prime_factors(1000003 * 1000033) == (1000003, 1000033)   # needs Pollard rho
+    # primes past the witnesses 2..37 are Pollard rho's too, small ones included
+    assert prime_factors(2 ** 10 * 41 ** 3 * 9973 ** 2) == (2, 41, 9973)
+    assert prime_factors(9973 * 10007) == (9973, 10007)
+    # q - 1 of every supported field with p below 400 or p in {4093, 32749,
+    # 65519, 65521}: each factor is prime, and dividing them out leaves 1
+    ps = [p for p in range(400) if is_prime(p)] + [4093, 32749, 65519, 65521]
+    for m in (p ** n - 1 for p in ps for n in range(1, 64) if p ** n <= 1 << 63):
+        factors, rest = prime_factors(m), m
+        assert all(map(is_prime, factors)), m
+        for f in factors:
+            while rest % f == 0:
+                rest //= f
+        assert rest == 1, m
 
 
 def test_construction_validation():

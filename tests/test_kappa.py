@@ -50,7 +50,8 @@ def test_divisors_match_trial_division():
 
 
 @pytest.mark.parametrize("n, count", [(2 ** 61 - 1, 2), (10 ** 18, 361),
-                                      (4294967279 * 4294967291, 4)])
+                                      (4294967279 * 4294967291, 4),
+                                      (18401055938125660800, 184320)])
 def test_divisors_of_large_n_are_fast(n, count):
     t0 = time.perf_counter()
     degrees = divisors(n).degrees
