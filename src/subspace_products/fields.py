@@ -13,8 +13,9 @@ the hot search paths; a construction that needs only a few dozen products
 never pays for them.  Each power of g is the last times g, an F_p-linear map:
 two table lookups, one row `add` and one `element`, the same loop for every p
 and n.  The field's echelon rows are its layout's too: `vector` packs an
-index (for odd p read from a table when n > 1 and q <= 2^16), `element`
-unpacks it, `add` sums two rows and `insert`/`reduce` eliminate on it.
+index (for odd p, when n > 1 and q <= 2^16, read from an index table that
+the layout builds once per (p, n)), `element` unpacks it, `add` sums two
+rows and `insert`/`reduce` eliminate on it.
 """
 
 from __future__ import annotations
@@ -152,18 +153,18 @@ def _reduce_bits(basis: dict[int, int], v: int) -> int:
 class LaneLayout(NamedTuple):
     """n lanes of w bits; GF(p^m) takes m + 1, so that its modulus fits, for
     its packed polynomials, table stepping and echelon rows alike.  p = 2 has
-    one-bit lanes: `red`, `element` and `vector` are the identity, `add` is
-    XOR, and the kernels are the bit kernels above.  For odd p, `red` brings
-    every lane back into [0, p), `element` gathers the lanes into an index,
-    `vector` spreads an index into lanes one base-p digit at a time, `add` is
-    `red` of the lane sum (for v plus c times a row as well, c < p), and
-    `insert`/`reduce` are `_lane_echelon`'s.  `gcd` is Euclid on packed
-    polynomials; ring(f) is a*b mod a packed monic f of degree n - 1."""
+    one-bit lanes: `element` and `vector` are the identity, `add` is XOR,
+    and the kernels are the bit kernels above.  For odd p, `element` gathers
+    the lanes into an index, `vector` spreads an index into lanes, `add`
+    brings every lane of the lane sum back into [0, p) (for v plus c times a
+    row as well, c < p), so add(x, 0) reduces x, and `insert`/`reduce` are
+    `_lane_echelon`'s.  When n > 2 and p^(n-1) <= 2^16, `vector` reads a
+    table built with the layout and takes indices below p^(n-1) only, the
+    elements of GF(p^(n-1)); otherwise it spreads one base-p digit at a time.
+    `gcd` is Euclid on packed polynomials; ring(f) is a*b mod a packed monic
+    f of degree n - 1."""
 
     w: int
-    shifts: tuple[int, ...]
-    mask: int
-    red: Callable[[int], int]
     element: Callable[[int], int]
     vector: Callable[[int], int]
     add: Callable[[int, int], int]
@@ -222,8 +223,7 @@ def lane_layout(p: int, n: int) -> LaneLayout:
     lane n-1.  ring(f) (Horner) and `gcd` (Euclid, each step clearing a's top
     lane with a monic b) keep every lane within p*(p-1) before its `red` too."""
     if p == 2:
-        return LaneLayout(1, tuple(range(n)), 1, _same, _same, _same, int.__xor__,
-                          _insert_bits, _reduce_bits, _gcd_bits,
+        return LaneLayout(1, _same, _same, int.__xor__, _insert_bits, _reduce_bits, _gcd_bits,
                           lambda f: lambda a, b: _gf2_reduce(_clmul(a, b), f, n - 1))
     top = p * (p - 1)
     k = (top * p).bit_length()
@@ -240,12 +240,20 @@ def lane_layout(p: int, n: int) -> LaneLayout:
     def element(v: int) -> int:
         return v * gather >> at & mask
 
-    def vector(e: int) -> int:
-        v = 0
-        for s in shifts:
-            e, c = divmod(e, p)
-            v |= c << s
-        return v
+    if n > 2 and p ** (n - 1) <= _TABLE_LIMIT:
+        # index i*p + c holds c in lane 0 and i's lanes one lane up,
+        # and index i*p^h + j holds j's lanes and i's lanes h lanes up
+        h, tab = (n - 1) // 2, [0]
+        for _ in range(n - 1 - h):
+            tab = [c | x << w for x in tab for c in range(p)]
+        vector = [x | y for x in [x << h * w for x in tab] for y in tab[:p ** h]].__getitem__
+    else:
+        def vector(e: int) -> int:
+            v = 0
+            for s in shifts:
+                e, c = divmod(e, p)
+                v |= c << s
+            return v
 
     def add(u: int, v: int) -> int:
         return red(u + v)
@@ -274,8 +282,7 @@ def lane_layout(p: int, n: int) -> LaneLayout:
             return acc
         return mulmod
 
-    return LaneLayout(w, shifts, mask, red, element, vector, add,
-                      *_lane_echelon(p, n, w, mask, red), gcd, ring)
+    return LaneLayout(w, element, vector, add, *_lane_echelon(p, n, w, mask, red), gcd, ring)
 
 
 def _poly_pow(mulmod, a: int, e: int) -> int:
@@ -331,8 +338,8 @@ class ExtensionField:
     with c < p as well.  insert(basis, v) stores v's remainder under its
     pivot and returns 1, or returns 0 when v lies in the span.  reduce(basis, v)
     subtracts each row at its pivot, which fully reduces v against a fully
-    reduced basis in any row order.  Fields of one (p, n) share add, insert
-    and reduce.
+    reduced basis in any row order.  Fields of one (p, n) share all five row
+    kernels, vector, element, add, insert and reduce, whatever the modulus.
 
     orbit_skips maps r to the skip flags of the exhaustive search's orbit
     rejection (see search._a_rows), one byte per r-dimensional subspace
@@ -368,19 +375,11 @@ class ExtensionField:
                 raise ValueError("modulus is not irreducible over F_p")
         self.modulus = modulus
         # polynomials and echelon rows are the n + 1 lanes of `lanes`, lane n
-        # zero for elements; a table spreads an index that is not its own form
+        # zero for elements
         lanes = lane_layout(p, n + 1)
         self._mulmod = lanes.ring(sum(c << i * lanes.w for i, c in enumerate(modulus)))
         self.vector, self.element, self.add, self.insert, self.reduce = (
             lanes.vector, lanes.element, lanes.add, lanes.insert, lanes.reduce)
-        if lanes.vector is not _same and n > 1 and q <= _TABLE_LIMIT:
-            # index i*p + c holds c in lane 0 and i's lanes one lane up,
-            # and index i*p^h + j holds j's lanes and i's lanes h lanes up
-            h, tab = n // 2, [0]
-            for _ in range(n - h):
-                tab = [c | x << lanes.w for x in tab for c in range(p)]
-            low = tab[:p ** h]
-            self.vector = [x | y for x in [x << h * lanes.w for x in tab] for y in low].__getitem__
         self.primitive = self._find_primitive()
         # a small field runs table-free until its q // 16-th mul/inv/pow,
         # which builds the tables; a large one never counts

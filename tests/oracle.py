@@ -23,9 +23,10 @@ checks the library's generator-by-generator closure search.
 
 Helpers the library itself does not need: the field operations `scale`,
 `add`, `neg` and `multiplicative_order`, the trace form `trace` and the
-trace dual `trace_dual`; the subspaces `whole_space` and
-`one_subspace` and the sum `sum_with`; and `group_to_json`, the inverse of
-`group_from_json`.
+trace dual `trace_dual`; the subspaces `whole_space`, `one_subspace` and
+`random_span` and the sum `sum_with`; `group_to_json`, the inverse of
+`group_from_json`; and the golden-file harness `check_golden` and
+`write_golden`.
 
 Field arithmetic of its own, on coefficient lists (low degree first) for odd
 p and bit by bit on coefficient bitmasks for p = 2: the product of two
@@ -181,6 +182,11 @@ def multiplicative_order(field, a):
     return order
 
 
+def random_span(field, rng, k) -> Subspace:
+    """The span of k elements drawn from `rng`."""
+    return span(field, [rng.randrange(field.q) for _ in range(k)])
+
+
 def whole_space(field) -> Subspace:
     return span(field, [field.p ** i for i in range(field.n)])
 
@@ -200,6 +206,27 @@ def group_to_json(group) -> str:
     return json.dumps({"name": group.name, "order": group.order,
                        "identity": group.identity,
                        "cayley": [list(row) for row in group.cayley]})
+
+
+def check_golden(path, cases, compute):
+    """Assert that compute(cache, case), for each case in order, equals the
+    row pinned for it in the JSON list at `path`; the cases share one dict
+    `cache`, in which compute keeps the fields or groups it builds."""
+    expected = json.loads(path.read_text())
+    cache = {}
+    got = [compute(cache, case) for case in cases]
+    assert len(got) == len(expected)
+    for g, e in zip(got, expected):
+        assert g == e, (g[0], g[1:], e[1:])
+
+
+def write_golden(path, cases, compute, **dumps):
+    """Rewrite the golden file at `path` that check_golden reads: a JSON list
+    with one row per line, each row json.dumps(compute(cache, case), **dumps)."""
+    cache = {}
+    rows = [json.dumps(compute(cache, case), **dumps) for case in cases]
+    path.write_text("[\n" + ",\n".join(rows) + "\n]\n")
+    print(f"wrote {len(rows)} cases to {path}")
 
 
 def poly_mul(a, b, p):

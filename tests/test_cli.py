@@ -452,6 +452,32 @@ def test_non_utf8_file_is_named(capsys, tmp_path, argv, what):
                            f"byte 0xff in position 0: invalid start byte")
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("mu-field --field 2^-4 --r 1 --s 1 --exhaustive", "n must be >= 1, got -4"),
+    ("mu-field --field 65537^1 --r 1 --s 1 --exhaustive",
+     "p=65537 exceeds the supported bound 65536"),
+    ("verify-kneser --field 65521^4 --r 2 --s 2 --pairs 2 --seed 1",
+     "p^n = 65521^4 exceeds the supported bound 9223372036854775808"),
+    ("mu-field --field 2^4 --modulus 1,0,0,0,1 --r 1 --s 1 --exhaustive",
+     "modulus is not irreducible over F_p"),
+    ("stabilizer --field 2^4 --subspace {dir}",
+     "cannot read subspace file: [Errno 21] Is a directory: '{dir}'"),
+    ("mu-group --group cyclic:99999999999999999999 --r 1 --s 1 --exhaustive",
+     "group order must be in [1, 64], got 99999999999999999999"),
+    ("kappa --n 18446744073709551616 --r 1 --s 1",
+     "n=18446744073709551616 must lie in [1, 2^64)"),
+    ("mu-field --field 2^4 --r 2 --s 2 --trials -1 --seed 3", "trials must be >= 1"),
+], ids=["negative-degree", "prime-too-large", "field-too-large", "reducible-modulus",
+        "subspace-is-a-directory", "group-order-too-large", "kappa-n-too-large",
+        "negative-trials"])
+def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, argv, message):
+    # usage exit: nothing on stdout, the one line naming the input on stderr
+    code, out, err = run(capsys, *argv.format(dir=tmp_path).split())
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: " + message.format(dir=tmp_path)]
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("exc, code, message", [
     (AssertionError("rank drifted"), 4, "error: invariant violated: rank drifted"),
     (MemoryError("pair table"), 3, "error: out of memory: pair table"),

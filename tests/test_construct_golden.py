@@ -11,9 +11,9 @@ Regenerate (only when a change of results is intended) with
     PYTHONPATH=src python tests/test_construct_golden.py
 """
 
-import json
 import pathlib
 
+from oracle import check_golden, write_golden
 from subspace_products.fields import ExtensionField
 from subspace_products.linalg import span
 from subspace_products.products import optimal_pair, tower_construction
@@ -54,17 +54,8 @@ def compute(fields, case):
 
 
 def test_constructions_match_golden():
-    expected = json.loads(GOLDEN.read_text())
-    fields = {}
-    got = [compute(fields, case) for case in golden_cases()]
-    assert len(got) == len(expected)
-    for g, e in zip(got, expected):
-        assert g == e, (g[0], g[1:], e[1:])
+    check_golden(GOLDEN, golden_cases(), compute)
 
 
 if __name__ == "__main__":
-    fields = {}
-    rows = [json.dumps(compute(fields, case), separators=(",", ":"))
-            for case in golden_cases()]
-    GOLDEN.write_text("[\n" + ",\n".join(rows) + "\n]\n")
-    print(f"wrote {len(rows)} cases to {GOLDEN}")
+    write_golden(GOLDEN, golden_cases(), compute, separators=(",", ":"))

@@ -2,14 +2,10 @@ import random
 
 import pytest
 
-from oracle import (add, intersect, reduce_against, rref_rows, scale, sum_with,
-                    whole_space)
+from oracle import (add, intersect, random_span, reduce_against, rref_rows, scale,
+                    sum_with, whole_space)
 from subspace_products.fields import ExtensionField, is_irreducible
 from subspace_products.linalg import Subspace, span
-
-
-def _random_span(field, rng, k):
-    return span(field, [rng.randrange(field.q) for _ in range(k)])
 
 
 def test_span_of_scalar_multiples_is_a_line():
@@ -33,13 +29,14 @@ def test_span_power_basis_is_whole_field(field_cache):
 
 @pytest.mark.parametrize("p, n", ((2, 4), (3, 4), (5, 3)))
 def test_fields_of_one_size_share_their_echelon_kernels(p, n):
-    # insert and reduce are built once per (p, n), whatever the modulus, and
-    # each field's spans and remainders still agree with the oracle's
+    # the five row kernels are built once per (p, n), whatever the modulus,
+    # and each field's spans and remainders still agree with the oracle's
     candidates = (tuple(v // p ** i % p for i in range(n)) + (1,) for v in range(p ** n))
     moduli = [m for m in candidates if is_irreducible(m, p)][:2]
     f, g = (ExtensionField(p, n, m) for m in moduli)
     assert f != g
     assert f.insert is g.insert and f.reduce is g.reduce
+    assert f.vector is g.vector and f.element is g.element and f.add is g.add
     rng = random.Random(p * 100 + n)
     for field in (f, g):
         for _ in range(100):
@@ -55,7 +52,7 @@ def test_rref_canonical_form_properties(field_cache):
         f = field_cache(p, n)
         rng = random.Random(11)
         for _ in range(200):
-            sp = _random_span(f, rng, rng.randrange(1, n + 1))
+            sp = random_span(f, rng, rng.randrange(1, n + 1))
             coeffs = sp.basis_coeffs()
             pivots = [next(j for j, c in enumerate(row) if c) for row in coeffs]
             assert pivots == sorted(pivots) and len(set(pivots)) == len(pivots)
@@ -137,8 +134,8 @@ def test_grassmann_identity(field_cache):
         f = field_cache(p, n)
         rng = random.Random(17)
         for _ in range(rounds):
-            u = _random_span(f, rng, rng.randrange(1, n + 1))
-            v = _random_span(f, rng, rng.randrange(1, n + 1))
+            u = random_span(f, rng, rng.randrange(1, n + 1))
+            v = random_span(f, rng, rng.randrange(1, n + 1))
             su = sum_with(u, v)
             iu = intersect(u, v)
             assert su.dim + iu.dim == u.dim + v.dim
@@ -167,7 +164,7 @@ def test_text_round_trip(field_cache):
         f = field_cache(p, n)
         rng = random.Random(23)
         for _ in range(50):
-            sp = _random_span(f, rng, 3)
+            sp = random_span(f, rng, 3)
             again = Subspace.from_text(f, sp.to_text())
             assert again == sp
             # blank lines between rows are skipped

@@ -9,10 +9,9 @@ Regenerate (only when a change of results is intended) with
     PYTHONPATH=src python tests/test_mu_exact_golden.py
 """
 
-import json
 import pathlib
 
-from oracle import mu_field_brute
+from oracle import check_golden, mu_field_brute, write_golden
 from subspace_products.fields import ExtensionField
 from subspace_products.kappa import divisors, kappa_rs
 from subspace_products.search import SearchOptions, mu_exact
@@ -50,16 +49,8 @@ def compute(fields, case):
 
 
 def test_mu_exact_matches_golden():
-    expected = json.loads(GOLDEN.read_text())
-    fields = {}
-    got = [compute(fields, case) for case in golden_cases()]
-    assert len(got) == len(expected)
-    for g, e in zip(got, expected):
-        assert g == e, (g[0], g[1:], e[1:])
+    check_golden(GOLDEN, golden_cases(), compute)
 
 
 if __name__ == "__main__":
-    fields = {}
-    rows = [json.dumps(compute(fields, case)) for case in golden_cases()]
-    GOLDEN.write_text("[\n" + ",\n".join(rows) + "\n]\n")
-    print(f"wrote {len(rows)} cases to {GOLDEN}")
+    write_golden(GOLDEN, golden_cases(), compute)

@@ -7,9 +7,9 @@ Regenerate (only when a change of results is intended) with
     PYTHONPATH=src python tests/test_mu_group_exact_golden.py
 """
 
-import json
 import pathlib
 
+from oracle import check_golden, write_golden
 from subspace_products.groups import builtin_group, mu_group_exact
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "mu_group_exact_golden.json"
@@ -37,16 +37,8 @@ def compute(groups, case):
 
 
 def test_mu_group_exact_matches_golden():
-    expected = json.loads(GOLDEN.read_text())
-    groups = {}
-    got = [compute(groups, case) for case in golden_cases()]
-    assert len(got) == len(expected)
-    for g, e in zip(got, expected):
-        assert g == e, (g[0], g[1:], e[1:])
+    check_golden(GOLDEN, golden_cases(), compute)
 
 
 if __name__ == "__main__":
-    groups = {}
-    rows = [json.dumps(compute(groups, case)) for case in golden_cases()]
-    GOLDEN.write_text("[\n" + ",\n".join(rows) + "\n]\n")
-    print(f"wrote {len(rows)} cases to {GOLDEN}")
+    write_golden(GOLDEN, golden_cases(), compute)

@@ -9,9 +9,9 @@ Regenerate (only when a change of results is intended) with
     PYTHONPATH=src python tests/test_mu_randomized_golden.py
 """
 
-import json
 import pathlib
 
+from oracle import check_golden, write_golden
 from subspace_products.fields import ExtensionField
 from subspace_products.search import mu_randomized
 
@@ -45,16 +45,8 @@ def compute(fields, case):
 
 
 def test_mu_randomized_matches_golden():
-    expected = json.loads(GOLDEN.read_text())
-    fields = {}
-    got = [compute(fields, case) for case in golden_cases()]
-    assert len(got) == len(expected)
-    for g, e in zip(got, expected):
-        assert g == e, (g[0], g[1:], e[1:])
+    check_golden(GOLDEN, golden_cases(), compute)
 
 
 if __name__ == "__main__":
-    fields = {}
-    rows = [json.dumps(compute(fields, case)) for case in golden_cases()]
-    GOLDEN.write_text("[\n" + ",\n".join(rows) + "\n]\n")
-    print(f"wrote {len(rows)} cases to {GOLDEN}")
+    write_golden(GOLDEN, golden_cases(), compute)

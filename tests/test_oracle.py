@@ -4,17 +4,13 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from oracle import (add, intersect, left_kernel, one_subspace, scale, stabilizer_oracle,
-                    sum_with)
+from oracle import (add, intersect, left_kernel, one_subspace, random_span, scale,
+                    stabilizer_oracle, sum_with)
 from subspace_products.kappa import divisors
 from subspace_products.linalg import span
 from subspace_products.products import product_span, stabilizer
 
 ORACLE_FIELDS = ((2, 4), (2, 6), (2, 8), (3, 4), (5, 2))
-
-
-def _random_span(field, rng, k):
-    return span(field, [rng.randrange(field.q) for _ in range(k)])
 
 
 def _assert_matches_oracle(v):
@@ -47,7 +43,7 @@ def test_sum_and_intersection_idempotent(field_cache):
     f = field_cache(2, 6)
     rng = random.Random(3)
     for _ in range(100):
-        u = _random_span(f, rng, 3)
+        u = random_span(f, rng, 3)
         assert sum_with(u, u) == u
         assert intersect(u, u) == u
 
