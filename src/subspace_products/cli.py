@@ -14,6 +14,7 @@ import random
 import secrets
 import sys
 import time
+from functools import lru_cache
 
 from . import __version__
 from .fields import ExtensionField, parse_ints
@@ -205,7 +206,9 @@ def _cmd_mu_group(args):
                    list)
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process; `main` dispatches to `_cmd_<command>` by name."""
     parser = argparse.ArgumentParser(
         prog="subspace-products",
         description="Minimal dimensions of subspace products in GF(p^n) and "
@@ -232,58 +235,50 @@ def build_parser() -> argparse.ArgumentParser:
     add_rs(p)
     p.add_argument("--n", type=int)
     p.add_argument("--degrees", help='explicit degree set, e.g. "1,2,4"')
-    p.set_defaults(handler=_cmd_kappa)
 
     p = sub.add_parser("kappa-table", help="full n x n bound matrix")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--degrees")
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    p.set_defaults(handler=_cmd_kappa_table)
 
     p = sub.add_parser("mu-field", help="minimum dim<AB> by search")
     add_field(p)
     add_rs(p)
     add_mu_modes(p)
-    p.set_defaults(handler=_cmd_mu_field)
 
     p = sub.add_parser("construct", help="build a pair attaining the bound")
     add_field(p)
     add_rs(p)
-    p.set_defaults(handler=_cmd_construct)
 
     p = sub.add_parser("stabilizer", help="stabilizer subfield of a subspace")
     add_field(p)
     p.add_argument("--subspace", required=True, help="file with one basis row per "
                                                      "line, coefficients comma-separated")
-    p.set_defaults(handler=_cmd_stabilizer)
 
     p = sub.add_parser("verify-kneser", help="random pairs against the stabilizer bound")
     add_field(p)
     add_rs(p)
     p.add_argument("--pairs", type=int, required=True)
     p.add_argument("--seed", type=int)
-    p.set_defaults(handler=_cmd_verify_kneser)
 
     p = sub.add_parser("mu-group", help="minimum |AB| over group subsets")
     p.add_argument("--group", help="builtin name: cyclic:n, product:n,m, Z7xZ3semidirect")
     p.add_argument("--group-file", help="JSON file with order, identity, cayley")
     add_rs(p)
     add_mu_modes(p)
-    p.set_defaults(handler=_cmd_mu_group)
 
     return parser
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     t0 = time.perf_counter()
     try:
-        results, code, seed = args.handler(args)
+        results, code, seed = globals()["_cmd_" + args.command.replace("-", "_")](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -304,8 +299,7 @@ def main(argv=None) -> int:
         "argv": argv,
         "version": __version__,
         "seed": seed,
-        "params": {k: v for k, v in vars(args).items()
-                   if k not in ("handler", "command") and v is not None},
+        "params": {k: v for k, v in vars(args).items() if k != "command" and v is not None},
         "results": results,
         "elapsed_seconds": round(time.perf_counter() - t0, 6),
     }

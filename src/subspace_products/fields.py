@@ -315,14 +315,31 @@ def is_irreducible(coeffs: tuple[int, ...] | list[int], p: int) -> bool:
     return g == x
 
 
+@lru_cache(maxsize=None)
 def find_irreducible(p: int, n: int) -> tuple[int, ...]:
     """First monic irreducible of degree n over F_p, candidates ordered by the
-    base-p packed value of their low coefficients.  Deterministic."""
+    base-p packed value of their low coefficients.  Memoised per (p, n);
+    `ExtensionField` still validates p and n on every construction."""
     for v in range(p ** n):
         coeffs = [v // p ** i % p for i in range(n)] + [1]
         if is_irreducible(coeffs, p):
             return tuple(coeffs)
     raise AssertionError("unreachable: an irreducible of every degree exists")
+
+
+@lru_cache(maxsize=None)
+def find_primitive(p: int, n: int, modulus: tuple[int, ...]) -> int:
+    """Least element index of order p^n - 1 modulo the irreducible `modulus`,
+    memoised per (p, n, modulus).  `ExtensionField` validates p, n and the
+    modulus on every construction, and its table build checks the result."""
+    qm1, lanes = p ** n - 1, lane_layout(p, n + 1)
+    mulmod = lanes.ring(sum(c << i * lanes.w for i, c in enumerate(modulus)))
+    checks = [qm1 // f for f in prime_factors(qm1)]
+    # for n > 1 the indices below p are the prime field, of order dividing p - 1
+    for g in range(p if n > 1 else 1, qm1 + 1):
+        if all(lanes.element(_poly_pow(mulmod, lanes.vector(g), e)) != 1 for e in checks):
+            return g
+    raise AssertionError("unreachable: the unit group of a finite field is cyclic")
 
 
 class ExtensionField:
@@ -360,9 +377,7 @@ class ExtensionField:
         if n >= MAX_FIELD_SIZE.bit_length() or p ** n > MAX_FIELD_SIZE:  # n first: p^n >= 2^n
             raise ValueError(f"p^n = {p}^{n} exceeds the supported bound {MAX_FIELD_SIZE}")
         q = p ** n
-        self.p = p
-        self.n = n
-        self.q = q
+        self.p, self.n, self.q = p, n, q
         if modulus is None:
             modulus = find_irreducible(p, n)
         else:
@@ -380,7 +395,7 @@ class ExtensionField:
         self._mulmod = lanes.ring(sum(c << i * lanes.w for i, c in enumerate(modulus)))
         self.vector, self.element, self.add, self.insert, self.reduce = (
             lanes.vector, lanes.element, lanes.add, lanes.insert, lanes.reduce)
-        self.primitive = self._find_primitive()
+        self.primitive = find_primitive(p, n, modulus)
         # a small field runs table-free until its q // 16-th mul/inv/pow,
         # which builds the tables; a large one never counts
         self._exp = self._log = None
@@ -457,15 +472,6 @@ class ExtensionField:
             row = self.vector(self._mul_raw(g, p ** j))
             tabs[j >= h] = [add(t, c * row) for c in range(p) for t in tabs[j >= h]]
         return p ** h, tabs[0], tabs[1]
-
-    def _find_primitive(self) -> int:
-        qm1 = self.q - 1
-        checks = [qm1 // f for f in prime_factors(qm1)]
-        # for n > 1 the indices below p are the prime field, of order dividing p - 1
-        for g in range(self.p if self.n > 1 else 1, self.q):
-            if all(self._pow_raw(g, e) != 1 for e in checks):
-                return g
-        raise AssertionError("unreachable: the unit group of a finite field is cyclic")
 
     # -- element coordinates ---------------------------------------------------
 

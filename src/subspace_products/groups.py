@@ -96,12 +96,18 @@ class GroupSpec:
                          if all(table[e][x] == x and table[x][e] == x for x in rng)), -1)
         if identity < 0:
             raise ValueError("Cayley table has no identity element")
-        for a in rng:
-            for b in rng:
-                ab = table[a][b]
-                for c in rng:
-                    if table[ab][c] != table[a][table[b][c]]:
-                        raise ValueError(f"Cayley table is not associative at ({a},{b},{c})")
+        gens, reached = [], {identity}
+        for g in rng:
+            if g not in reached:
+                gens.append(g)
+                reached = _closure(table, gens, identity)
+        # Light's test: the g with (xg)y = x(gy) for all x, y are closed under
+        # products, and the walk reaches every element as a product of gens
+        if any(table[table[x][g]][y] != table[x][table[g][y]]
+               for g in gens for x in rng for y in rng):
+            a, b, c = next((a, b, c) for a in rng for b in rng for c in rng
+                           if table[table[a][b]][c] != table[a][table[b][c]])
+            raise ValueError(f"Cayley table is not associative at ({a},{b},{c})")
         return cls(name=name, order=order, identity=identity, cayley=table,
                    subgroup_orders=subgroup_orders_of(table, identity))
 

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from subspace_products.cli import main
+from subspace_products.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -493,6 +493,38 @@ def test_handler_failures_map_to_exit_codes(capsys, monkeypatch, exc, code, mess
     got, out, err = run(capsys, "kappa", "--n", "4", "--r", "2", "--s", "2")
     assert got == code and out == ""
     assert err.strip() == message
+
+
+def test_main_calls_share_no_parsed_state(capsys):
+    # the parser is built once per process; each call parses into its own namespace
+    assert build_parser() is build_parser()
+    code, rep, _ = run_report(capsys, "kappa", "--n", "16", "--r", "3", "--s", "5")
+    assert code == 0 and rep["params"]["n"] == 16
+    code, rep, _ = run_report(capsys, "kappa", "--degrees", "1,2", "--r", "3", "--s", "5")
+    assert code == 0 and "n" not in rep["params"] and rep["params"]["degrees"] == "1,2"
+
+
+def test_usage_error_leaves_the_next_report_unchanged(capsys):
+    argv = ("construct", "--field", "3^4", "--r", "2", "--s", "3")
+    code, first, _ = run_report(capsys, *argv)
+    assert code == 0
+    first.pop("elapsed_seconds")
+    for bad in (("construct", "--field", "3^4", "--r", "2"),            # argparse
+                ("construct", "--field", "3^4", "--r", "2", "--s", "9"),  # handler
+                ("kappa-table", "--n", "4", "--format", "xml")):
+        assert run(capsys, *bad)[0] == 2
+        code, again, _ = run_report(capsys, *argv)
+        assert code == 0
+        again.pop("elapsed_seconds")
+        assert json.dumps(again) == json.dumps(first)
+
+
+def test_reducible_modulus_is_refused_after_the_default_field(capsys):
+    assert run(capsys, "construct", "--field", "2^4", "--r", "2", "--s", "2")[0] == 0
+    code, out, err = run(capsys, "construct", "--field", "2^4", "--modulus", "1,0,0,0,1",
+                         "--r", "2", "--s", "2")
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: modulus is not irreducible over F_p"]
 
 
 def test_version_flag(capsys):

@@ -6,9 +6,9 @@ import pytest
 
 from oracle import (add, field_tables, has_root, monic_irreducibles, mul, multiplicative_order,
                     neg, poly_mul, poly_mul_mod, power, scale)
-from subspace_products import cli
-from subspace_products.fields import (ExtensionField, find_irreducible, is_irreducible,
-                                      is_prime, lane_layout, parse_field_spec,
+from subspace_products import cli, fields
+from subspace_products.fields import (ExtensionField, find_irreducible, find_primitive,
+                                      is_irreducible, is_prime, lane_layout, parse_field_spec,
                                       parse_ints, poly_str, prime_factors)
 from subspace_products.linalg import span
 
@@ -194,10 +194,13 @@ def test_primitive_known_values(field_cache):
     for (p, n), g in {(251, 2): 256, (257, 2): 259, (65521, 3): 65526, (3, 10): 34,
                       (2, 62): 2, (65521, 1): 17}.items():
         assert ExtensionField(p, n).primitive == g, (p, n)
-    # the prime field holds no primitive element, so its p - 1 indices are skipped
+    # the prime field holds no primitive element, so its p - 1 indices are
+    # skipped; timed uncached, whatever built GF(65521^2) before
+    modulus = find_irreducible(65521, 2)
     t0 = time.perf_counter()
-    assert ExtensionField(65521, 2).primitive == 65533
+    assert find_primitive.__wrapped__(65521, 2, modulus) == 65533
     assert time.perf_counter() - t0 < 1.0
+    assert ExtensionField(65521, 2).primitive == 65533
 
 
 def test_primitive_has_full_order():
@@ -275,11 +278,13 @@ def test_tables_are_built_once_at_the_sixteenth_of_q(monkeypatch):
 
 
 def test_non_generator_fails_the_table_build(monkeypatch, capsys):
-    # g^3 has order 85 in GF(2^8); its powers miss most units
-    find = ExtensionField._find_primitive
-    monkeypatch.setattr(ExtensionField, "_find_primitive",
-                        lambda self: self._pow_raw(find(self), 3))
+    # g^3 has order 85 in GF(2^8); its powers miss most units.  The patch
+    # searches uncached, so the memoised primitive is neither read nor written
+    ref = ExtensionField(2, 8)
+    monkeypatch.setattr(fields, "find_primitive", lambda p, n, modulus: ref._pow_raw(
+        find_primitive.__wrapped__(p, n, modulus), 3))
     f = ExtensionField(2, 8)
+    assert f.primitive == ref._pow_raw(3, 3)
     with pytest.raises(AssertionError, match="failed to cycle the unit group"):
         f._build_tables()
     assert f._log is None
@@ -288,6 +293,29 @@ def test_non_generator_fails_the_table_build(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert code == 4
     assert "invariant violated: primitive element failed to cycle the unit group" in err
+    monkeypatch.undo()
+    assert ExtensionField(2, 8).primitive == 3
+
+
+@pytest.mark.parametrize("p, n", TABLE_FIELDS + ((2, 40),))
+def test_memoised_searches_match_uncached_ones(p, n):
+    modulus = find_irreducible(p, n)
+    assert modulus == find_irreducible.__wrapped__(p, n)
+    assert find_primitive(p, n, modulus) == find_primitive.__wrapped__(p, n, modulus)
+    assert ExtensionField(p, n).primitive == find_primitive(p, n, modulus)
+
+
+def test_explicit_modulus_gets_its_own_primitive():
+    # each modulus has its own search, after the default field of its size
+    # is memoised: x is primitive modulo x^4+x+1 and x^4+x^3+1, and modulo
+    # x^2+x+2 over F_3 but not modulo the default x^2+1, where x^2 = -1
+    for p, n, modulus, g in ((2, 4, (1, 0, 0, 1, 1), 2), (3, 2, (2, 1, 1), 3)):
+        default = ExtensionField(p, n)
+        other = ExtensionField(p, n, modulus)
+        assert default.modulus != other.modulus
+        assert other.primitive == find_primitive.__wrapped__(p, n, modulus) == g
+        assert multiplicative_order(other, other.primitive) == other.q - 1
+    assert ExtensionField(3, 2).primitive == 4
 
 
 def test_lane_layout_of_p2_is_the_bitmask():

@@ -79,6 +79,40 @@ def test_validation_rejects_bad_tables():
             GroupSpec.from_cayley(table)
 
 
+def _first_nonassociative(table):
+    k = len(table)
+    return next(((a, b, c) for a, b, c in itertools.product(range(k), repeat=3)
+                 if table[table[a][b]][c] != table[a][table[b][c]]), None)
+
+
+@pytest.mark.parametrize("name", ["cyclic:6", "cyclic:8", "product:2,4", "product:3,2",
+                                  "product:4,2"])
+def test_associativity_check_matches_the_triple_loop(name):
+    # swapping the entries of a 2x2 subsquare off the identity's row and column
+    # keeps a Latin square with that identity, associative or not; the check
+    # over the generators must give the full triple loop's verdict and triple
+    base = [list(row) for row in builtin_group(name).cayley]
+    k = len(base)
+    loops = [base]
+    for a, b in itertools.combinations(range(1, k), 2):
+        for c, d in itertools.combinations(range(1, k), 2):
+            if base[a][c] == base[b][d] and base[a][d] == base[b][c]:
+                t = [list(row) for row in base]
+                t[a][c], t[a][d], t[b][c], t[b][d] = t[a][d], t[a][c], t[b][d], t[b][c]
+                loops.append(t)
+    verdicts = set()
+    for t in loops:
+        first = _first_nonassociative(t)
+        verdicts.add(first is None)
+        if first is None:
+            assert GroupSpec.from_cayley(t).order == k
+        else:
+            with pytest.raises(ValueError) as err:
+                GroupSpec.from_cayley(t)
+            assert str(err.value) == "Cayley table is not associative at (%d,%d,%d)" % first
+    assert verdicts == {True, False}
+
+
 def test_subgroup_orders_sanity():
     z12 = builtin_group("cyclic:12")
     assert z12.subgroup_orders == (1, 2, 3, 4, 6, 12)
