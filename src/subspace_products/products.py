@@ -45,12 +45,13 @@ def _h_span(field: ExtensionField, m: int, alpha: int, count: int) -> Subspace:
 
 
 def product_span(a: Subspace, b: Subspace) -> Subspace:
-    """Span of all pairwise products; basis products suffice by bilinearity."""
+    """Span of all pairwise products; basis products suffice by bilinearity.
+    They are consumed lazily: none is computed once they span the field."""
     _require_nonzero(a, b)
     a._check_ambient(b)
     field = a.field
     mul = field.mul
-    return span(field, [mul(x, y) for x in a.rows for y in b.rows])
+    return span(field, (mul(x, y) for x in a.rows for y in b.rows))
 
 
 @dataclass(frozen=True)

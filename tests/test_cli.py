@@ -193,10 +193,24 @@ def test_mu_field_randomized_replay(capsys):
 
 
 def test_mu_field_entropy_seed_echoed(capsys):
-    code, rep, _ = run_report(capsys, "mu-field", "--field", "2^4", "--r", "2",
-                              "--s", "2", "--trials", "10")
+    argv = ("mu-field", "--field", "2^6", "--r", "3", "--s", "3", "--trials", "5")
+    code, rep, _ = run_report(capsys, *argv)
     assert code == 0
-    assert isinstance(rep["seed"], int)
+    seed = rep["seed"]
+    assert isinstance(seed, int) and 0 <= seed < 2 ** 32
+    # the echoed seed replays the run: same value, same witnesses
+    code, again, _ = run_report(capsys, *argv, "--seed", str(seed))
+    assert code == 0 and again["seed"] == seed
+    assert again["results"] == rep["results"]
+
+
+def test_cli_import_leaves_hashlib_unloaded(run_python):
+    # the entropy seed needs no hashlib, whose OpenSSL load costs every
+    # process that imports the CLI a few MB of RSS
+    proc = run_python("-c", "import sys, subspace_products.cli; "
+                            "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_construct_command(capsys):

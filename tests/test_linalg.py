@@ -143,6 +143,39 @@ def test_grassmann_identity(field_cache):
                 assert u.contains(r) and v.contains(r)
 
 
+@pytest.mark.parametrize("p, n", ((2, 6), (3, 4)))
+def test_span_stops_drawing_at_rank_n(field_cache, p, n):
+    f = field_cache(p, n)
+    powers = [f.pow(f.primitive, i) for i in range(2 * n)]
+    # 0 and a repeat add no rank, so rank n is reached at item n + 2
+    gens = [0, 1, *powers]
+    drawn = []
+
+    def draw():
+        for e in gens:
+            drawn.append(e)
+            yield e
+
+    assert span(f, draw()) == whole_space(f)
+    assert len(drawn) == n + 2
+    assert span(f, gens).rows == rref_rows(f, gens)
+
+
+@pytest.mark.parametrize("p, n", ((2, 6), (3, 4)))
+def test_whole_space_reduces_every_element_to_zero(field_cache, p, n):
+    f = field_cache(p, n)
+    rng = random.Random(p * 100 + n)
+    w = span(f, [rng.randrange(f.q) for _ in range(3 * n)])
+    assert w.dim == n and w == whole_space(f)
+    # the same rows through the field's own elimination
+    basis = {}
+    for r in w.rows:
+        f.insert(basis, f.vector(r))
+    for e in range(f.q):
+        assert w.reduce(e) == 0 == f.element(f.reduce(basis, f.vector(e)))
+        assert w.contains(e)
+
+
 def test_zero_and_whole(field_cache):
     f = field_cache(2, 6)
     w = whole_space(f)

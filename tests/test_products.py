@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from oracle import one_subspace, stabilizer_oracle, whole_space
+from oracle import one_subspace, rref_rows, stabilizer_oracle, whole_space
 from subspace_products.cli import main
 from subspace_products.fields import ExtensionField
 from subspace_products.kappa import divisors, kappa_rs
@@ -74,6 +74,36 @@ def test_power_span_product_dimension(field_cache):
     f = field_cache(2, 6)
     a = span(f, [f.pow(f.primitive, j) for j in range(3)])
     assert product_span(a, a).dim == 5
+
+
+@pytest.mark.parametrize("p, n, r, s, d", ((2, 8, 3, 5, 2), (2, 12, 5, 7, 3), (3, 6, 3, 4, 2)))
+def test_product_span_matches_the_span_of_every_product(field_cache, p, n, r, s, d):
+    # random pairs, whose <AB> is nearly always F, and H*A0, H*B0 for the
+    # subfield H of degree d, whose <AB> is a proper H-space
+    f = field_cache(p, n)
+    rng = random.Random(p * 1000 + n)
+    h = [f.pow(f.subfield_generator(d), i) for i in range(d)]
+
+    def h_times(k):
+        return span(f, [f.mul(x, y) for y in [rng.randrange(1, f.q) for _ in range(k)]
+                        for x in h])
+
+    whole = 0
+    for _ in range(10):
+        pairs = ((_random_nonzero_span(f, rng, r), _random_nonzero_span(f, rng, s), False),
+                 (h_times(1), h_times(2), True))
+        for a, b, over_h in pairs:
+            products = [f.mul(x, y) for x in a.rows for y in b.rows]
+            ab = product_span(a, b)
+            assert ab == span(f, products) and ab.rows == rref_rows(f, products)
+            st = stabilizer(ab)
+            assert _report(st) == _report(stabilizer_oracle(ab))
+            assert st.is_subfield_verified and (st.g == n) == (ab.dim == n)
+            if over_h:
+                assert ab.dim < n and st.g % d == 0
+            else:
+                whole += ab.dim == n
+    assert whole >= 5
 
 
 def test_stabilizer_whole_field_and_line(field_cache):
