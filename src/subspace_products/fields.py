@@ -8,9 +8,10 @@ so that the modulus fits): one-bit lanes for p = 2, the bitmask, which is the
 index itself, with carry-less products; Barrett-reduced lanes for odd p.  The
 layout is the one place that picks a characteristic's kernels.  A field with
 at most 2^16 elements builds discrete log/antilog tables keyed to the
-primitive element g at its q // 16-th mul/inv/pow, which then run in O(1) on
-the hot search paths; a construction that needs only a few dozen products
-never pays for them.  Each power of g is the last times g, an F_p-linear map:
+primitive element g at its q // 16-th mul/inv/pow, which then run in O(1),
+or at its first `log_tables()`, which a search scan calls to read its
+products from the tables; a construction that needs only a few dozen
+products never pays for them.  Each power of g is the last times g, an F_p-linear map:
 two table lookups, one row `add` and one `element`, the same loop for every p
 and n.  The field's echelon rows are its layout's too: `vector` packs an
 index (for odd p, when n > 1 and q <= 2^16, read from an index table that
@@ -346,7 +347,8 @@ class ExtensionField:
     """GF(p^n).  All operations take and return element indices (ints in
     [0, p^n)).  The modulus, primitive element and conversions are fixed at
     construction; the exp/log tables of a small field appear once, at its
-    q // 16-th mul/inv/pow, and never change a result.
+    q // 16-th mul/inv/pow or its first log_tables(), and never change a
+    result.
 
     An echelon basis over F_p is a dict from pivot to row, and the field owns
     the row form.  vector(e) is the form in which a basis holds the element
@@ -361,11 +363,15 @@ class ExtensionField:
     orbit_skips maps r to the skip flags of the exhaustive search's orbit
     rejection (see search._a_rows), one byte per r-dimensional subspace
     containing 1, at most search.MAX_HELD_ROWS of them, stored once a scan
-    has enumerated every such subspace; like the tables, they never change
-    a result."""
+    has enumerated every such subspace.  row_tables maps s to the RREF row
+    tables of the s-dimensional subspaces containing 1 (search._row_tables),
+    at most search.MAX_HELD_ROWS values in all, stored once a scan has walked
+    every such subspace for one A.  Like the exp/log tables, neither ever
+    changes a result."""
 
     __slots__ = ("p", "n", "q", "modulus", "primitive", "vector", "element", "add",
-                 "insert", "reduce", "orbit_skips", "_mulmod", "_exp", "_log", "_untabled")
+                 "insert", "reduce", "orbit_skips", "row_tables", "_mulmod", "_exp", "_log",
+                 "_untabled")
 
     def __init__(self, p: int, n: int, modulus: tuple[int, ...] | None = None):
         if not is_prime(p):
@@ -400,7 +406,7 @@ class ExtensionField:
         # which builds the tables; a large one never counts
         self._exp = self._log = None
         self._untabled = max(q // 16, 1) if q <= _TABLE_LIMIT else 0
-        self.orbit_skips = {}
+        self.orbit_skips, self.row_tables = {}, {}
 
     def _build_tables(self) -> None:
         """The exp/log tables of the primitive element g: exp[k] = g^k and
@@ -425,6 +431,15 @@ class ExtensionField:
         self._untabled -= 1
         if not self._untabled:
             self._build_tables()
+
+    def log_tables(self) -> tuple[list[int], list[int]] | None:
+        """(exp, log) for a run of many products, such as a search scan:
+        built now if not yet, or None when q > 2^16, where only `mul` runs."""
+        if self._log is None:
+            if self.q > _TABLE_LIMIT:
+                return None
+            self._build_tables()
+        return self._exp, self._log
 
     # -- construction helpers -------------------------------------------------
 

@@ -27,7 +27,10 @@ least of its orbit, so it is walked.  The skip flags depend only on the
 field and dim A, so the first scan that enumerates every A keeps them on
 the field (one byte per A, see ExtensionField), and every later scan of that
 field and dimension replays them without building an orbit; they are the
-flags the scan computes, so no result changes.
+flags the scan computes, so no result changes.  B's RREF row tables depend
+only on the field and dim B, and are kept on the field the same way.  On a
+field with exp/log tables (q <= 2^16) each product of the walk is a table
+read, exp[log x + log y], and not a `mul` call.
 """
 
 from __future__ import annotations
@@ -133,30 +136,18 @@ def random_subspace(field: ExtensionField, r: int, rng: random.Random) -> Subspa
     return rref(field, _draw(field, [], r, rng)[1])
 
 
-def _extend(field, mul, ech, arows, y: int, cap: int):
-    """Insert x*y for each x in arows into a copy of the pivot-indexed echelon
-    basis `ech` (see linalg) until its rank reaches cap; returns (new basis,
-    rank).  The rank is exact when below cap.  mul is field.mul, bound once
-    by the caller rather than once per walk node."""
-    vector, insert = field.vector, field.insert
-    basis = ech.copy()
-    rank = len(basis)
-    for x in arows:
-        if rank >= cap:
-            break
-        rank += insert(basis, vector(mul(x, y)))
-    return basis, rank
-
-
 def product_dim_capped(field: ExtensionField, arows, brows, cap: int) -> int:
-    """min(dim span{a*b}, cap), built B row by B row; stops as soon as the
-    running rank reaches cap (the exact value is only needed below cap)."""
-    mul = field.mul
-    ech, rank = {}, 0
+    """min(dim span{a*b}, cap), built into one echelon basis B row by B row;
+    stops as soon as the rank reaches cap (the exact value is only needed
+    below cap)."""
+    mul, vector, insert = field.mul, field.vector, field.insert
+    basis: dict = {}
+    rank = 0
     for y in brows:
-        ech, rank = _extend(field, mul, ech, arows, y, cap)
-        if rank >= cap:
-            return cap
+        for x in arows:
+            if rank >= cap:
+                return cap
+            rank += insert(basis, vector(mul(x, y)))
     return rank
 
 
@@ -257,9 +248,17 @@ def _scan(field, r, s, cap, floor, budget):
     first minimal pair is never skipped, as every prefix of it has rank at
     most its value, so value, witnesses and the pair count are those of the
     pair-by-pair scan.  B's tables are built as the first walked A reaches
-    them and are kept for this scan only: a walked A leaves its B loop only
-    by returning, so that A either draws every table or ends the scan, and
-    the list it fills serves every later A.
+    them: a walked A leaves its B loop only by returning, so that A either
+    draws every table or ends the scan, and the list it fills serves every
+    later A.  Once it is full, and holds at most MAX_HELD_ROWS values, it is
+    kept in field.row_tables[s] for every later scan; a scan stopped inside
+    its first A keeps nothing.
+
+    A node's products are `mul` calls only on a field without exp/log tables
+    (field.log_tables() is None, q > 2^16).  Otherwise each walked A's rows
+    are taken to their logs once, and x*y is exp[log x + log y - (q - 1)]:
+    the index lies in [-(q - 1), q - 3], and a negative one wraps to the
+    same power of the primitive element.
 
     Returns (value, a_rows, b_rows, pairs examined, exhaustive), with `cap`
     as the best value at the start: a scan that returns cap with no witness
@@ -270,17 +269,24 @@ def _scan(field, r, s, cap, floor, budget):
     and its floor."""
     a_count, b_count = (gaussian_binomial(field.n - 1, k - 1, field.p) for k in (r, s))
     whole = a_count * b_count <= budget
-    mul = field.mul
+    vector, insert, mul, tables = field.vector, field.insert, field.mul, field.log_tables()
+    if tables is not None:
+        exp, log = tables
+        qm1 = field.q - 1
     best = cap
     best_a = best_b = None
     processed = 0
-    b_tables, kept = _row_tables(field, s, containing_one=True), []
+    b_tables = kept = field.row_tables.get(s)
+    if kept is None:
+        b_tables, kept = _row_tables(field, s, containing_one=True), []
     for ar, skipped in _a_rows(field, r):
         if skipped:
             processed += b_count
             if processed >= budget:
                 return best, best_a, best_b, budget, whole
             continue
+        if tables is not None:
+            logs = [log[x] for x in ar]
         for rows, sizes in b_tables:
             if b_tables is not kept:
                 kept.append((rows, sizes))
@@ -295,18 +301,33 @@ def _scan(field, r, s, cap, floor, budget):
                     stack.pop()
                     continue
                 path[depth] = y
-                child, rank = _extend(field, mul, ech, ar, y, best)
+                basis = ech.copy()
+                rank = len(basis)
+                if tables is None:
+                    for x in ar:
+                        if rank >= best:
+                            break
+                        rank += insert(basis, vector(mul(x, y)))
+                else:
+                    ly = log[y] - qm1
+                    for lx in logs:
+                        if rank >= best:
+                            break
+                        rank += insert(basis, vector(exp[lx + ly]))
                 if rank >= best:
                     processed += sizes[depth]
                 elif depth < last:
-                    stack.append((child, iter(rows[depth + 1])))
+                    stack.append((basis, iter(rows[depth + 1])))
                     continue
                 else:
                     processed += 1
                     best, best_a, best_b = rank, ar, tuple(path)
                 if best <= floor or processed >= budget:
                     return best, best_a, best_b, min(processed, budget), whole or best <= floor
-        b_tables = kept
+        if b_tables is not kept:
+            b_tables = kept
+            if sum(len(values) for rows, _ in kept for values in rows) <= MAX_HELD_ROWS:
+                field.row_tables[s] = kept
     return best, best_a, best_b, processed, True   # every pair decided
 
 

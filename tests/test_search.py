@@ -374,7 +374,8 @@ def test_skip_flags_replay_on_one_field(fresh_field, monkeypatch):
 
 def test_scan_builds_each_b_table_once(fresh_field, monkeypatch):
     # B's profiles are drawn by the first walked A and kept for every later
-    # one; a scan that stops inside its first A draws only what it reached
+    # one, and on the field for every later scan of that s; a scan that stops
+    # inside its first A draws only what it reached and keeps nothing
     calls = _count_orbits(monkeypatch)
     row_tables = search._row_tables
     drawn = []
@@ -385,12 +386,92 @@ def test_scan_builds_each_b_table_once(fresh_field, monkeypatch):
             yield table
 
     monkeypatch.setattr(search, "_row_tables", counted)
-    res = mu_exact(fresh_field(2, 6), 3, 4, SearchOptions(use_kappa_floor=False))
+    opts = SearchOptions(use_kappa_floor=False)
+    f = fresh_field(2, 6)
+    res = mu_exact(f, 3, 4, opts)
     assert (res.value, res.exhaustive, len(calls)) == (6, True, 7)
     assert drawn.count(4) == 10     # C(5, 3) profiles of 4-dim B containing 1
+    assert list(f.row_tables) == [4] and len(f.row_tables[4]) == 10
     drawn.clear()
-    res = mu_exact(fresh_field(2, 6), 3, 4, SearchOptions(budget=1, use_kappa_floor=False))
-    assert (res.pairs_examined, res.exhaustive, drawn.count(4)) == (1, False, 1)
+    assert _fields_of(mu_exact(f, 3, 4, opts)) == _fields_of(res) and 4 not in drawn
+    for budget in (1, 7):           # both stop inside the first A's 155 B
+        g = fresh_field(2, 6)
+        res = mu_exact(g, 3, 4, SearchOptions(budget=budget, use_kappa_floor=False))
+        assert (res.pairs_examined, res.exhaustive) == (budget, False)
+        assert not g.row_tables, budget
+    assert drawn.count(4) == 2
+    # kept tables give a fresh field's result for every r, floor and budget,
+    # and draw nothing more (r = 4 would draw A's tables of the same k)
+    for r in (1, 2, 3, 5, 6):
+        for floor in (True, False):
+            for budget in (10 ** 9, 40, 700):
+                opts = SearchOptions(budget=budget, use_kappa_floor=floor)
+                drawn.clear()
+                res = _fields_of(mu_exact(f, r, 4, opts))
+                assert 4 not in drawn, (r, floor, budget)
+                assert res == _fields_of(mu_exact(fresh_field(2, 6), r, 4, opts)), \
+                    (r, floor, budget)
+    # tables of more values than MAX_HELD_ROWS in all stay with their scan:
+    # the ten profiles hold 80 values (the bound also turns the orbit skip
+    # off, which changes no result)
+    monkeypatch.setattr(search, "MAX_HELD_ROWS", 79)
+    g = fresh_field(2, 6)
+    assert _fields_of(mu_exact(g, 3, 4, opts)) == _fields_of(mu_exact(f, 3, 4, opts))
+    assert not g.row_tables and len(f.row_tables[4]) == 10
+
+
+def _withheld(m):
+    """Withhold the exp/log tables from every scan, so that its nodes multiply
+    with mul, as on a field above the table limit."""
+    m.setattr(ExtensionField, "log_tables", lambda self: None)
+
+
+def test_node_paths_agree(fresh_field):
+    # the same scans on fields with exp/log tables and on fields whose tables
+    # are withheld: full runs, floor stops and budget stops agree in value,
+    # witnesses, exhaustive and pairs examined
+    for p, n in ((2, 5), (3, 3), (2, 6), (3, 4), (5, 3)):
+        tabled, untabled = fresh_field(p, n), fresh_field(p, n)
+        for r in range(1, n + 1):
+            for s in range(1, n + 1):
+                for floor in (True, False):
+                    for budget in (10 ** 9, 40, 700):
+                        opts = SearchOptions(budget=budget, use_kappa_floor=floor)
+                        with pytest.MonkeyPatch.context() as m:
+                            _withheld(m)
+                            reference = _fields_of(mu_exact(untabled, r, s, opts))
+                        assert _fields_of(mu_exact(tabled, r, s, opts)) == reference, \
+                            (p, n, r, s, floor, budget)
+    # above the table limit mul is the only path: GF(2^17) builds no tables,
+    # and a floor-free scan cut by its budget is the oracle's pair-by-pair scan
+    f = fresh_field(2, 17)
+    assert f.log_tables() is None
+    res = mu_exact(f, 2, 3, SearchOptions(budget=3000, use_kappa_floor=False))
+    assert _fields_of(res) == mu_field_brute(f, 2, 3, True, 3, 3000)
+    assert f._log is None
+
+
+def test_scan_on_a_tabled_field_makes_no_mul_call(fresh_field, monkeypatch):
+    # once the orbit flags are kept (building orbits multiplies), a scan of a
+    # tabled field reads every product from its tables; withholding them
+    # sends the same scan through mul
+    calls = []
+    mul = ExtensionField.mul
+
+    def counted(self, a, b):
+        calls.append((a, b))
+        return mul(self, a, b)
+
+    opts = SearchOptions(use_kappa_floor=False)
+    for p, n, r, s in ((2, 6, 3, 4), (3, 4, 2, 3)):
+        f = fresh_field(p, n)
+        reference = _fields_of(mu_exact(f, r, s, opts))
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(ExtensionField, "mul", counted)
+            assert _fields_of(mu_exact(f, r, s, opts)) == reference and not calls, (p, n)
+            _withheld(m)
+            assert _fields_of(mu_exact(f, r, s, opts)) == reference and calls, (p, n)
+        calls.clear()
 
 
 def test_scan_started_at_a_cap(field_cache):
