@@ -1,8 +1,10 @@
 """Finite groups as Cayley tables: subgroup orders and subset-product minima.
 
-Subsets are bitmasks over element indices (orders up to 64), and product sets
-are accumulated through precomputed translation rows, so |AB| evaluations stay
-cheap inside the exhaustive search.
+Subsets are bitmasks over element indices (orders up to 64).  A product set
+is the OR of translate masks, the bitmask of A*g for each g (or of g*B), so
+an |AB| evaluation is a few ORs and one bit count: the exhaustive search
+builds the masks of each A once, and the swap descent keeps both sides'
+masks across its moves, updating them by one table row per move.
 """
 
 from __future__ import annotations
@@ -160,8 +162,11 @@ def kappa_group(r: int, s: int, group: GroupSpec) -> KappaResult:
 
 
 def _masks(bits, subset) -> list[int]:
-    """masks[g] = sum of bits[x][g] over x in subset, the bitmask of subset*g
-    for `GroupSpec.bits` (bits[x][y] = 1 << x*y), whose columns are permutations."""
+    """masks[g] = sum of bits[x][g] over x in subset: the bitmask of subset*g
+    for `GroupSpec.bits` (bits[x][y] = 1 << x*y), and of g*subset for its
+    transpose.  The rows and columns of a Cayley table are permutations, so
+    each mask is a sum of distinct powers of two, and adding or removing one
+    x of subset adds or subtracts the row bits[x]."""
     return list(map(sum, zip(*(bits[x] for x in subset))))
 
 
@@ -231,20 +236,30 @@ def mu_group_randomized(group: GroupSpec, r: int, s: int, trials: int,
     before each restart and each descent round, and a round once started runs
     its swap sweeps over both sides to the end, so the count can pass `trials`.
 
-    Before each side's swap sweep, masks[x] is the bitmask of x*B on the A
-    side (`_masks` of the transposed bit table) or of A*x on the B side, and
-    the candidates (into, masks[into]) for `into` outside the subset are
-    listed once, so the probe that swaps `out` for `into` is one OR of
-    masks[into] with the masks of the subset other than `out`.  The first
-    strict improvement in sweep order is the move made."""
+    Each restart builds the A side's masks, masks[x] the bitmask of x*B
+    (`_masks` of the transposed bit table), and the B side's, masks[y] that
+    of A*y, once.  A move out -> into on one side updates the other side's
+    masks by one table row each: a move on A adds bits[into] and subtracts
+    bits[out] in every A*y, and a move on B does the same in every x*B with
+    the columns cols[into] and cols[out].  This is exact because each mask is
+    a sum of distinct powers of two.  A side's sweep ORs the subset's masks
+    once into `union`, the mask of AB, and `twice`, the elements that two or
+    more of them reach; `alone` = union ^ twice holds those that exactly one
+    reaches, so removing `out` leaves rest = union ^ (masks[out] & alone),
+    and the probe that swaps `out` for `into` is rest | masks[into].  Every probe contains rest, so
+    when rest is already no smaller than the best value of the sweep, none
+    of that `out`'s probes can win and none is evaluated; they still count
+    in `pairs_examined`, so the count is that of a sweep that evaluates
+    every probe.  The first strict improvement in sweep order is the move
+    made."""
     k = group.order
     check_rs(r, s, k)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     e = group.identity
     others = [g for g in range(k) if g != e]
-    cayley = group.cayley
-    cols = list(zip(*group.bits))
+    bits = group.bits
+    cols = list(zip(*bits))
     rng = random.Random(seed)
     best = k + 1
     best_a = best_b = None
@@ -252,29 +267,39 @@ def mu_group_randomized(group: GroupSpec, r: int, s: int, trials: int,
     while evals < trials:
         a_set = {e, *rng.sample(others, r - 1)}
         b_set = {e, *rng.sample(others, s - 1)}
-        value = len({cayley[a][b] for a in a_set for b in b_set})
+        x_b = _masks(cols, b_set)
+        a_y = _masks(bits, a_set)
+        union = 0
+        for x in a_set:
+            union |= x_b[x]
+        value = union.bit_count()
         evals += 1
         improved = True
         while improved and evals < trials:
             improved = False
-            for subset, bits, other in ((a_set, cols, b_set), (b_set, group.bits, a_set)):
-                masks = _masks(bits, other)
+            for subset, masks, other, rows in ((a_set, x_b, a_y, bits), (b_set, a_y, x_b, cols)):
                 cand = [(into, masks[into]) for into in range(k) if into not in subset]
+                union = twice = 0
+                for x in subset:
+                    twice |= union & masks[x]
+                    union |= masks[x]
+                alone = union ^ twice
                 move = None
                 move_value = value
                 for out in sorted(subset - {e}):
-                    rest = 0
-                    for x in subset:
-                        if x != out:
-                            rest |= masks[x]
+                    rest = union ^ (masks[out] & alone)
                     evals += len(cand)
+                    if rest.bit_count() >= move_value:
+                        continue
                     for into, m in cand:
                         v = (rest | m).bit_count()
                         if v < move_value:
                             move_value, move = v, (out, into)
                 if move is not None:
-                    subset.discard(move[0])
-                    subset.add(move[1])
+                    out, into = move
+                    subset.discard(out)
+                    subset.add(into)
+                    other[:] = [m + i - o for m, i, o in zip(other, rows[into], rows[out])]
                     value = move_value
                     improved = True
         if value < best:

@@ -8,10 +8,13 @@ that H is a subfield, so it checks the subfield-lattice stabilizer in the
 library independently.
 
 The group subset minimum by a plain double loop, with no pruning and no
-early exit, checks the library's branch-and-bound search.  The field minimum
-by a plain double loop over subspace pairs, with full product spans, checks
-the library's depth-first walk over B's rows: its value, witnesses, exact
-flag and pair count.
+early exit, checks the library's branch-and-bound search.  The group swap
+descent as first written, which rebuilds its masks every sweep and evaluates
+every probe, checks the library's descent, which keeps its masks across
+moves and skips the probes that cannot win.  The field minimum by a plain
+double loop over subspace pairs, with full product spans, checks the
+library's depth-first walk over B's rows: its value, witnesses, exact flag
+and pair count.
 
 Row reduction by the list-based elimination the library used before its
 pivot-indexed echelon basis: an ascending-pivot list of rows, kept sorted by
@@ -39,13 +42,14 @@ polynomials of lower degree.
 """
 
 import json
+import random
 from bisect import insort
 from itertools import combinations
 
 from subspace_products.fields import prime_factors
 from subspace_products.linalg import Subspace, span
 from subspace_products.products import StabilizerReport, product_span
-from subspace_products.search import enumerate_subspaces
+from subspace_products.search import MuResult, enumerate_subspaces
 
 
 def _digits(v, p, n):
@@ -455,6 +459,55 @@ def mu_group_brute(group, r, s):
             if best is None or value < best[0]:
                 best = (value, a, b)
     return best
+
+
+def mu_group_randomized_reference(group, r, s, trials, seed):
+    """The swap descent as first written, with none of the library's shortcuts:
+    each side's sweep builds its masks (x*B on the A side, A*y on the B side)
+    afresh, ORs the rest of the subset for every `out`, and evaluates every
+    probe.  Same rng calls, move order and count, so its MuResult must equal
+    the library's `mu_group_randomized`."""
+    k = group.order
+    e = group.identity
+    others = [g for g in range(k) if g != e]
+    cols = list(zip(*group.bits))
+    rng = random.Random(seed)
+    best = k + 1
+    best_a = best_b = None
+    evals = 0
+    while evals < trials:
+        a_set = {e, *rng.sample(others, r - 1)}
+        b_set = {e, *rng.sample(others, s - 1)}
+        value = len({group.cayley[a][b] for a in a_set for b in b_set})
+        evals += 1
+        improved = True
+        while improved and evals < trials:
+            improved = False
+            for subset, bits, other in ((a_set, cols, b_set), (b_set, group.bits, a_set)):
+                masks = list(map(sum, zip(*(bits[x] for x in other))))
+                cand = [(into, masks[into]) for into in range(k) if into not in subset]
+                move = None
+                move_value = value
+                for out in sorted(subset - {e}):
+                    rest = 0
+                    for x in subset:
+                        if x != out:
+                            rest |= masks[x]
+                    evals += len(cand)
+                    for into, m in cand:
+                        v = (rest | m).bit_count()
+                        if v < move_value:
+                            move_value, move = v, (out, into)
+                if move is not None:
+                    subset.discard(move[0])
+                    subset.add(move[1])
+                    value = move_value
+                    improved = True
+        if value < best:
+            best = value
+            best_a, best_b = tuple(sorted(a_set)), tuple(sorted(b_set))
+    return MuResult(value=best, witness_a=best_a, witness_b=best_b,
+                    exhaustive=False, pairs_examined=evals)
 
 
 def mu_field_brute(field, r, s, canonicalize, floor, budget):

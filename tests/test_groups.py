@@ -6,7 +6,8 @@ import pytest
 
 import subspace_products.groups as groups_module
 
-from oracle import group_to_json, mu_group_brute, subgroup_orders_brute
+from oracle import (group_to_json, mu_group_brute, mu_group_randomized_reference,
+                    subgroup_orders_brute)
 from subspace_products.groups import (GroupSpec, builtin_group, group_from_json,
                                       kappa_group, mu_group_exact, mu_group_randomized,
                                       subgroup_orders_of)
@@ -177,16 +178,21 @@ def test_builtin_tables_and_refusals_are_pinned():
         assert str(err.value) == message, name
 
 
+def _a4():
+    """The alternating group A4, nonabelian of order 12, on even permutations."""
+    perms = [p for p in itertools.permutations(range(4))
+             if sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4)) % 2 == 0]
+    index = {p: i for i, p in enumerate(perms)}
+    table = [[index[tuple(a[b[x]] for x in range(4))] for b in perms] for a in perms]
+    return GroupSpec.from_cayley(table, name="A4")
+
+
 def test_subgroup_orders_of_a4():
     # a subgroup walk may not skip g only because g lies in a subgroup K
     # already seen that contains H: <H, g> can be a proper subgroup of K.  In
     # A4, once A4 itself is seen, every g would be skipped for H = <(01)(23)>,
     # and the Klein four-group, its only subgroup of order 4, would be lost
-    perms = [p for p in itertools.permutations(range(4))
-             if sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4)) % 2 == 0]
-    index = {p: i for i, p in enumerate(perms)}
-    table = [[index[tuple(a[b[x]] for x in range(4))] for b in perms] for a in perms]
-    a4 = GroupSpec.from_cayley(table, name="A4")
+    a4 = _a4()
     assert a4.order == 12 and a4.identity == 0
     assert a4.subgroup_orders == subgroup_orders_brute(a4) == (1, 2, 3, 4, 12)
 
@@ -311,7 +317,8 @@ def test_mu_group_randomized_deterministic_and_bounded():
     g = builtin_group("Z7xZ3semidirect")
     r1 = mu_group_randomized(g, 4, 4, 2000, seed=11)
     r2 = mu_group_randomized(g, 4, 4, 2000, seed=11)
-    assert (r1.value, r1.witness_a, r1.witness_b) == (r2.value, r2.witness_a, r2.witness_b)
+    assert ((r1.value, r1.witness_a, r1.witness_b, r1.pairs_examined)
+            == (r2.value, r2.witness_a, r2.witness_b, r2.pairs_examined))
     assert len(_product_set(g, r1.witness_a, r1.witness_b)) == r1.value
 
 
@@ -321,3 +328,24 @@ def test_mu_group_randomized_finds_order21_witness():
     assert res.value == 13
     assert len(res.witness_a) == 5 and len(res.witness_b) == 9
     assert len(_product_set(g, res.witness_a, res.witness_b)) == 13
+
+
+def test_mu_group_randomized_matches_reference_descent():
+    # the reference rebuilds its masks every sweep and evaluates every probe;
+    # the library keeps them across moves and skips probes that cannot win.
+    # Every (r, s) includes whole-group subsets, which leave a sweep no
+    # candidates, and 3 trials run out inside a first sweep
+    groups = [builtin_group(name) for name in ("cyclic:2", "cyclic:7", "product:2,2",
+                                               "product:3,3")] + [_a4()]
+    cells = [(g, r, s) for g in groups
+             for r in range(1, g.order + 1) for s in range(1, g.order + 1)]
+    z = builtin_group("Z7xZ3semidirect")
+    cells += [(z, r, s) for r, s in ((5, 9), (3, 7), (4, 4), (2, 10))]
+    past_trials = 0
+    for seed, (g, r, s) in enumerate(cells):
+        for trials in (1, 3, 300):
+            res = mu_group_randomized(g, r, s, trials, seed)
+            assert res == mu_group_randomized_reference(g, r, s, trials, seed), \
+                (g.name, r, s, trials, seed)
+            past_trials += trials == 3 and res.pairs_examined > trials
+    assert past_trials > 100
