@@ -16,7 +16,8 @@ two table lookups, one row `add` and one `element`, the same loop for every p
 and n.  The field's echelon rows are its layout's too: `vector` packs an
 index (for odd p, when n > 1 and q <= 2^16, read from an index table that
 the layout builds once per (p, n)), `element` unpacks it, `add` sums two
-rows and `insert`/`reduce` eliminate on it.
+rows, `insert`/`reduce` eliminate on it and `extend` inserts a run of
+products read from the exp table, as a search scan's node does.
 """
 
 from __future__ import annotations
@@ -140,6 +141,24 @@ def _insert_bits(basis: dict[int, int], v: int) -> int:
     return 0
 
 
+def _extend_bits(basis: dict[int, int], exp: list[int], logs, ly: int, rank: int,
+                 cap: int) -> int:
+    # _insert_bits inline, on each product exp[lx + ly] until the rank reaches cap
+    for lx in logs:
+        if rank >= cap:
+            break
+        v = exp[lx + ly]
+        while v:
+            low = v & -v
+            row = basis.get(low)
+            if row is None:
+                basis[low] = v
+                rank += 1
+                break
+            v ^= row
+    return rank
+
+
 def _reduce_bits(basis: dict[int, int], v: int) -> int:
     for low, row in basis.items():
         if v & low:
@@ -159,9 +178,13 @@ class LaneLayout(NamedTuple):
     the lanes into an index, `vector` spreads an index into lanes, `add`
     brings every lane of the lane sum back into [0, p) (for v plus c times a
     row as well, c < p), so add(x, 0) reduces x, and `insert`/`reduce` are
-    `_lane_echelon`'s.  When n > 2 and p^(n-1) <= 2^16, `vector` reads a
-    table built with the layout and takes indices below p^(n-1) only, the
-    elements of GF(p^(n-1)); otherwise it spreads one base-p digit at a time.
+    `_lane_echelon`'s.  extend(basis, exp, logs, ly, rank, cap) inserts
+    exp[lx + ly] for each lx in logs, in order, until rank reaches cap, and
+    returns the rank: `insert` on `vector` of each product for odd p, the
+    bit elimination inline for p = 2.  When n > 2 and p^(n-1) <= 2^16,
+    `vector` reads a table built with the layout and takes indices below
+    p^(n-1) only, the elements of GF(p^(n-1)); otherwise it spreads one
+    base-p digit at a time.
     `gcd` is Euclid on packed polynomials; ring(f) is a*b mod a packed monic
     f of degree n - 1."""
 
@@ -171,6 +194,7 @@ class LaneLayout(NamedTuple):
     add: Callable[[int, int], int]
     insert: Callable[[dict, int], int]
     reduce: Callable[[dict, int], int]
+    extend: Callable[[dict, list, list, int, int, int], int]
     gcd: Callable[[int, int], int]
     ring: Callable[[int], Callable[[int, int], int]]
 
@@ -224,7 +248,8 @@ def lane_layout(p: int, n: int) -> LaneLayout:
     lane n-1.  ring(f) (Horner) and `gcd` (Euclid, each step clearing a's top
     lane with a monic b) keep every lane within p*(p-1) before its `red` too."""
     if p == 2:
-        return LaneLayout(1, _same, _same, int.__xor__, _insert_bits, _reduce_bits, _gcd_bits,
+        return LaneLayout(1, _same, _same, int.__xor__, _insert_bits, _reduce_bits,
+                          _extend_bits, _gcd_bits,
                           lambda f: lambda a, b: _gf2_reduce(_clmul(a, b), f, n - 1))
     top = p * (p - 1)
     k = (top * p).bit_length()
@@ -283,7 +308,17 @@ def lane_layout(p: int, n: int) -> LaneLayout:
             return acc
         return mulmod
 
-    return LaneLayout(w, element, vector, add, *_lane_echelon(p, n, w, mask, red), gcd, ring)
+    insert, reduce = _lane_echelon(p, n, w, mask, red)
+
+    def extend(basis: dict[int, int], exp: list[int], logs, ly: int, rank: int,
+               cap: int) -> int:
+        for lx in logs:
+            if rank >= cap:
+                break
+            rank += insert(basis, vector(exp[lx + ly]))
+        return rank
+
+    return LaneLayout(w, element, vector, add, insert, reduce, extend, gcd, ring)
 
 
 def _poly_pow(mulmod, a: int, e: int) -> int:
@@ -357,8 +392,10 @@ class ExtensionField:
     with c < p as well.  insert(basis, v) stores v's remainder under its
     pivot and returns 1, or returns 0 when v lies in the span.  reduce(basis, v)
     subtracts each row at its pivot, which fully reduces v against a fully
-    reduced basis in any row order.  Fields of one (p, n) share all five row
-    kernels, vector, element, add, insert and reduce, whatever the modulus.
+    reduced basis in any row order.  extend inserts a run of products from
+    the exp table (see LaneLayout).  Fields of one (p, n) share all six row
+    kernels, vector, element, add, insert, reduce and extend, whatever the
+    modulus.
 
     orbit_skips maps r to the skip flags of the exhaustive search's orbit
     rejection (see search._a_rows), one byte per r-dimensional subspace
@@ -370,8 +407,8 @@ class ExtensionField:
     changes a result."""
 
     __slots__ = ("p", "n", "q", "modulus", "primitive", "vector", "element", "add",
-                 "insert", "reduce", "orbit_skips", "row_tables", "_mulmod", "_exp", "_log",
-                 "_untabled")
+                 "insert", "reduce", "extend", "orbit_skips", "row_tables", "_mulmod", "_exp",
+                 "_log", "_untabled")
 
     def __init__(self, p: int, n: int, modulus: tuple[int, ...] | None = None):
         if not is_prime(p):
@@ -399,8 +436,8 @@ class ExtensionField:
         # zero for elements
         lanes = lane_layout(p, n + 1)
         self._mulmod = lanes.ring(sum(c << i * lanes.w for i, c in enumerate(modulus)))
-        self.vector, self.element, self.add, self.insert, self.reduce = (
-            lanes.vector, lanes.element, lanes.add, lanes.insert, lanes.reduce)
+        self.vector, self.element, self.add, self.insert, self.reduce, self.extend = (
+            lanes.vector, lanes.element, lanes.add, lanes.insert, lanes.reduce, lanes.extend)
         self.primitive = find_primitive(p, n, modulus)
         # a small field runs table-free until its q // 16-th mul/inv/pow,
         # which builds the tables; a large one never counts

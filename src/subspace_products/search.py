@@ -28,9 +28,12 @@ field and dim A, so the first scan that enumerates every A keeps them on
 the field (one byte per A, see ExtensionField), and every later scan of that
 field and dimension replays them without building an orbit; they are the
 flags the scan computes, so no result changes.  B's RREF row tables depend
-only on the field and dim B, and are kept on the field the same way.  On a
-field with exp/log tables (q <= 2^16) each product of the walk is a table
-read, exp[log x + log y], and not a `mul` call.
+only on the field and dim B, and are kept on the field the same way.  B's
+row 0 is the vector 1, so the root of every B profile has A's rows as its
+products: A's echelon basis is built once per walked A and starts row 1 of
+every profile.  On a field with exp/log tables (q <= 2^16) each product of
+the walk is a table read, exp[log x + log y], and not a `mul` call, and a
+node's products go into its basis in one `extend` call of the field.
 """
 
 from __future__ import annotations
@@ -241,7 +244,10 @@ def _scan(field, r, s, cap, floor, budget):
     For each other A, B is walked depth first over the rows of its RREF
     profiles (_row_tables), so B's come in enumeration order.  A node at
     depth i holds the echelon basis of A*b_0 + ... + A*b_i, its parent's basis
-    extended by A*b_i alone, built with cap = the best value found.  Since
+    extended by A*b_i alone, built with cap = the best value found.  The
+    root, b_0 = 1, holds A's own basis, of rank r, built once per walked A
+    and copied by every row-1 node of every profile; the root is cut when
+    r reaches the best value, and is the leaf when s = 1.  Since
     dim<AB'> only grows with B', a node whose rank reaches that value is
     skipped with its subtree, and its sizes[i] pairs count as examined:
     a pair-by-pair scan would have examined and rejected each of them.  The
@@ -258,7 +264,8 @@ def _scan(field, r, s, cap, floor, budget):
     (field.log_tables() is None, q > 2^16).  Otherwise each walked A's rows
     are taken to their logs once, and x*y is exp[log x + log y - (q - 1)]:
     the index lies in [-(q - 1), q - 3], and a negative one wraps to the
-    same power of the primitive element.
+    same power of the primitive element.  Such a node is one field.extend
+    call, which inserts the products until the rank reaches the best value.
 
     Returns (value, a_rows, b_rows, pairs examined, exhaustive), with `cap`
     as the best value at the start: a scan that returns cap with no witness
@@ -272,10 +279,11 @@ def _scan(field, r, s, cap, floor, budget):
     vector, insert, mul, tables = field.vector, field.insert, field.mul, field.log_tables()
     if tables is not None:
         exp, log = tables
-        qm1 = field.q - 1
+        extend, qm1 = field.extend, field.q - 1
     best = cap
     best_a = best_b = None
     processed = 0
+    path = [1] * s                  # b_0 = 1 in every profile
     b_tables = kept = field.row_tables.get(s)
     if kept is None:
         b_tables, kept = _row_tables(field, s, containing_one=True), []
@@ -287,43 +295,52 @@ def _scan(field, r, s, cap, floor, budget):
             continue
         if tables is not None:
             logs = [log[x] for x in ar]
+        a_basis: dict = {}
+        for v in map(vector, ar):
+            insert(a_basis, v)
         for rows, sizes in b_tables:
             if b_tables is not kept:
                 kept.append((rows, sizes))
-            last = len(rows) - 1
-            path = [0] * len(rows)
-            stack = [({}, iter(rows[0]))]   # (parent's basis, values left for this row)
-            while stack:
-                depth = len(stack) - 1
-                ech, values = stack[-1]
-                y = next(values, 0)       # row values are never 0
-                if not y:
-                    stack.pop()
-                    continue
-                path[depth] = y
-                basis = ech.copy()
-                rank = len(basis)
-                if tables is None:
-                    for x in ar:
+            # the root, b_0 = 1, has A's rows as its products: rank r
+            if r >= best:
+                processed += sizes[0]
+            elif s == 1:
+                processed += 1
+                best, best_a, best_b = r, ar, tuple(path)
+            else:
+                # a frame walks row `depth` from its parent's basis
+                stack = [(a_basis, iter(rows[1]))]
+                while stack:
+                    ech, values = stack[-1]
+                    depth = len(stack)
+                    for y in values:
+                        path[depth] = y
+                        basis = ech.copy()
+                        if tables is None:
+                            rank = len(basis)
+                            for x in ar:
+                                if rank >= best:
+                                    break
+                                rank += insert(basis, vector(mul(x, y)))
+                        else:
+                            rank = extend(basis, exp, logs, log[y] - qm1, len(basis), best)
                         if rank >= best:
+                            processed += sizes[depth]
+                        elif depth < s - 1:
+                            stack.append((basis, iter(rows[depth + 1])))
                             break
-                        rank += insert(basis, vector(mul(x, y)))
-                else:
-                    ly = log[y] - qm1
-                    for lx in logs:
-                        if rank >= best:
-                            break
-                        rank += insert(basis, vector(exp[lx + ly]))
-                if rank >= best:
-                    processed += sizes[depth]
-                elif depth < last:
-                    stack.append((basis, iter(rows[depth + 1])))
-                    continue
-                else:
-                    processed += 1
-                    best, best_a, best_b = rank, ar, tuple(path)
-                if best <= floor or processed >= budget:
-                    return best, best_a, best_b, min(processed, budget), whole or best <= floor
+                        else:
+                            processed += 1
+                            best, best_a, best_b = rank, ar, tuple(path)
+                        if best <= floor or processed >= budget:
+                            return (best, best_a, best_b, min(processed, budget),
+                                    whole or best <= floor)
+                    else:
+                        stack.pop()
+            # a walk that runs to its end met neither stop, so only the root's
+            # cut or leaf can stop the scan here
+            if best <= floor or processed >= budget:
+                return best, best_a, best_b, min(processed, budget), whole or best <= floor
         if b_tables is not kept:
             b_tables = kept
             if sum(len(values) for rows, _ in kept for values in rows) <= MAX_HELD_ROWS:

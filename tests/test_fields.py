@@ -411,6 +411,41 @@ def test_fixed_multiplier_matches_mul_raw(field_cache, p, n):
             assert got == f._mul_raw(g, x) == mul(f, g, x), (g, x)
 
 
+@pytest.mark.parametrize("p, n", ((2, 1), (2, 4), (2, 8), (3, 1), (3, 4), (5, 3)))
+def test_extend_matches_the_insert_loop(field_cache, p, n):
+    # extend inserts exp[lx + ly] for each lx until the rank reaches cap: the
+    # same rank and basis as one insert per product, from bases of every
+    # rank, with repeated logs that make some products dependent, and caps
+    # below, at and above the rank the loop reaches
+    f = field_cache(p, n)
+    exp, log = f.log_tables()
+    qm1 = f.q - 1
+    rng = random.Random(p * 100 + n)
+
+    def insert_loop(basis, logs, ly, rank, cap):
+        for lx in logs:
+            if rank >= cap:
+                break
+            rank += f.insert(basis, f.vector(exp[lx + ly]))
+        return rank
+
+    for _ in range(100):
+        start: dict = {}
+        for _ in range(rng.randrange(n + 1)):
+            f.insert(start, f.vector(rng.randrange(f.q)))
+        logs = [rng.randrange(qm1) for _ in range(rng.randrange(1, n + 2))]
+        logs += rng.choices(logs, k=rng.randrange(3))
+        rng.shuffle(logs)
+        ly = rng.randrange(-qm1, 1)
+        rank0 = len(start)
+        full = insert_loop(start.copy(), logs, ly, rank0, n + 1)
+        for cap in {0, rank0, rank0 + 1, full - 1, full, full + 1, n + 1}:
+            want, got = start.copy(), start.copy()
+            assert f.extend(got, exp, logs, ly, rank0, cap) == \
+                insert_loop(want, logs, ly, rank0, cap), (logs, ly, cap)
+            assert got == want, (logs, ly, cap)
+
+
 @pytest.mark.parametrize("p, n", ((2, 40), (3, 10), (3, 12), (65521, 3)))
 def test_raw_arithmetic_matches_oracle(p, n):
     f = ExtensionField(p, n)

@@ -429,7 +429,8 @@ def _withheld(m):
 def test_node_paths_agree(fresh_field):
     # the same scans on fields with exp/log tables and on fields whose tables
     # are withheld: full runs, floor stops and budget stops agree in value,
-    # witnesses, exhaustive and pairs examined
+    # witnesses, exhaustive and pairs examined; at s = 1 each B profile's
+    # root is its leaf
     for p, n in ((2, 5), (3, 3), (2, 6), (3, 4), (5, 3)):
         tabled, untabled = fresh_field(p, n), fresh_field(p, n)
         for r in range(1, n + 1):
@@ -446,8 +447,9 @@ def test_node_paths_agree(fresh_field):
     # and a floor-free scan cut by its budget is the oracle's pair-by-pair scan
     f = fresh_field(2, 17)
     assert f.log_tables() is None
-    res = mu_exact(f, 2, 3, SearchOptions(budget=3000, use_kappa_floor=False))
-    assert _fields_of(res) == mu_field_brute(f, 2, 3, True, 3, 3000)
+    for r, s in ((2, 3), (2, 1), (1, 1)):
+        res = mu_exact(f, r, s, SearchOptions(budget=3000, use_kappa_floor=False))
+        assert _fields_of(res) == mu_field_brute(f, r, s, True, max(r, s), 3000), (r, s)
     assert f._log is None
 
 
@@ -496,6 +498,43 @@ def test_scan_started_at_a_cap(field_cache):
                         assert span_ab.dim == kappa, (p, n, r, s)
                 cells += 1
     assert cells == 10
+
+
+@pytest.mark.parametrize("p, n, r, s, cap, floor, budget, expected", [
+    # s = 1: the root, b_0 = 1, is the leaf, of rank r
+    (2, 4, 1, 1, 5, 0, 10 ** 9, (1, (1,), (1,), 1, True)),
+    (2, 4, 3, 1, 5, 0, 10 ** 9, (3, (1, 2, 4), (1,), 7, True)),
+    (3, 3, 2, 1, 4, 0, 10 ** 9, (2, (1, 3), (1,), 4, True)),
+    # cap <= r: every profile root is cut, and a_count * b_count pairs decided
+    (2, 5, 3, 3, 3, 0, 10 ** 9, (3, None, None, 35 * 35, True)),
+    (2, 5, 1, 3, 1, 0, 10 ** 9, (1, None, None, 35, True)),
+    (3, 3, 2, 3, 2, 0, 10 ** 9, (2, None, None, 4, True)),
+    # cap <= floor: the scan stops at its first node that is cut or a leaf,
+    # the first profile's root (its sizes[0] = 8), a row-1 node (sizes[1] = 4)
+    # or the s = 1 leaf
+    (2, 5, 3, 2, 3, 3, 10 ** 9, (3, None, None, 8, True)),
+    (2, 5, 2, 3, 3, 3, 10 ** 9, (3, None, None, 4, True)),
+    (2, 5, 2, 1, 3, 3, 10 ** 9, (2, (1, 2), (1,), 1, True)),
+    (3, 3, 2, 2, 2, 2, 10 ** 9, (2, None, None, 3, True)),
+    # budgets around a root cut: GF(2^5)'s first 3-dim B profile has
+    # sizes[0] = 16, and its one A is cut at every root
+    (2, 5, 1, 3, 1, 0, 1, (1, None, None, 1, False)),
+    (2, 5, 1, 3, 1, 0, 15, (1, None, None, 15, False)),
+    (2, 5, 1, 3, 1, 0, 16, (1, None, None, 16, False)),
+    (2, 5, 1, 3, 1, 0, 17, (1, None, None, 17, False)),
+    # GF(2^4) (2, 2): the third A, F_4, finds F_4 at pair 17 and its leaf cut
+    # at 18; the next profile's root (sizes[0] = 2) is cut at 20, the last at 21
+    (2, 4, 2, 2, 5, 0, 17, (2, (1, 6), (1, 6), 17, False)),
+    (2, 4, 2, 2, 5, 0, 18, (2, (1, 6), (1, 6), 18, False)),
+    (2, 4, 2, 2, 5, 0, 19, (2, (1, 6), (1, 6), 19, False)),
+    (2, 4, 2, 2, 5, 0, 20, (2, (1, 6), (1, 6), 20, False)),
+    (2, 4, 2, 2, 5, 0, 21, (2, (1, 6), (1, 6), 21, False)),
+    (2, 4, 2, 2, 5, 0, 10 ** 9, (2, (1, 6), (1, 6), 49, True)),
+])
+def test_scan_root_nodes(fresh_field, p, n, r, s, cap, floor, budget, expected):
+    # the root of every B profile, the cut at r >= best, the s = 1 leaf and
+    # the floor/budget stop after either, pinned as whole _scan results
+    assert search._scan(fresh_field(p, n), r, s, cap, floor, budget) == expected
 
 
 def test_mu_randomized_is_reproducible_and_upper_bound(field_cache):
