@@ -397,14 +397,16 @@ class ExtensionField:
     kernels, vector, element, add, insert, reduce and extend, whatever the
     modulus.
 
-    orbit_skips maps r to the skip flags of the exhaustive search's orbit
-    rejection (see search._a_rows), one byte per r-dimensional subspace
-    containing 1, at most search.MAX_HELD_ROWS of them, stored once a scan
-    has enumerated every such subspace.  row_tables maps s to the RREF row
-    tables of the s-dimensional subspaces containing 1 (search._row_tables),
-    at most search.MAX_HELD_ROWS values in all, stored once a scan has walked
-    every such subspace for one A.  Like the exp/log tables, neither ever
-    changes a result."""
+    orbit_skips maps r to the outcome of the exhaustive search's orbit
+    rejection (see search._a_rows): the r-dimensional subspaces containing 1
+    that the search walks, each with the count of skipped ones before it,
+    then the count after the last, stored once a scan has enumerated every
+    such subspace, and only when there are at most search.MAX_HELD_ROWS of
+    them.  row_tables maps k to the RREF row tables of the k-dimensional
+    subspaces containing 1 (search._profiles), profile by profile as far as
+    any scan has drawn them, at most search.MAX_HELD_ROWS values in all;
+    A's enumeration and B's walk share them.  Like the exp/log tables,
+    neither ever changes a result."""
 
     __slots__ = ("p", "n", "q", "modulus", "primitive", "vector", "element", "add",
                  "insert", "reduce", "extend", "orbit_skips", "row_tables", "_mulmod", "_exp",

@@ -23,13 +23,16 @@ permutes the B's containing 1.  So only the first A of each orbit is walked
 1978; McKay, "Isomorph-free exhaustive generation", 1998); every later A of
 the orbit counts its B pairs as decided, since none of them can beat the
 value its representative already reached, and the first minimal A is the
-least of its orbit, so it is walked.  The skip flags depend only on the
-field and dim A, so the first scan that enumerates every A keeps them on
-the field (one byte per A, see ExtensionField), and every later scan of that
-field and dimension replays them without building an orbit; they are the
-flags the scan computes, so no result changes.  B's RREF row tables depend
-only on the field and dim B, and are kept on the field the same way.  B's
-row 0 is the vector 1, so the root of every B profile has A's rows as its
+least of its orbit, so it is walked.  Which A are walked depends only on
+the field and dim A, so the first scan that enumerates every A keeps the
+walked A on the field, each with the count of skipped A before it (see
+ExtensionField), and every later scan of that field and dimension walks
+them alone, counting each run of skipped A in one step, and builds no
+orbit; they are the A the scan computes, so no result changes.  The RREF
+row tables of the subspaces containing 1 depend only on the field and the
+dimension, so the field keeps one list of them per dimension, which A's
+enumeration and B's walk share and fill as far as any scan has drawn them.
+B's row 0 is the vector 1, so the root of every B profile has A's rows as its
 products: A's echelon basis is built once per walked A and starts row 1 of
 every profile.  On a field with exp/log tables (q <= 2^16) each product of
 the walk is a table read, exp[log x + log y], and not a `mul` call, and a
@@ -62,27 +65,32 @@ def gaussian_binomial(n: int, r: int, p: int) -> int:
     return q
 
 
-def _row_tables(field: ExtensionField, r: int, containing_one: bool = False):
+def _row_tables(field: ExtensionField, r: int, containing_one: bool = False, start: int = 0):
     """Per RREF profile (pivot column set), in profile order: (rows, sizes).
     Each r-dim subspace matches exactly one profile with one assignment of
     F_p values to its free cells, the non-pivot columns right of each row's
     pivot; with containing_one, row 0 is the vector 1 itself (so r = 0 has
-    no profile).
+    no profile).  The first `start` profiles are passed over unbuilt, so
+    _profiles, which keeps the profiles on the field, resumes a kept prefix
+    where it ends.
 
     rows[i] lists the values basis row i takes, pivot bit plus every
     assignment of its free cells, and sizes[i] = len(rows[i+1]) * ... *
     len(rows[r-1]) counts the subspaces of the profile that share one choice
     of rows 0..i.  The profile's subspaces are itertools.product(*rows), in
-    that order.  Raises ValueError, before it builds any row, when one
-    profile's rows would take more than MAX_HELD_ROWS values."""
+    that order.  Raises ValueError, whatever `start`, before it builds any
+    row, when one profile's rows would take more than MAX_HELD_ROWS values."""
     p, n = field.p, field.n
     # the first profile (pivots 0..r-1) has the most free cells in every row
     total = (r - 1 if containing_one else r) * p ** (n - r)
     if total > MAX_HELD_ROWS:
         raise ValueError(f"an RREF profile takes {total} values, more than {MAX_HELD_ROWS}")
-    for pivots in itertools.combinations(range(n), r):
-        if containing_one and pivots[:1] != (0,):
-            continue
+    lead = (0,) if containing_one else ()
+    if r < len(lead):
+        return
+    for rest in itertools.islice(itertools.combinations(range(len(lead), n), r - len(lead)),
+                                 start, None):
+        pivots = lead + rest
         rows = []
         for i, pi in enumerate(pivots):
             values = [p ** pi]
@@ -97,12 +105,6 @@ def _row_tables(field: ExtensionField, r: int, containing_one: bool = False):
         yield rows, sizes
 
 
-def _row_tuples(field: ExtensionField, r: int, containing_one: bool = False):
-    """The RREF row tuple of each subspace of _row_tables, in its order."""
-    return (combo for rows, _ in _row_tables(field, r, containing_one)
-            for combo in itertools.product(*rows))
-
-
 def enumerate_subspaces(field: ExtensionField, r: int, containing_one: bool = False):
     """Iterator over each r-dimensional subspace exactly once, in
     deterministic profile order; r is checked at the call.  With
@@ -111,7 +113,8 @@ def enumerate_subspaces(field: ExtensionField, r: int, containing_one: bool = Fa
     n = field.n
     if r < 0 or r > n:
         raise ValueError(f"r={r} out of range [0, {n}]")
-    return (Subspace(field, rows) for rows in _row_tuples(field, r, containing_one))
+    return (Subspace(field, combo) for rows, _ in _row_tables(field, r, containing_one)
+            for combo in itertools.product(*rows))
 
 
 def _draw(field: ExtensionField, fixed: list, k: int, rng: random.Random):
@@ -169,9 +172,51 @@ class MuResult:
     pairs_examined: int
 
 
-# Most values in the basis rows of one RREF profile (see _row_tables) and most
-# rows in the scan's set of seen A (see _a_rows).
+# Most values in the basis rows of one RREF profile (see _row_tables), in a
+# field's kept profiles of one dimension (see _profiles), and most rows in the
+# scan's set of seen A (see _a_rows).
 MAX_HELD_ROWS = 2 ** 20
+
+
+def _profiles(field, k):
+    """The profiles of _row_tables(field, k, containing_one=True) in order, as
+    (rows, sizes, held), through field.row_tables[k], which every consumer of
+    that field and k shares: A's enumeration (k = r) and each walked A's B
+    loop (k = s), both on one list when r = s.  held counts the values in
+    the rows of that profile and of every profile before it.
+
+    The list holds the profiles drawn so far.  A consumer reads it first, then
+    draws each profile past it and appends it while held stays at most
+    MAX_HELD_ROWS; past that the list stops growing and every consumer
+    streams on past it.  A consumer whose next profile another one has
+    appended meanwhile reads it from the list, so none is appended twice.
+    Nothing is drawn before a consumer asks for it, so a stopped scan keeps
+    what it drew.  A list drawn to its end becomes a tuple, which is returned
+    itself."""
+    kept = field.row_tables.setdefault(k, [])
+    return kept if type(kept) is tuple else _drawn(field, k, kept)
+
+
+def _drawn(field, k, kept):
+    """_profiles of a list not yet drawn to its end."""
+    i = 0
+    while True:
+        while i < len(kept):
+            yield kept[i]
+            i += 1
+        held = kept[-1][2] if kept else 0
+        for rows, sizes in _row_tables(field, k, True, i):
+            held += sum(map(len, rows))
+            if held <= MAX_HELD_ROWS:
+                kept.append((rows, sizes, held))
+            yield rows, sizes, held
+            i += 1
+            if i < len(kept):                   # another consumer drew ahead
+                break
+        else:
+            if i == len(kept):
+                field.row_tables[k] = tuple(kept)
+            return
 
 
 def _orbit(field, rows) -> set:
@@ -203,46 +248,62 @@ def _orbit(field, rows) -> set:
 
 
 def _a_rows(field, r):
-    """(rows, skipped) for each r-dimensional A containing 1 in enumeration
-    order; an A is skipped iff an earlier A lies in its orbit (see _orbit).
+    """(skipped, rows) for each r-dimensional A containing 1 that the scan
+    walks, in enumeration order (see _profiles), where `skipped` counts the A
+    just before it that are not walked; a last entry (skipped, None) counts
+    those after the last walked A.  An A is skipped iff an earlier A lies in
+    its orbit (see _orbit).
 
     Walking A in order, an A not yet seen is the least of its orbit, and its
-    orbit is added to `seen` only when the next A is asked for, that is, after
-    the scan has walked it: a scan that stops inside its first A computes no
-    orbit.  A skipped A is dropped from `seen`, since it never comes again.
+    orbit is added to `seen` only when the next entry is asked for, that is,
+    after the scan has walked it: a scan that stops inside its first A
+    computes no orbit.  A skipped A is dropped from `seen`, since it never
+    comes again.
 
-    The flags depend only on the field and r.  Once the caller has asked past
-    the last A, they are kept in field.orbit_skips[r], one byte per A, and a
-    later call replays them instead of building any orbit.  A scan stopped by
-    its floor or budget keeps nothing.  With more A than MAX_HELD_ROWS, which
-    `seen` could reach, no A is skipped and the flags are neither read nor kept."""
-    a_rows = _row_tuples(field, r, containing_one=True)
+    The entries depend only on the field and r.  Once the caller has asked
+    past the last one, their list is kept in field.orbit_skips[r], and a
+    later call returns that list, enumerating no A and building no orbit.  A
+    scan stopped by its floor or budget keeps nothing.  With more A than
+    MAX_HELD_ROWS, which `seen` could reach, every A is walked and the list
+    is neither read nor kept."""
     skip = gaussian_binomial(field.n - 1, r - 1, field.p) <= MAX_HELD_ROWS
-    flags = field.orbit_skips.get(r) if skip else itertools.repeat(False)
-    if flags is not None:
-        yield from zip(a_rows, flags)
-        return
-    seen: set = set()
-    flags = bytearray()
-    for rows in a_rows:
-        skipped = rows in seen
-        flags.append(skipped)
-        yield rows, skipped
-        if not skipped:
-            seen |= _orbit(field, rows)
-        seen.discard(rows)
-    field.orbit_skips[r] = flags
+    runs = field.orbit_skips.get(r) if skip else None
+    return _runs(field, r, skip) if runs is None else runs
+
+
+def _runs(field, r, skip):
+    """_a_rows of a first scan: every A enumerated, with orbits iff skip."""
+    runs, seen, skipped = [], set(), 0
+    for rows, _, _ in _profiles(field, r):
+        for ar in itertools.product(*rows):
+            if ar in seen:
+                seen.discard(ar)
+                skipped += 1
+                continue
+            yield skipped, ar
+            if skip:
+                runs.append((skipped, ar))
+                seen |= _orbit(field, ar)
+                seen.discard(ar)
+            skipped = 0
+    yield skipped, None
+    if skip:
+        runs.append((skipped, None))
+        field.orbit_skips[r] = runs
 
 
 def _scan(field, r, s, cap, floor, budget):
     """First pair, in A-major order, of r-dim A and s-dim B containing 1 with
     the least capped product dimension.
 
-    A comes from _a_rows.  A skipped A is not walked: its pairs count as
-    decided, as a skipped subtree's do (see the module docstring).
+    A comes from _a_rows, as the walked A, each after its run of skipped A.
+    A skipped A is not walked: its pairs count as decided, as a skipped
+    subtree's do (see the module docstring), a run's b_count pairs per A in
+    one step, with the budget checked after it; nothing changes between two
+    skipped A, so this returns what a check after each of them would.
 
-    For each other A, B is walked depth first over the rows of its RREF
-    profiles (_row_tables), so B's come in enumeration order.  A node at
+    For each walked A, B is walked depth first over the rows of its RREF
+    profiles (_profiles), so B's come in enumeration order.  A node at
     depth i holds the echelon basis of A*b_0 + ... + A*b_i, its parent's basis
     extended by A*b_i alone, built with cap = the best value found.  The
     root, b_0 = 1, holds A's own basis, of rank r, built once per walked A
@@ -253,12 +314,10 @@ def _scan(field, r, s, cap, floor, budget):
     a pair-by-pair scan would have examined and rejected each of them.  The
     first minimal pair is never skipped, as every prefix of it has rank at
     most its value, so value, witnesses and the pair count are those of the
-    pair-by-pair scan.  B's tables are built as the first walked A reaches
+    pair-by-pair scan.  B's profiles are drawn as the first walked A reaches
     them: a walked A leaves its B loop only by returning, so that A either
-    draws every table or ends the scan, and the list it fills serves every
-    later A.  Once it is full, and holds at most MAX_HELD_ROWS values, it is
-    kept in field.row_tables[s] for every later scan; a scan stopped inside
-    its first A keeps nothing.
+    draws every profile or ends the scan, and every later A, and every later
+    scan of the field and s, reads the profiles the field keeps.
 
     A node's products are `mul` calls only on a field without exp/log tables
     (field.log_tables() is None, q > 2^16).  Otherwise each walked A's rows
@@ -284,23 +343,18 @@ def _scan(field, r, s, cap, floor, budget):
     best_a = best_b = None
     processed = 0
     path = [1] * s                  # b_0 = 1 in every profile
-    b_tables = kept = field.row_tables.get(s)
-    if kept is None:
-        b_tables, kept = _row_tables(field, s, containing_one=True), []
-    for ar, skipped in _a_rows(field, r):
-        if skipped:
-            processed += b_count
-            if processed >= budget:
-                return best, best_a, best_b, budget, whole
+    for skipped, ar in _a_rows(field, r):
+        processed += skipped * b_count
+        if processed >= budget:
+            return best, best_a, best_b, budget, whole
+        if ar is None:              # asking past the last entry keeps the list
             continue
         if tables is not None:
             logs = [log[x] for x in ar]
         a_basis: dict = {}
         for v in map(vector, ar):
             insert(a_basis, v)
-        for rows, sizes in b_tables:
-            if b_tables is not kept:
-                kept.append((rows, sizes))
+        for rows, sizes, _ in _profiles(field, s):
             # the root, b_0 = 1, has A's rows as its products: rank r
             if r >= best:
                 processed += sizes[0]
@@ -341,10 +395,6 @@ def _scan(field, r, s, cap, floor, budget):
             # cut or leaf can stop the scan here
             if best <= floor or processed >= budget:
                 return best, best_a, best_b, min(processed, budget), whole or best <= floor
-        if b_tables is not kept:
-            b_tables = kept
-            if sum(len(values) for rows, _ in kept for values in rows) <= MAX_HELD_ROWS:
-                field.row_tables[s] = kept
     return best, best_a, best_b, processed, True   # every pair decided
 
 

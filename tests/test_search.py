@@ -1,3 +1,5 @@
+import collections
+import itertools
 import random
 import time
 
@@ -174,7 +176,7 @@ def _fields_of(res):
 
 
 def _orbit_reps(f, r):
-    return [rows for rows, skipped in search._a_rows(f, r) if not skipped]
+    return [rows for _, rows in search._a_rows(f, r) if rows is not None]
 
 
 @pytest.mark.parametrize("p, n, r", [(2, 6, r) for r in range(2, 6)]
@@ -210,7 +212,7 @@ def test_orbit_representative_counts(fresh_field):
 
 def _count_orbits(monkeypatch):
     """The rows of every _orbit call from here on; a scan of a field that
-    already holds the skip flags of its r makes none, so count on fresh
+    already keeps the walked A of its r makes none, so count on fresh
     fields."""
     calls = []
     orbit = search._orbit
@@ -225,8 +227,8 @@ def _count_orbits(monkeypatch):
 
 def _unreduced(f, r, s, opts):
     """Serial mu_exact with the orbit skip off: every orbit is empty, so no A
-    is skipped.  f must be a fresh field used for nothing else: replayed flags
-    would skip A, and the flags of empty orbits stay on f."""
+    is skipped.  f must be a fresh field used for nothing else: kept runs
+    would skip A, and the runs of empty orbits stay on f."""
     assert not f.orbit_skips
     with pytest.MonkeyPatch.context() as m:
         m.setattr(search, "_orbit", lambda field, rows: set())
@@ -251,16 +253,20 @@ def test_mu_exact_turns_the_skip_off_when_seen_set_exceeds_limit(fresh_field):
 def test_mu_exact_refuses_scans_too_large_to_hold(run_python, field_cache):
     # in a child process with a timeout: GF(2^30) (2, 2) has basis rows of
     # 2^28 values, refused before any is built, however low the budget
+    # on every call, as the field keeps no profile of it
     code = """if True:
         from subspace_products.fields import ExtensionField
         from subspace_products.search import SearchOptions, mu_exact
-        try:
-            mu_exact(ExtensionField(2, 30), 2, 2, SearchOptions(budget=100))
-        except ValueError as exc:
-            print(exc)
+        f = ExtensionField(2, 30)
+        for _ in range(2):
+            try:
+                mu_exact(f, 2, 2, SearchOptions(budget=100))
+            except ValueError as exc:
+                print(exc)
     """
     proc = run_python("-c", code, timeout=5)
-    assert proc.returncode == 0 and "takes 268435456 values" in proc.stdout, proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("takes 268435456 values") == 2, proc.stdout
     # GF(2^16) has about 2.5e17 canonical 8-dimensional subspaces, with rows
     # of 2^8 values; a truncated run builds B's row tables only as far as it walks
     f = field_cache(2, 16)
@@ -333,10 +339,11 @@ def test_skip_matches_unreduced_scan(fresh_field, monkeypatch):
 
 
 def test_skip_flags_replay_on_one_field(fresh_field, monkeypatch):
-    # a scan that enumerates every A keeps its skip flags on the field, and a
-    # second scan of that field and r replays them without building an orbit;
-    # a scan stopped by its floor or budget keeps none, so the next one builds
-    # the same orbits again.  Either way the second scan's result is the first's.
+    # a scan that enumerates every A keeps its list of walked A with their
+    # skip counts on the field, and a second scan of that field and r replays
+    # the list itself without building an orbit; a scan stopped by its floor
+    # or budget keeps none, so the next one builds the same orbits again.
+    # Either way the second scan's result is the first's.
     calls = _count_orbits(monkeypatch)
     cells = [(2, 6, r, s, 10 ** 9) for r in range(1, 7) for s in range(1, 7)]
     cells += [(3, 4, r, s, 10 ** 9) for r in range(1, 5) for s in range(1, 5)]
@@ -352,57 +359,73 @@ def test_skip_flags_replay_on_one_field(fresh_field, monkeypatch):
         stopped = first[0] <= max(r, s) or first[4] >= budget
         assert (r in f.orbit_skips) == (not stopped), (p, n, r, s, budget)
         if not stopped:
-            assert len(f.orbit_skips[r]) == gaussian_binomial(n - 1, r - 1, p)
+            runs = f.orbit_skips[r]
+            # one entry per walked A, each built its orbit, then the tail count
+            assert [rows for _, rows in runs[:-1]] == calls[before:] and runs[-1][1] is None
+            assert sum(skipped for skipped, _ in runs) + cold == \
+                gaussian_binomial(n - 1, r - 1, p), (p, n, r, s)
+            assert search._a_rows(f, r) is runs
         stopped_with_orbits += stopped and cold > 0
         before = len(calls)
         assert _fields_of(mu_exact(f, r, s, opts)) == first, (p, n, r, s, budget)
         assert len(calls) - before == (cold if stopped else 0), (p, n, r, s, budget)
     assert stopped_with_orbits
-    # with the skip off, the flags are neither read nor written: flags that
-    # skip every A are ignored, and a fresh field keeps none after a scan of
+    # with the skip off, the list is neither read nor written: a list that
+    # skips every A is ignored, and a fresh field keeps none after a scan of
     # every A (mu(3, 4) = 6 > max(r, s), so the floor never stops it)
     opts = SearchOptions(use_kappa_floor=False)
     f, g = fresh_field(2, 6), fresh_field(2, 6)
     reference = _fields_of(mu_exact(fresh_field(2, 6), 3, 4, opts))
     assert reference[0] == 6
-    f.orbit_skips[3] = bytearray([1]) * gaussian_binomial(5, 2, 2)
+    f.orbit_skips[3] = [(gaussian_binomial(5, 2, 2), None)]
     monkeypatch.setattr(search, "MAX_HELD_ROWS", gaussian_binomial(5, 2, 2) - 1)
     assert _fields_of(mu_exact(f, 3, 4, opts)) == _fields_of(mu_exact(g, 3, 4, opts)) \
         == reference
-    assert f.orbit_skips == {3: bytearray([1]) * 155} and not g.orbit_skips
+    assert f.orbit_skips == {3: [(155, None)]} and not g.orbit_skips
 
 
-def test_scan_builds_each_b_table_once(fresh_field, monkeypatch):
-    # B's profiles are drawn by the first walked A and kept for every later
-    # one, and on the field for every later scan of that s; a scan that stops
-    # inside its first A draws only what it reached and keeps nothing
-    calls = _count_orbits(monkeypatch)
+def _count_draws(monkeypatch):
+    """The index of every profile _row_tables yields from here on, listed by
+    dimension."""
+    drawn = collections.defaultdict(list)
     row_tables = search._row_tables
-    drawn = []
 
-    def counted(f, k, containing_one=False):
-        for table in row_tables(f, k, containing_one):
-            drawn.append(k)
+    def counted(f, k, containing_one=False, start=0):
+        for i, table in enumerate(row_tables(f, k, containing_one, start), start):
+            drawn[k].append(i)
             yield table
 
     monkeypatch.setattr(search, "_row_tables", counted)
+    return drawn
+
+
+def test_scan_builds_each_b_table_once(fresh_field, monkeypatch):
+    # B's profiles are drawn by the first walked A and read by every later
+    # one, and kept on the field for every later scan of that s; a scan that
+    # stops inside its first A keeps the profiles it drew
+    calls = _count_orbits(monkeypatch)
+    drawn = _count_draws(monkeypatch)
     opts = SearchOptions(use_kappa_floor=False)
     f = fresh_field(2, 6)
     res = mu_exact(f, 3, 4, opts)
     assert (res.value, res.exhaustive, len(calls)) == (6, True, 7)
-    assert drawn.count(4) == 10     # C(5, 3) profiles of 4-dim B containing 1
-    assert list(f.row_tables) == [4] and len(f.row_tables[4]) == 10
+    # the C(5, 3) profiles of 4-dim B containing 1, each drawn once
+    assert drawn[4] == list(range(10))
+    assert sorted(f.row_tables) == [3, 4] and type(f.row_tables[4]) is tuple
+    assert len(f.row_tables[4]) == 10
     drawn.clear()
-    assert _fields_of(mu_exact(f, 3, 4, opts)) == _fields_of(res) and 4 not in drawn
+    assert _fields_of(mu_exact(f, 3, 4, opts)) == _fields_of(res) and not drawn
     for budget in (1, 7):           # both stop inside the first A's 155 B
         g = fresh_field(2, 6)
         res = mu_exact(g, 3, 4, SearchOptions(budget=budget, use_kappa_floor=False))
         assert (res.pairs_examined, res.exhaustive) == (budget, False)
-        assert not g.row_tables, budget
-    assert drawn.count(4) == 2
+        kept = g.row_tables[4]
+        assert type(kept) is list and 0 < len(kept) < 10, budget
+        assert drawn[4] == list(range(len(kept))), budget
+        drawn.clear()
     # kept tables give a fresh field's result for every r, floor and budget,
-    # and draw nothing more (r = 4 would draw A's tables of the same k)
-    for r in (1, 2, 3, 5, 6):
+    # and draw nothing more: A's tables of r = 4 are B's
+    for r in range(1, 7):
         for floor in (True, False):
             for budget in (10 ** 9, 40, 700):
                 opts = SearchOptions(budget=budget, use_kappa_floor=floor)
@@ -411,13 +434,68 @@ def test_scan_builds_each_b_table_once(fresh_field, monkeypatch):
                 assert 4 not in drawn, (r, floor, budget)
                 assert res == _fields_of(mu_exact(fresh_field(2, 6), r, 4, opts)), \
                     (r, floor, budget)
-    # tables of more values than MAX_HELD_ROWS in all stay with their scan:
-    # the ten profiles hold 80 values (the bound also turns the orbit skip
+
+
+def test_scans_share_one_table_per_dimension(fresh_field, monkeypatch):
+    # A (k = r) and B (k = s) read one list of profiles per field and k: with
+    # r = s both draw from it, and each of the C(5, 2) profiles of GF(2^6)
+    # k = 3 is drawn once.  A stopped scan keeps the profiles it drew, and a
+    # later one draws only the profiles past them.
+    drawn = _count_draws(monkeypatch)
+    opts = SearchOptions(use_kappa_floor=False)
+    f = fresh_field(2, 6)
+    assert mu_exact(f, 3, 3, opts).value == 3         # F_8
+    assert drawn == {3: list(range(10))} and list(f.row_tables) == [3]
+    assert type(f.row_tables[3]) is tuple and len(f.row_tables[3]) == 10
+    stopped = []
+    for budget in (1, 7):
+        g = fresh_field(2, 6)
+        drawn.clear()
+        res = mu_exact(g, 3, 3, SearchOptions(budget=budget, use_kappa_floor=False))
+        assert (res.pairs_examined, res.exhaustive) == (budget, False)
+        kept = len(g.row_tables[3])
+        assert drawn == {3: list(range(kept))} and 0 < kept < 10, budget
+        drawn.clear()
+        h = fresh_field(2, 6)
+        h.row_tables[3] = list(g.row_tables[3])
+        assert _fields_of(mu_exact(h, 3, 3, opts)) == _fields_of(mu_exact(f, 3, 3, opts))
+        assert drawn == {3: list(range(kept, 10))}, budget
+        assert h.row_tables[3] == f.row_tables[3], budget
+        stopped.append(g)
+    # a field's kept lists, whole or a stopped scan's prefix, give a fresh
+    # field's result in every cell
+    for r in range(1, 7):
+        for s in range(1, 7):
+            for floor in (True, False):
+                for budget in (10 ** 9, 40, 700):
+                    opts = SearchOptions(budget=budget, use_kappa_floor=floor)
+                    reference = _fields_of(mu_exact(fresh_field(2, 6), r, s, opts))
+                    for g in [f] + stopped:
+                        assert _fields_of(mu_exact(g, r, s, opts)) == reference, \
+                            (r, s, floor, budget)
+
+
+def test_kept_profiles_stop_at_the_held_bound(fresh_field, monkeypatch):
+    # the ten profiles of GF(2^6) k = 4 hold 80 values: under a bound of 79 the
+    # field keeps a prefix of at most 79 values, every scan streams on past it,
+    # and results are a fresh field's (the bound also turns the orbit skip
     # off, which changes no result)
+    cells = [(r, s, budget) for r, s in ((3, 4), (4, 3), (4, 4), (2, 4), (4, 1))
+             for budget in (10 ** 9, 40, 700)]
+    references = [_fields_of(mu_exact(fresh_field(2, 6), r, s, SearchOptions(
+        budget=budget, use_kappa_floor=False))) for r, s, budget in cells]
     monkeypatch.setattr(search, "MAX_HELD_ROWS", 79)
-    g = fresh_field(2, 6)
-    assert _fields_of(mu_exact(g, 3, 4, opts)) == _fields_of(mu_exact(f, 3, 4, opts))
-    assert not g.row_tables and len(f.row_tables[4]) == 10
+    f = fresh_field(2, 6)
+    for (r, s, budget), reference in zip(cells, references):
+        opts = SearchOptions(budget=budget, use_kappa_floor=False)
+        assert _fields_of(mu_exact(f, r, s, opts)) == reference, (r, s, budget)
+    kept = f.row_tables[4]
+    profiles = list(search._row_tables(f, 4, True))
+    values = [sum(map(len, rows)) for rows, _ in profiles]
+    assert type(kept) is list and [(rows, sizes) for rows, sizes, _ in kept] == \
+        profiles[:len(kept)]
+    assert [held for _, _, held in kept] == list(itertools.accumulate(values[:len(kept)]))
+    assert kept[-1][2] <= 79 < kept[-1][2] + values[len(kept)]
 
 
 def _withheld(m):
@@ -454,7 +532,7 @@ def test_node_paths_agree(fresh_field):
 
 
 def test_scan_on_a_tabled_field_makes_no_mul_call(fresh_field, monkeypatch):
-    # once the orbit flags are kept (building orbits multiplies), a scan of a
+    # once the walked A are kept (building orbits multiplies), a scan of a
     # tabled field reads every product from its tables; withholding them
     # sends the same scan through mul
     calls = []
