@@ -419,9 +419,10 @@ def test_scan_builds_each_b_table_once(fresh_field, monkeypatch):
         g = fresh_field(2, 6)
         res = mu_exact(g, 3, 4, SearchOptions(budget=budget, use_kappa_floor=False))
         assert (res.pairs_examined, res.exhaustive) == (budget, False)
-        kept = g.row_tables[4]
-        assert type(kept) is list and 0 < len(kept) < 10, budget
-        assert drawn[4] == list(range(len(kept))), budget
+        # the first A and its B both lie in profile 0 (64 B), so each side
+        # drew that profile alone and keeps it
+        assert drawn == {3: [0], 4: [0]}, budget
+        assert [len(g.row_tables[k]) for k in (3, 4)] == [1, 1], budget
         drawn.clear()
     # kept tables give a fresh field's result for every r, floor and budget,
     # and draw nothing more: A's tables of r = 4 are B's
@@ -453,13 +454,14 @@ def test_scans_share_one_table_per_dimension(fresh_field, monkeypatch):
         drawn.clear()
         res = mu_exact(g, 3, 3, SearchOptions(budget=budget, use_kappa_floor=False))
         assert (res.pairs_examined, res.exhaustive) == (budget, False)
-        kept = len(g.row_tables[3])
-        assert drawn == {3: list(range(kept))} and 0 < kept < 10, budget
+        # the first A and its B both lie in profile 0 (64 subspaces), drawn
+        # once for both and kept
+        assert drawn == {3: [0]} and len(g.row_tables[3]) == 1, budget
         drawn.clear()
         h = fresh_field(2, 6)
         h.row_tables[3] = list(g.row_tables[3])
         assert _fields_of(mu_exact(h, 3, 3, opts)) == _fields_of(mu_exact(f, 3, 3, opts))
-        assert drawn == {3: list(range(kept, 10))}, budget
+        assert drawn == {3: list(range(1, 10))}, budget
         assert h.row_tables[3] == f.row_tables[3], budget
         stopped.append(g)
     # a field's kept lists, whole or a stopped scan's prefix, give a fresh
