@@ -4,20 +4,8 @@ Elements are plain ints in [0, p^n): the base-p packing of the coefficient
 vector (c_0, ..., c_{n-1}) in the power basis 1, x, ..., x^{n-1}.  Table-free
 arithmetic, the irreducibility test included, runs on polynomials packed into
 one int, c_j in the j-th w-bit lane of `lane_layout(p, n + 1)` (n + 1 lanes,
-so that the modulus fits): one-bit lanes for p = 2, the bitmask, which is the
-index itself, with carry-less products; Barrett-reduced lanes for odd p.  The
-layout is the one place that picks a characteristic's kernels.  A field with
-at most 2^16 elements builds discrete log/antilog tables keyed to the
-primitive element g at its q // 16-th mul/inv/pow, which then run in O(1),
-or at its first `log_tables()`, which a search scan calls to read its
-products from the tables; a construction that needs only a few dozen
-products never pays for them.  Each power of g is the last times g, an F_p-linear map:
-two table lookups, one row `add` and one `element`, the same loop for every p
-and n.  The field's echelon rows are its layout's too: `vector` packs an
-index (for odd p, when n > 1 and q <= 2^16, read from an index table that
-the layout builds once per (p, n)), `element` unpacks it, `add` sums two
-rows, `insert`/`reduce` eliminate on it and `extend` inserts a run of
-products read from the exp table, as a search scan's node does.
+so that the modulus fits; see LaneLayout).  A small field's exp/log tables:
+see ExtensionField.
 """
 
 from __future__ import annotations
@@ -172,21 +160,25 @@ def _reduce_bits(basis: dict[int, int], v: int) -> int:
 
 class LaneLayout(NamedTuple):
     """n lanes of w bits; GF(p^m) takes m + 1, so that its modulus fits, for
-    its packed polynomials, table stepping and echelon rows alike.  p = 2 has
-    one-bit lanes: `element` and `vector` are the identity, `add` is XOR,
-    and the kernels are the bit kernels above.  For odd p, `element` gathers
-    the lanes into an index, `vector` spreads an index into lanes, `add`
-    brings every lane of the lane sum back into [0, p) (for v plus c times a
-    row as well, c < p), so add(x, 0) reduces x, and `insert`/`reduce` are
-    `_lane_echelon`'s.  extend(basis, exp, logs, ly, rank, cap) inserts
-    exp[lx + ly] for each lx in logs, in order, until rank reaches cap, and
-    returns the rank: `insert` on `vector` of each product for odd p, the
-    bit elimination inline for p = 2.  When n > 2 and p^(n-1) <= 2^16,
-    `vector` reads a table built with the layout and takes indices below
-    p^(n-1) only, the elements of GF(p^(n-1)); otherwise it spreads one
-    base-p digit at a time.
-    `gcd` is Euclid on packed polynomials; ring(f) is a*b mod a packed monic
-    f of degree n - 1."""
+    its packed polynomials, table stepping and echelon rows alike.  An
+    echelon basis over F_p is a dict from pivot to row, one int in this form;
+    ExtensionField takes the row kernels as its own, so the fields of one
+    (p, m) share them whatever their moduli.
+
+    vector(e) is the row of the element index e and element(v) turns it
+    back: the identity for p = 2, whose one-bit lanes make a row the
+    bitmask; for odd p they spread and gather base-p digits.  When n > 2 and
+    p^(n-1) <= 2^16, `vector` reads a table built with the layout and takes
+    indices below p^(n-1) only, the elements of GF(p^(n-1)).  add(u, v) is
+    the row of the sum, XOR for p = 2, for v = c times a row with c < p as
+    well, so add(x, 0) reduces x.  insert(basis, v) stores v's remainder
+    under its pivot and returns 1, or returns 0 when v lies in the span.
+    reduce(basis, v) subtracts each row at its pivot, which fully reduces v
+    against a fully reduced basis in any row order.  extend(basis, exp,
+    logs, ly, rank, cap) inserts exp[lx + ly] for each lx in logs, in order,
+    until rank reaches cap, and returns the rank.  For p = 2 these are the
+    bit kernels above, for odd p `_lane_echelon`'s.  `gcd` is Euclid on
+    packed polynomials; ring(f) is a*b mod a packed monic f of degree n - 1."""
 
     w: int
     element: Callable[[int], int]
@@ -381,32 +373,18 @@ def find_primitive(p: int, n: int, modulus: tuple[int, ...]) -> int:
 class ExtensionField:
     """GF(p^n).  All operations take and return element indices (ints in
     [0, p^n)).  The modulus, primitive element and conversions are fixed at
-    construction; the exp/log tables of a small field appear once, at its
-    q // 16-th mul/inv/pow or its first log_tables(), and never change a
-    result.
+    construction, and the echelon rows and their kernels are the layout's
+    (see LaneLayout).
 
-    An echelon basis over F_p is a dict from pivot to row, and the field owns
-    the row form.  vector(e) is the form in which a basis holds the element
-    e, one int: e's bitmask over F_2, e's lane form over odd p; element(v)
-    turns it back.  add(u, v) is the form of the sum, for v = c times a row
-    with c < p as well.  insert(basis, v) stores v's remainder under its
-    pivot and returns 1, or returns 0 when v lies in the span.  reduce(basis, v)
-    subtracts each row at its pivot, which fully reduces v against a fully
-    reduced basis in any row order.  extend inserts a run of products from
-    the exp table (see LaneLayout).  Fields of one (p, n) share all six row
-    kernels, vector, element, add, insert, reduce and extend, whatever the
-    modulus.
-
-    orbit_skips maps r to the outcome of the exhaustive search's orbit
-    rejection (see search._a_rows): the r-dimensional subspaces containing 1
-    that the search walks, each with the count of skipped ones before it,
-    then the count after the last, stored once a scan has enumerated every
-    such subspace, and only when there are at most search.MAX_HELD_ROWS of
-    them.  row_tables maps k to the RREF row tables of the k-dimensional
-    subspaces containing 1 (search._profiles), profile by profile as far as
-    any scan has drawn them, at most search.MAX_HELD_ROWS values in all;
-    A's enumeration and B's walk share them.  Like the exp/log tables,
-    neither ever changes a result."""
+    A field with at most 2^16 elements builds exp/log tables keyed to its
+    primitive element g once they pay for themselves: at its q // 16-th
+    mul/inv/pow, after which those run in O(1), or at its first
+    log_tables(), which a run of many products such as a search scan calls.
+    So a construction that needs only a few dozen products never builds
+    them.  Each power of g is the last times g (see _step_tables).  The
+    tables never change a result, and neither do orbit_skips (see
+    search._a_rows) and row_tables (see search._profiles), which hold what
+    exhaustive scans keep on this field."""
 
     __slots__ = ("p", "n", "q", "modulus", "primitive", "vector", "element", "add",
                  "insert", "reduce", "extend", "orbit_skips", "row_tables", "_mulmod", "_exp",
@@ -441,8 +419,7 @@ class ExtensionField:
         self.vector, self.element, self.add, self.insert, self.reduce, self.extend = (
             lanes.vector, lanes.element, lanes.add, lanes.insert, lanes.reduce, lanes.extend)
         self.primitive = find_primitive(p, n, modulus)
-        # a small field runs table-free until its q // 16-th mul/inv/pow,
-        # which builds the tables; a large one never counts
+        # mul/inv/pow left before the tables are built; 0 never counts down
         self._exp = self._log = None
         self._untabled = max(q // 16, 1) if q <= _TABLE_LIMIT else 0
         self.orbit_skips, self.row_tables = {}, {}
@@ -465,15 +442,13 @@ class ExtensionField:
         self._exp, self._log = exp, log
 
     def _count_untabled(self) -> None:
-        """Count one table-free mul/inv/pow of a small field; the count that
-        reaches q // 16 builds the tables, about where their cost pays off."""
+        """Count one table-free mul/inv/pow; the last one builds the tables."""
         self._untabled -= 1
         if not self._untabled:
             self._build_tables()
 
     def log_tables(self) -> tuple[list[int], list[int]] | None:
-        """(exp, log) for a run of many products, such as a search scan:
-        built now if not yet, or None when q > 2^16, where only `mul` runs."""
+        """(exp, log), built now if not yet, or None when q > 2^16."""
         if self._log is None:
             if self.q > _TABLE_LIMIT:
                 return None

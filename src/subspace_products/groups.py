@@ -1,10 +1,8 @@
 """Finite groups as Cayley tables: subgroup orders and subset-product minima.
 
 Subsets are bitmasks over element indices (orders up to 64).  A product set
-is the OR of translate masks, the bitmask of A*g for each g (or of g*B), so
-an |AB| evaluation is a few ORs and one bit count: the exhaustive search
-builds the masks of each A once, and the swap descent keeps both sides'
-masks across its moves, updating them by one table row per move.
+is the OR of translate masks (see _masks), so an |AB| evaluation is a few
+ORs and one bit count.
 """
 
 from __future__ import annotations
@@ -236,22 +234,20 @@ def mu_group_randomized(group: GroupSpec, r: int, s: int, trials: int,
     before each restart and each descent round, and a round once started runs
     its swap sweeps over both sides to the end, so the count can pass `trials`.
 
-    Each restart builds the A side's masks, masks[x] the bitmask of x*B
-    (`_masks` of the transposed bit table), and the B side's, masks[y] that
-    of A*y, once.  A move out -> into on one side updates the other side's
-    masks by one table row each: a move on A adds bits[into] and subtracts
-    bits[out] in every A*y, and a move on B does the same in every x*B with
-    the columns cols[into] and cols[out].  This is exact because each mask is
-    a sum of distinct powers of two.  A side's sweep ORs the subset's masks
-    once into `union`, the mask of AB, and `twice`, the elements that two or
-    more of them reach; `alone` = union ^ twice holds those that exactly one
-    reaches, so removing `out` leaves rest = union ^ (masks[out] & alone),
-    and the probe that swaps `out` for `into` is rest | masks[into].  Every probe contains rest, so
-    when rest is already no smaller than the best value of the sweep, none
-    of that `out`'s probes can win and none is evaluated; they still count
-    in `pairs_examined`, so the count is that of a sweep that evaluates
-    every probe.  The first strict improvement in sweep order is the move
-    made."""
+    Each restart builds the A side's masks, masks[x] the bitmask of x*B, and
+    the B side's, masks[y] that of A*y, once.  A move out -> into on one side
+    adds row `into` and subtracts row `out` in each of the other side's
+    masks, rows of bits for a move on A and of cols for one on B (see
+    _masks).  A side's sweep ORs the subset's masks once into `union`, the
+    mask of AB, and `twice`, the elements that two or more of them reach;
+    `alone` = union ^ twice holds those that exactly one reaches, so removing
+    `out` leaves rest = union ^ (masks[out] & alone), and the probe that
+    swaps `out` for `into` is rest | masks[into].  Every probe contains rest,
+    so when rest is already no smaller than the best value of the sweep,
+    none of that `out`'s probes can win and none is evaluated; they still
+    count in `pairs_examined`, so the count is that of a sweep that
+    evaluates every probe.  The first strict improvement in sweep order is
+    the move made."""
     k = group.order
     check_rs(r, s, k)
     if trials < 1:

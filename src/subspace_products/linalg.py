@@ -1,14 +1,10 @@
 """Canonical subspaces of GF(p^n) as F_p-row spaces in reduced row echelon form.
 
 Basis rows are stored as element indices of the ambient field, so a row is
-simultaneously a field element and its coordinate vector.  Elimination keeps
-an echelon basis as a dict from pivot to row in the field's own row form,
-with the field's `vector`, `element`, `insert` and `reduce` (see
-ExtensionField): one int per row, the bitmask over F_2 and the lane form over
-odd p.  The canonical RREF is finished from either the same way, so two
-subspaces are equal as sets iff their row tuples are identical.  Rank n is
-the whole field, as <AB> usually is: `span` stops drawing there, and reduce()
-against it returns 0 with no elimination.
+simultaneously a field element and its coordinate vector.  Elimination runs
+on the field's echelon bases and row kernels (see fields.LaneLayout), and
+the canonical RREF is finished from them (see rref), so two subspaces are
+equal as sets iff their row tuples are identical.
 """
 
 from __future__ import annotations
@@ -39,9 +35,6 @@ class Subspace:
     def is_zero(self) -> bool:
         return not self.rows
 
-    def basis_coeffs(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(self.field.coeffs(r) for r in self.rows)
-
     def reduce(self, elem: int) -> int:
         """Remainder of an element index in [0, q) after reduction against the
         basis; 0 with no elimination when the subspace is the whole field."""
@@ -59,7 +52,8 @@ class Subspace:
         return self.reduce(elem) == 0
 
     def to_text(self) -> str:
-        return "\n".join(",".join(str(c) for c in row) for row in self.basis_coeffs())
+        coeffs = self.field.coeffs
+        return "\n".join(",".join(str(c) for c in coeffs(r)) for r in self.rows)
 
     @classmethod
     def from_text(cls, field: ExtensionField, text: str) -> "Subspace":

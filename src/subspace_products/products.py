@@ -2,13 +2,9 @@
 constructions that realize the minimum dimension exactly.
 
 H-spans of powers, `_h_span`, build the stabilizer's H, the tower's M and
-the witnesses of `optimal_pair`.  H, the span of gamma_g^i for i < g, is
-certified from its generator: 1 in H; dim H | n; gamma_g^g in H, which is
-closure under products; gamma_g*V inside V, which is H*V = V as 1 is in H.
-`tower_construction(field, m, r, s, a0, b0)` splits r = q*m + r0, r0 in
-[1, m], and lifts A0 inside M to A = M*{1, alpha, ..., alpha^(q-1)} (+)
-A0*alpha^q over the primitive alpha.  `kneser_check` is the one path from a
-pair to its product, its stabilizer and its slack.
+the witnesses of `optimal_pair`; H is certified from its generator (see
+stabilizer).  `kneser_check` is the one path from a pair to its product,
+its stabilizer and its slack.
 """
 
 from __future__ import annotations
@@ -71,7 +67,8 @@ def stabilizer(v: Subspace) -> StabilizerReport:
     largest such d that passes.  H is the span of gamma_g^i for i < g, so it
     is a subfield iff 1 is in H, dim H | n and gamma_g^g is in H (then
     gamma_g*H lies in H); and it absorbs V iff gamma_g*w is in V for every
-    row w, retested here (V lies in H*V as 1 is in H).
+    row w, retested here (V lies in H*V as 1 is in H).  These four checks
+    replace closing H under its g^2 row products and rebuilding H*V.
     """
     _require_nonzero(v)
     field = v.field

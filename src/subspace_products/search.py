@@ -1,15 +1,14 @@
 """Ground-truth minimum of dim<AB> by enumeration of subspace pairs.
 
-Subspaces are enumerated through their RREF profiles (pivot column set plus
-free entries), which visits every subspace exactly once; within a profile
-each basis row takes its values from a precomputed list, and the subspaces
-are the product of those lists.  The pair search normalizes both subspaces
-to contain 1 -- multiplying A by a^-1 and B by b^-1 is an F_p-linear
-bijection that preserves dim<AB> -- and, for each A, walks B depth first
-over its rows: the echelon basis of A*b_0 + ... + A*b_i is shared by every
-B that starts with b_0..b_i, and a prefix whose rank already reaches the
-best value found is skipped with all its completions, since dim<AB> only
-grows with B.  Skipped pairs count as examined, so the value, witnesses and
+Subspaces are enumerated through their RREF profiles, each exactly once (see
+_row_tables).  The pair search normalizes both subspaces to contain 1 --
+multiplying A by a^-1 and B by b^-1 is an F_p-linear bijection that
+preserves dim<AB> -- and, for each A, walks B depth first over its rows: the
+echelon basis of A*b_0 + ... + A*b_i is shared by every B that starts with
+b_0..b_i, and a prefix whose rank already reaches the best value found is
+skipped with all its completions, since dim<AB> only grows with B.  Every
+prefix of the first minimal pair has rank at most its value, so that pair is
+never skipped, and skipped pairs count as examined: the value, witnesses and
 pair count are those of a pair-by-pair scan.  The search stops at a proven
 lower bound, so early exit never changes the reported minimum.  When the
 pair count exceeds the budget the run is truncated: it decides the A-major
@@ -23,20 +22,8 @@ permutes the B's containing 1.  So only the first A of each orbit is walked
 1978; McKay, "Isomorph-free exhaustive generation", 1998); every later A of
 the orbit counts its B pairs as decided, since none of them can beat the
 value its representative already reached, and the first minimal A is the
-least of its orbit, so it is walked.  Which A are walked depends only on
-the field and dim A, so the first scan that enumerates every A keeps the
-walked A on the field, each with the count of skipped A before it (see
-ExtensionField), and every later scan of that field and dimension walks
-them alone, counting each run of skipped A in one step, and builds no
-orbit; they are the A the scan computes, so no result changes.  The RREF
-row tables of the subspaces containing 1 depend only on the field and the
-dimension, so the field keeps one list of them per dimension, which A's
-enumeration and B's walk share and fill as far as any scan has drawn them.
-B's row 0 is the vector 1, so the root of every B profile has A's rows as its
-products: A's echelon basis is built once per walked A and starts row 1 of
-every profile.  On a field with exp/log tables (q <= 2^16) each product of
-the walk is a table read, exp[log x + log y], and not a `mul` call, and a
-node's products go into its basis in one `extend` call of the field.
+least of its orbit, so it is walked.  The field keeps the walked A (see
+_a_rows) and the row tables (see _profiles) for later scans.
 """
 
 from __future__ import annotations
@@ -71,8 +58,7 @@ def _row_tables(field: ExtensionField, r: int, containing_one: bool = False, sta
     F_p values to its free cells, the non-pivot columns right of each row's
     pivot; with containing_one, row 0 is the vector 1 itself (so r = 0 has
     no profile).  The first `start` profiles are passed over unbuilt, so
-    _profiles, which keeps the profiles on the field, resumes a kept prefix
-    where it ends.
+    that a kept prefix is resumed where it ends (see _profiles).
 
     rows[i] lists the values basis row i takes, pivot bit plus every
     assignment of its free cells, and sizes[i] = len(rows[i+1]) * ... *
@@ -108,8 +94,7 @@ def _row_tables(field: ExtensionField, r: int, containing_one: bool = False, sta
 def enumerate_subspaces(field: ExtensionField, r: int, containing_one: bool = False):
     """Iterator over each r-dimensional subspace exactly once, in
     deterministic profile order; r is checked at the call.  With
-    containing_one, restrict to subspaces containing 1 (the pivot-0 row is
-    then forced to be the vector 1 itself, and r = 0 yields nothing)."""
+    containing_one, only those containing 1 (see _row_tables)."""
     n = field.n
     if r < 0 or r > n:
         raise ValueError(f"r={r} out of range [0, {n}]")
@@ -185,14 +170,15 @@ def _profiles(field, k):
     loop (k = s), both on one list when r = s.  held counts the values in
     the rows of that profile and of every profile before it.
 
-    The list holds the profiles drawn so far.  A consumer reads it first, then
-    draws each profile past it and appends it while held stays at most
+    The list holds the profiles drawn so far, which depend only on the field
+    and k, so keeping them changes no result.  A consumer reads it first,
+    then draws each profile past it and appends it while held stays at most
     MAX_HELD_ROWS; past that the list stops growing and every consumer
     streams on past it.  A consumer whose next profile another one has
     appended meanwhile reads it from the list, so none is appended twice.
     Nothing is drawn before a consumer asks for it, so a stopped scan keeps
-    what it drew.  A list drawn to its end becomes a tuple, which is returned
-    itself."""
+    what it drew, and a later scan draws only the profiles past it.  A list
+    drawn to its end becomes a tuple, which is returned itself."""
     kept = field.row_tables.setdefault(k, [])
     return kept if type(kept) is tuple else _drawn(field, k, kept)
 
@@ -252,7 +238,9 @@ def _a_rows(field, r):
     walks, in enumeration order (see _profiles), where `skipped` counts the A
     just before it that are not walked; a last entry (skipped, None) counts
     those after the last walked A.  An A is skipped iff an earlier A lies in
-    its orbit (see _orbit).
+    its orbit (see _orbit).  A caller counts a run's pairs in one step, with
+    its budget checked after it: nothing changes between two skipped A, so
+    this returns what a check after each of them would.
 
     Walking A in order, an A not yet seen is the least of its orbit, and its
     orbit is added to `seen` only when the next entry is asked for, that is,
@@ -260,10 +248,11 @@ def _a_rows(field, r):
     computes no orbit.  A skipped A is dropped from `seen`, since it never
     comes again.
 
-    The entries depend only on the field and r.  Once the caller has asked
-    past the last one, their list is kept in field.orbit_skips[r], and a
-    later call returns that list, enumerating no A and building no orbit.  A
-    scan stopped by its floor or budget keeps nothing.  With more A than
+    The entries depend only on the field and r, so keeping them changes no
+    result.  Once the caller has asked past the last one, their list is kept
+    in field.orbit_skips[r], and a later call returns that list, enumerating
+    no A and building no orbit.  A scan stopped by its floor or budget keeps
+    nothing, and a new field object starts with none.  With more A than
     MAX_HELD_ROWS, which `seen` could reach, every A is walked and the list
     is neither read nor kept."""
     skip = gaussian_binomial(field.n - 1, r - 1, field.p) <= MAX_HELD_ROWS
@@ -294,30 +283,16 @@ def _runs(field, r, skip):
 
 def _scan(field, r, s, cap, floor, budget):
     """First pair, in A-major order, of r-dim A and s-dim B containing 1 with
-    the least capped product dimension.
+    the least capped product dimension, by the walk of the module docstring:
+    each walked A after its run of skipped A (see _a_rows), B over the
+    profiles the field keeps (see _profiles).
 
-    A comes from _a_rows, as the walked A, each after its run of skipped A.
-    A skipped A is not walked: its pairs count as decided, as a skipped
-    subtree's do (see the module docstring), a run's b_count pairs per A in
-    one step, with the budget checked after it; nothing changes between two
-    skipped A, so this returns what a check after each of them would.
-
-    For each walked A, B is walked depth first over the rows of its RREF
-    profiles (_profiles), so B's come in enumeration order.  A node at
-    depth i holds the echelon basis of A*b_0 + ... + A*b_i, its parent's basis
-    extended by A*b_i alone, built with cap = the best value found.  The
-    root, b_0 = 1, holds A's own basis, of rank r, built once per walked A
-    and copied by every row-1 node of every profile; the root is cut when
-    r reaches the best value, and is the leaf when s = 1.  Since
-    dim<AB'> only grows with B', a node whose rank reaches that value is
-    skipped with its subtree, and its sizes[i] pairs count as examined:
-    a pair-by-pair scan would have examined and rejected each of them.  The
-    first minimal pair is never skipped, as every prefix of it has rank at
-    most its value, so value, witnesses and the pair count are those of the
-    pair-by-pair scan.  B's profiles are drawn as the first walked A reaches
-    them: a walked A leaves its B loop only by returning, so that A either
-    draws every profile or ends the scan, and every later A, and every later
-    scan of the field and s, reads the profiles the field keeps.
+    A node at depth i holds its parent's basis extended by A*b_i alone,
+    built with cap = the best value found; a node that reaches it is cut and
+    its sizes[i] pairs count as examined.  The root, b_0 = 1, holds A's own
+    basis, of rank r, built once per walked A and copied by every row-1 node
+    of every profile; the root is cut when r reaches the best value, and is
+    the leaf when s = 1.
 
     A node's products are `mul` calls only on a field without exp/log tables
     (field.log_tables() is None, q > 2^16).  Otherwise each walked A's rows
@@ -329,10 +304,9 @@ def _scan(field, r, s, cap, floor, budget):
     Returns (value, a_rows, b_rows, pairs examined, exhaustive), with `cap`
     as the best value at the start: a scan that returns cap with no witness
     proves dim<AB> >= cap for every pair.  cap must exceed `floor`, else the
-    scan stops at its first node (kappa = max(r, s) is trivial).  Stops as
-    soon as the value reaches `floor` or `budget` pairs have been examined;
-    exhaustive is False only when the budget stops it before its last pair
-    and its floor."""
+    scan stops at its first node (kappa = max(r, s) is trivial).  It stops
+    once the value reaches `floor` or `budget` pairs are examined, and
+    exhaustive is False only when the budget stops it first."""
     a_count, b_count = (gaussian_binomial(field.n - 1, k - 1, field.p) for k in (r, s))
     whole = a_count * b_count <= budget
     vector, insert, mul, tables = field.vector, field.insert, field.mul, field.log_tables()
@@ -355,7 +329,6 @@ def _scan(field, r, s, cap, floor, budget):
         for v in map(vector, ar):
             insert(a_basis, v)
         for rows, sizes, _ in _profiles(field, s):
-            # the root, b_0 = 1, has A's rows as its products: rank r
             if r >= best:
                 processed += sizes[0]
             elif s == 1:
@@ -401,15 +374,10 @@ def _scan(field, r, s, cap, floor, budget):
 def mu_exact(field: ExtensionField, r: int, s: int,
              options: SearchOptions | None = None) -> MuResult:
     """Exact minimum of dim<AB> over all pairs with dim A = r, dim B = s, by
-    _scan over the subspaces containing 1 (see the module docstring), so
-    both witnesses contain 1.
-
-    When the number of pairs exceeds the budget the run is truncated: it
-    scans the A-major prefix of `budget` pairs and reports exhaustive=True
-    only if that prefix reaches the proven floor.  Otherwise the reported
-    value is the exact minimum even when floor pruning stops the scan early.
-    Raises ValueError before the first pair when the rows of one RREF profile
-    of A or B take more than MAX_HELD_ROWS values.
+    _scan over the subspaces containing 1, so both witnesses contain 1; the
+    budget may truncate it (see the module docstring).  Raises ValueError
+    before the first pair when the rows of one RREF profile of A or B take
+    more than MAX_HELD_ROWS values.
     """
     opts = options or SearchOptions()
     check_rs(r, s, field.n)

@@ -13,10 +13,9 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 @pytest.fixture(scope="session")
 def field_cache():
     """Session-wide field constructor cache; building GF(2^12) etc. once.
-    Its fields carry the walked orbit representatives and the row tables of
-    every earlier test's exhaustive scans (ExtensionField.orbit_skips and
-    row_tables), so a later scan replays them instead of building orbits; a
-    test that patches search internals takes fresh_field."""
+    Its fields hold what earlier tests' scans kept on them (see
+    search._a_rows and search._profiles); a test that patches search
+    internals takes fresh_field."""
     cache = {}
 
     def get(p, n):
@@ -29,9 +28,8 @@ def field_cache():
 
 @pytest.fixture
 def fresh_field():
-    """Field constructor that builds a new field at every call, with no kept
-    representatives or row tables, so a scan computes its orbits and draws
-    its profiles as a first scan in a process does."""
+    """Field constructor that builds a new field at every call, so a scan
+    starts with nothing kept, as a first scan in a process does."""
     return ExtensionField
 
 
