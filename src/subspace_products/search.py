@@ -103,13 +103,18 @@ def enumerate_subspaces(field: ExtensionField, r: int, containing_one: bool = Fa
 
 
 def _draw(field: ExtensionField, fixed: list, k: int, rng: random.Random):
-    """(rows, basis): rows = fixed + k elements of rng.randrange(q), drawn
-    again until independent, and their echelon basis in the field's row form.
-    A draw's k elements are drawn before its rank check."""
-    vector, insert = field.vector, field.insert
-    randrange, q = rng.randrange, field.q
+    """(rows, basis): rows = fixed + k elements, drawn before the rank check
+    and all again until independent, and their echelon basis in the field's
+    row form.  An element is getrandbits(q.bit_length()), drawn again while
+    >= q: the rule and calls of rng.randrange(q), so the same stream."""
+    vector, insert, q = field.vector, field.insert, field.q
+    bits, width, size = rng.getrandbits, q.bit_length(), len(fixed) + k
     while True:
-        rows = fixed + [randrange(q) for _ in range(k)]
+        rows = fixed[:]
+        while len(rows) < size:
+            x = bits(width)
+            if x < q:
+                rows.append(x)
         basis: dict = {}
         for v in map(vector, rows):
             if not insert(basis, v):
@@ -127,19 +132,21 @@ def random_subspace(field: ExtensionField, r: int, rng: random.Random) -> Subspa
     return rref(field, _draw(field, [], r, rng)[1])
 
 
-def product_dim_capped(field: ExtensionField, arows, brows, cap: int) -> int:
-    """min(dim span{a*b}, cap), built into one echelon basis B row by B row;
-    stops as soon as the rank reaches cap (the exact value is only needed
-    below cap)."""
+def _capped(field: ExtensionField, basis: dict, rank: int, arows, brows, cap: int) -> int:
+    """min(cap, rank of `basis`, given as `rank`, once x*y = mul(x, y) for x in
+    arows, y in brows are inserted y by y); stops when the rank reaches cap."""
     mul, vector, insert = field.mul, field.vector, field.insert
-    basis: dict = {}
-    rank = 0
     for y in brows:
         for x in arows:
             if rank >= cap:
                 return cap
             rank += insert(basis, vector(mul(x, y)))
-    return rank
+    return min(rank, cap)
+
+
+def product_dim_capped(field: ExtensionField, arows, brows, cap: int) -> int:
+    """min(dim span{a*b}, cap) (see _capped); kept for perfbench, which times it."""
+    return _capped(field, {}, 0, arows, brows, cap)
 
 
 @dataclass(frozen=True)
@@ -294,12 +301,11 @@ def _scan(field, r, s, cap, floor, budget):
     of every profile; the root is cut when r reaches the best value, and is
     the leaf when s = 1.
 
-    A node's products are `mul` calls only on a field without exp/log tables
-    (field.log_tables() is None, q > 2^16).  Otherwise each walked A's rows
-    are taken to their logs once, and x*y is exp[log x + log y - (q - 1)]:
-    the index lies in [-(q - 1), q - 3], and a negative one wraps to the
-    same power of the primitive element.  Such a node is one field.extend
-    call, which inserts the products until the rank reaches the best value.
+    On a field without exp/log tables (q > 2^16) a node is one capped insert
+    loop (see _capped).  Otherwise each walked A's rows are taken to their
+    logs once, and a node is one field.extend call with x*y =
+    exp[log x + log y - (q - 1)]: the index lies in [-(q - 1), q - 3], and a
+    negative one wraps to the same power of the primitive element.
 
     Returns (value, a_rows, b_rows, pairs examined, exhaustive), with `cap`
     as the best value at the start: a scan that returns cap with no witness
@@ -309,12 +315,11 @@ def _scan(field, r, s, cap, floor, budget):
     exhaustive is False only when the budget stops it first."""
     a_count, b_count = (gaussian_binomial(field.n - 1, k - 1, field.p) for k in (r, s))
     whole = a_count * b_count <= budget
-    vector, insert, mul, tables = field.vector, field.insert, field.mul, field.log_tables()
+    vector, insert, tables = field.vector, field.insert, field.log_tables()
     if tables is not None:
         exp, log = tables
         extend, qm1 = field.extend, field.q - 1
-    best = cap
-    best_a = best_b = None
+    best, best_a, best_b = cap, None, None
     processed = 0
     path = [1] * s                  # b_0 = 1 in every profile
     for skipped, ar in _a_rows(field, r):
@@ -344,11 +349,7 @@ def _scan(field, r, s, cap, floor, budget):
                         path[depth] = y
                         basis = ech.copy()
                         if tables is None:
-                            rank = len(basis)
-                            for x in ar:
-                                if rank >= best:
-                                    break
-                                rank += insert(basis, vector(mul(x, y)))
+                            rank = _capped(field, basis, len(basis), ar, (y,), best)
                         else:
                             rank = extend(basis, exp, logs, log[y] - qm1, len(basis), best)
                         if rank >= best:
@@ -397,20 +398,19 @@ def mu_exact(field: ExtensionField, r: int, s: int,
 def mu_randomized(field: ExtensionField, r: int, s: int, trials: int,
                   seed: int) -> MuResult:
     """Minimum of dim<AB> over `trials` uniformly sampled pairs of subspaces
-    containing 1, each drawn by _draw as 1 and independent uniform elements
-    and kept as that spanning list; only the reported witnesses are put in
+    containing 1, each drawn by _draw as a spanning list of 1 and independent
+    uniform elements.  A's drawn basis spans A*1 and is the root that B's
+    later rows extend (see _capped); only the reported witnesses are put in
     RREF.  Upper bound only; seed-reproducible; `pairs_examined` is `trials`."""
-    n = field.n
-    check_rs(r, s, n)
+    check_rs(r, s, field.n)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = random.Random(seed)
-    best = n + 1
-    best_a = best_b = None
+    best, best_a, best_b = field.n + 1, None, None
     for _ in range(trials):
-        a = _draw(field, [1], r - 1, rng)[0]
+        a, a_basis = _draw(field, [1], r - 1, rng)
         b = _draw(field, [1], s - 1, rng)[0]
-        d = product_dim_capped(field, a, b, best)
+        d = _capped(field, a_basis, r, a, b[1:], best)
         if d < best:
             best, best_a, best_b = d, a, b
     return MuResult(value=best, witness_a=span(field, best_a), witness_b=span(field, best_b),

@@ -5,9 +5,12 @@ import re
 import tokenize
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "subspace_products"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "subspace_products"
 # `see NAME`, also across a line break, in a docstring or onto a comment's next line
 POINTER = re.compile(r"\b[Ss]ee\s+(?:#\s*)?(the module docstring|[A-Za-z_][\w.]*\w)")
+# see `NAME`, also across a line break, in README
+README_POINTER = re.compile(r"\b[Ss]ee\s+`([^`]*)`")
 
 
 def _texts(source):
@@ -54,4 +57,13 @@ def test_see_pointers_in_src_resolve():
         module = importlib.import_module(name)
         broken += [f"{path.name}: see {target}" for text, owners in _texts(path.read_text())
                    for target in POINTER.findall(text) if not _resolves(module, target, owners)]
+    assert not broken, broken
+
+
+def test_see_pointers_in_readme_resolve():
+    # each NAME is a module of the package or a name in it, followed by attributes
+    package = importlib.import_module("subspace_products")
+    targets = README_POINTER.findall((ROOT / "README.md").read_text())
+    assert len(targets) >= 3, targets
+    broken = [t for t in targets if not _resolves(package, t, [])]
     assert not broken, broken

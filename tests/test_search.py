@@ -95,12 +95,16 @@ def test_raw_draw_matches_random_subspace(field_cache):
             if sp.dim == r:
                 return sp
 
-    for p, n in ((2, 2), (3, 2), (2, 6), (3, 4)):
+    cases = [(p, n, range(n + 1), 100) for p, n in ((2, 2), (3, 2), (2, 6), (3, 4))]
+    # randrange(q) rejects about 10% of its 16-bit draws for 3^10 and half of
+    # its 41-bit draws for 2^40; n = 1 for 65521
+    cases += [(3, 10, (1, 2, 5, 10), 25), (2, 40, (1, 3, 40), 10), (65521, 1, (0, 1), 100)]
+    for p, n, rs, seeds in cases:
         f = field_cache(p, n)
         for one in (False, True):
             fixed = [1] if one else []
-            for r in range(len(fixed), n + 1):
-                for seed in range(100):
+            for r in [r for r in rs if r >= len(fixed)]:
+                for seed in range(seeds):
                     rng_raw, rng_sub, rng_ref = (random.Random(seed) for _ in range(3))
                     rows, _ = search._draw(f, fixed, r - len(fixed), rng_raw)
                     sp = (rref(f, search._draw(f, fixed, r - 1, rng_sub)[1]) if one
@@ -108,6 +112,30 @@ def test_raw_draw_matches_random_subspace(field_cache):
                     assert len(rows) == r and rows[:len(fixed)] == fixed
                     assert span(f, rows) == sp == reference(f, fixed, r, rng_ref)
                     assert rng_raw.getstate() == rng_sub.getstate() == rng_ref.getstate()
+
+
+@pytest.mark.parametrize("p, n, tabled", [(2, 6, True), (3, 4, False), (2, 40, False)])
+def test_capped_insert_loop_matches_product_span(fresh_field, p, n, tabled):
+    # the capped insert loop, from the empty basis (product_dim_capped on RREF
+    # rows) and from A's drawn basis at rank r (B's rows after b_0 = 1, as
+    # mu_randomized runs it), gives min(dim<AB>, cap) for every cap up to
+    # n + 1; a one-trial mu_randomized reports its pair's dim<AB> uncapped
+    f = fresh_field(p, n)
+    if tabled:
+        assert f.log_tables() is not None
+    rng = random.Random(n)
+    for r, s in ((1, 1), (3, 1), (1, 3), (2, 2), (3, 4), (4, 3), (n, 2)):
+        for _ in range(3):
+            a_rows, a_basis = search._draw(f, [1], r - 1, rng)
+            b_rows = search._draw(f, [1], s - 1, rng)[0]
+            a, b = span(f, a_rows), span(f, b_rows)
+            dim = product_span(a, b).dim
+            for cap in range(1, n + 2):
+                assert search.product_dim_capped(f, a.rows, b.rows, cap) == min(dim, cap)
+                root = search._capped(f, dict(a_basis), r, a_rows, b_rows[1:], cap)
+                assert root == min(dim, cap), (r, s, cap)
+        res = mu_randomized(f, r, s, 1, seed=r * n + s)
+        assert res.value == product_span(res.witness_a, res.witness_b).dim, (r, s)
 
 
 def test_random_subspace_rejects_impossible_dimensions(run_python):
