@@ -377,18 +377,19 @@ class ExtensionField:
     (see LaneLayout).
 
     A field with at most 2^16 elements builds exp/log tables keyed to its
-    primitive element g once they pay for themselves: at its q // 16-th
-    mul/inv/pow, after which those run in O(1), or at its first
-    log_tables(), which a run of many products such as a search scan calls.
-    So a construction that needs only a few dozen products never builds
-    them.  Each power of g is the last times g (see _step_tables).  The
-    tables never change a result, and neither do orbit_skips (see
-    search._a_rows) and row_tables (see search._profiles), which hold what
-    exhaustive scans keep on this field."""
+    primitive element g once they pay for themselves: at its (q // n)-th
+    mul/inv/pow, as an entry costs one lane step and a table-free product
+    about n, after which those run in O(1); or at its first log_tables(),
+    which a run of many products such as a search scan calls.  So a
+    construction that needs a few dozen products never builds them.  Each
+    power of g is the last times g (see _step_tables).  The tables never
+    change a result, nor do the generators subfield_generator keeps, or
+    orbit_skips (see search._a_rows) and row_tables (see search._profiles),
+    which hold what exhaustive scans keep on this field."""
 
     __slots__ = ("p", "n", "q", "modulus", "primitive", "vector", "element", "add",
                  "insert", "reduce", "extend", "orbit_skips", "row_tables", "_mulmod", "_exp",
-                 "_log", "_untabled")
+                 "_log", "_untabled", "_subfields")
 
     def __init__(self, p: int, n: int, modulus: tuple[int, ...] | None = None):
         if not is_prime(p):
@@ -421,8 +422,8 @@ class ExtensionField:
         self.primitive = find_primitive(p, n, modulus)
         # mul/inv/pow left before the tables are built; 0 never counts down
         self._exp = self._log = None
-        self._untabled = max(q // 16, 1) if q <= _TABLE_LIMIT else 0
-        self.orbit_skips, self.row_tables = {}, {}
+        self._untabled = max(q // n, 1) if q <= _TABLE_LIMIT else 0
+        self.orbit_skips, self.row_tables, self._subfields = {}, {}, {}
 
     def _build_tables(self) -> None:
         """The exp/log tables of the primitive element g: exp[k] = g^k and
@@ -557,10 +558,13 @@ class ExtensionField:
         return self._pow_raw(a, e % (self.q - 1))
 
     def subfield_generator(self, d: int) -> int:
-        """Generator of the unique subfield of order p^d (requires d | n)."""
-        if d < 1 or self.n % d != 0:
-            raise ValueError(f"d={d} does not divide the extension degree n={self.n}")
-        return self.pow(self.primitive, (self.q - 1) // (self.p ** d - 1))
+        """Generator g^((q-1)/(p^d-1)) of the subfield of order p^d (d | n),
+        computed from `primitive` once per valid d and kept on the field."""
+        if d not in self._subfields:
+            if d < 1 or self.n % d != 0:
+                raise ValueError(f"d={d} does not divide the extension degree n={self.n}")
+            self._subfields[d] = self.pow(self.primitive, (self.q - 1) // (self.p ** d - 1))
+        return self._subfields[d]
 
 
 def parse_field_spec(spec: str) -> tuple[int, int]:

@@ -108,7 +108,7 @@ def kappa_rs(r: int, s: int, degrees: AdmissibleDegreeSet) -> KappaResult:
         raise ValueError(f"r={r}, s={s} exceed ambient degree n={n}")
     value = h0 = 0
     for h in degrees.degrees:
-        v = f_h(r, s, h)
+        v = (-(-r // h) - (-s // h) - 1) * h  # f_h: r, s checked above, h by the set
         if not value or v < value:
             value, h0 = v, h
     return KappaResult(value=value, h0=h0, r0=_ceil_div(r, h0), s0=_ceil_div(s, h0))

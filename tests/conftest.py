@@ -15,7 +15,10 @@ def field_cache():
     """Session-wide field constructor cache; building GF(2^12) etc. once.
     Its fields hold what earlier tests' scans kept on them (see
     search._a_rows and search._profiles); a test that patches search
-    internals takes fresh_field."""
+    internals takes fresh_field.  They also keep each subfield generator
+    from its first call (see ExtensionField.subfield_generator), so a test
+    that rebinds `primitive` does so before that call, on a field of its
+    own."""
     cache = {}
 
     def get(p, n):

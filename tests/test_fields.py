@@ -252,18 +252,19 @@ def test_field_tables_match_reference(field_cache, monkeypatch, p, n):
         assert vectors == [_pack(lanes, cs) for cs in cache]
 
 
-def test_tables_are_built_once_at_the_sixteenth_of_q(monkeypatch):
-    # GF(2^8) answers its first 15 mul/inv/pow table-free; the 16th builds
-    # the tables, and every later call reads them; a negative power, like
-    # inv, counts once
+@pytest.mark.parametrize("p, n, at", ((2, 8, 32), (3, 6, 121)))
+def test_tables_are_built_once_at_the_q_over_n_th_call(monkeypatch, p, n, at):
+    # a field answers its first q // n - 1 mul/inv/pow table-free (GF(2^8)
+    # 31, GF(3^6) 120); the next builds the tables, and every later call
+    # reads them; a negative power, like inv, counts once
     built = []
     calls = 0
     build = ExtensionField._build_tables
     monkeypatch.setattr(ExtensionField, "_build_tables",
                         lambda self: (built.append(calls), build(self)))
-    f = ExtensionField(2, 8)
+    f = ExtensionField(p, n)
     rng = random.Random(28)
-    for calls in range(1, 100):
+    for calls in range(1, at + 50):
         a, b = rng.randrange(f.q), rng.randrange(1, f.q)
         if calls % 3 == 0:
             assert f.mul(a, b) == mul(f, a, b), (a, b)
@@ -273,8 +274,8 @@ def test_tables_are_built_once_at_the_sixteenth_of_q(monkeypatch):
             assert f.pow(b, a) == power(f, b, a), (b, a)
         else:
             assert mul(f, f.pow(b, -a), power(f, b, a)) == 1, (b, a)
-        assert (f._log is None) == (calls < f.q // 16)
-    assert built == [f.q // 16]
+        assert (f._log is None) == (calls < at)
+    assert built == [at] == [f.q // n]
 
 
 def test_non_generator_fails_the_table_build(monkeypatch, capsys):
@@ -473,8 +474,30 @@ def test_subfield_generator_gf16(field_cache):
 
 
 def test_subfield_generator_rejects_nondivisor(field_cache):
-    with pytest.raises(ValueError):
-        field_cache(2, 6).subfield_generator(4)
+    # a rejected d is never kept, so it is rejected again on every call
+    f = field_cache(2, 6)
+    for d in (4, 0, -2, 4, 0, -2):
+        with pytest.raises(ValueError, match="does not divide"):
+            f.subfield_generator(d)
+
+
+def test_subfield_generators_are_kept_per_field(monkeypatch):
+    # GF(2^18) has no tables, so each generator is one table-free power of
+    # the primitive element, raised once per field and degree: a modulus
+    # and its reciprocal hold different generators of F_4, and a new field
+    # of the first modulus raises its own again
+    raised = []
+    pow_raw = ExtensionField._pow_raw
+    monkeypatch.setattr(ExtensionField, "_pow_raw",
+                        lambda self, a, e: (raised.append(self.modulus), pow_raw(self, a, e))[1])
+    low = find_irreducible(2, 18)
+    fields_ = [ExtensionField(2, 18, m) for m in (low, low[::-1], low)]
+    for _ in range(3):
+        gens = [f.subfield_generator(2) for f in fields_]
+        assert gens == [37385, 37377, 37385]
+        for f, g in zip(fields_, gens):
+            assert add(f, add(f, mul(f, g, g), g), 1) == 0  # g^2 + g + 1 = 0
+    assert raised == [low, low[::-1], low]
 
 
 def test_subfield_span_is_the_subfield(field_cache):

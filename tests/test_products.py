@@ -280,14 +280,25 @@ def test_optimal_pair_contains_one_and_matches_kappa(field_cache):
                 assert product_span(a, b).dim == cert.value
 
 
-def test_construction_leaves_gf3_10_without_tables():
-    # certifying the construction takes a few dozen products, far fewer than
-    # the 59,049-entry tables would pay for
-    f = ExtensionField(3, 10)
-    a, b, cert = optimal_pair(f, 4, 6)
+@pytest.mark.parametrize("p, n, r, s, value, degrees", [
+    (2, 12, 5, 7, 11, [1]), (3, 6, 3, 4, 6, [1, 6]), (3, 10, 4, 6, 8, [2]), (2, 40, 3, 5, 5, [5])],
+    ids=("2^12", "3^6", "3^10", "2^40"))
+def test_construction_leaves_fields_without_tables(monkeypatch, p, n, r, s, value, degrees):
+    # the CLI's construct cells: certifying the construction takes a few
+    # dozen products, fewer than the tables would pay for, and raises the
+    # primitive element once for each subfield generator it reads
+    exponents = {(p ** n - 1) // (p ** d - 1) % (p ** n - 1): d for d in divisors(n).degrees}
+    raised = []
+    pow_raw = ExtensionField._pow_raw
+    monkeypatch.setattr(ExtensionField, "_pow_raw", lambda self, a, e: (
+        raised.append(exponents[e]) if a == self.primitive and e in exponents else None,
+        pow_raw(self, a, e))[1])
+    f = ExtensionField(p, n)
+    a, b, cert = optimal_pair(f, r, s)
     report = kneser_check(a, b)
-    assert report.dim_ab == cert.value == 8 and report.holds
+    assert report.dim_ab == cert.value == value and report.holds and report.is_subfield_verified
     assert f._exp is None and f._log is None
+    assert sorted(raised) == degrees
 
 
 def test_optimal_pair_range_errors(field_cache):
