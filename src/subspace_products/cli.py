@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 import time
@@ -291,19 +292,22 @@ def main(argv=None) -> int:
     except KeyboardInterrupt:
         print("error: interrupted", file=sys.stderr)
         return EXIT_BUDGET
-    if isinstance(results, str):
-        print(results)
-        return code
-    report = {
-        "command": args.command,
-        "argv": argv,
-        "version": __version__,
-        "seed": seed,
-        "params": {k: v for k, v in vars(args).items() if k != "command" and v is not None},
-        "results": results,
-        "elapsed_seconds": round(time.perf_counter() - t0, 6),
-    }
-    print(json.dumps(report, indent=2))
+    if not isinstance(results, str):
+        results = json.dumps({
+            "command": args.command,
+            "argv": argv,
+            "version": __version__,
+            "seed": seed,
+            "params": {k: v for k, v in vars(args).items() if k != "command" and v is not None},
+            "results": results,
+            "elapsed_seconds": round(time.perf_counter() - t0, 6),
+        }, indent=2)
+    try:
+        print(results, flush=True)
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`): what is left, and the exit
+        # flush, go to os.devnull, and the exit code stays the command's
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

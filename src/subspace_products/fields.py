@@ -154,6 +154,17 @@ def _reduce_bits(basis: dict[int, int], v: int) -> int:
     return v
 
 
+def _rref_bits(basis: dict[int, int]) -> tuple:
+    done: dict = {}
+    for low in sorted(basis, reverse=True):
+        v = basis[low]
+        for piv in done:
+            if v & piv:
+                v ^= done[piv]
+        done[low] = v
+    return tuple(reversed(done.values()))
+
+
 # ----------------------------------------------------------------------------
 # Lane form: coefficient c_j of an element or polynomial in bits [j*w, (j+1)*w).
 # ----------------------------------------------------------------------------
@@ -176,9 +187,12 @@ class LaneLayout(NamedTuple):
     reduce(basis, v) subtracts each row at its pivot, which fully reduces v
     against a fully reduced basis in any row order.  extend(basis, exp,
     logs, ly, rank, cap) inserts exp[lx + ly] for each lx in logs, in order,
-    until rank reaches cap, and returns the rank.  For p = 2 these are the
-    bit kernels above, for odd p `_lane_echelon`'s.  `gcd` is Euclid on
-    packed polynomials; ring(f) is a*b mod a packed monic f of degree n - 1."""
+    until rank reaches cap, and returns the rank.  rref(basis) reduces each
+    row against the rows of higher pivot, those first, and returns the
+    canonical RREF's element indices by ascending pivot.  For p = 2 these
+    are the bit kernels above, for odd p `_lane_echelon`'s.  `gcd` is Euclid
+    on packed polynomials; ring(f) is a*b mod a packed monic f of degree
+    n - 1."""
 
     w: int
     element: Callable[[int], int]
@@ -187,6 +201,7 @@ class LaneLayout(NamedTuple):
     insert: Callable[[dict, int], int]
     reduce: Callable[[dict, int], int]
     extend: Callable[[dict, list, list, int, int, int], int]
+    rref: Callable[[dict], tuple]
     gcd: Callable[[int, int], int]
     ring: Callable[[int], Callable[[int, int], int]]
 
@@ -241,7 +256,7 @@ def lane_layout(p: int, n: int) -> LaneLayout:
     lane with a monic b) keep every lane within p*(p-1) before its `red` too."""
     if p == 2:
         return LaneLayout(1, _same, _same, int.__xor__, _insert_bits, _reduce_bits,
-                          _extend_bits, _gcd_bits,
+                          _extend_bits, _rref_bits, _gcd_bits,
                           lambda f: lambda a, b: _gf2_reduce(_clmul(a, b), f, n - 1))
     top = p * (p - 1)
     k = (top * p).bit_length()
@@ -310,7 +325,13 @@ def lane_layout(p: int, n: int) -> LaneLayout:
             rank += insert(basis, vector(exp[lx + ly]))
         return rank
 
-    return LaneLayout(w, element, vector, add, insert, reduce, extend, gcd, ring)
+    def rref(basis: dict[int, int]) -> tuple:
+        done: dict = {}
+        for s in sorted(basis, reverse=True):
+            done[s] = reduce(done, basis[s])
+        return tuple(map(element, reversed(done.values())))
+
+    return LaneLayout(w, element, vector, add, insert, reduce, extend, rref, gcd, ring)
 
 
 def _poly_pow(mulmod, a: int, e: int) -> int:
@@ -388,8 +409,8 @@ class ExtensionField:
     which hold what exhaustive scans keep on this field."""
 
     __slots__ = ("p", "n", "q", "modulus", "primitive", "vector", "element", "add",
-                 "insert", "reduce", "extend", "orbit_skips", "row_tables", "_mulmod", "_exp",
-                 "_log", "_untabled", "_subfields")
+                 "insert", "reduce", "extend", "rref", "orbit_skips", "row_tables", "_mulmod",
+                 "_exp", "_log", "_untabled", "_subfields")
 
     def __init__(self, p: int, n: int, modulus: tuple[int, ...] | None = None):
         if not is_prime(p):
@@ -417,8 +438,9 @@ class ExtensionField:
         # zero for elements
         lanes = lane_layout(p, n + 1)
         self._mulmod = lanes.ring(sum(c << i * lanes.w for i, c in enumerate(modulus)))
-        self.vector, self.element, self.add, self.insert, self.reduce, self.extend = (
-            lanes.vector, lanes.element, lanes.add, lanes.insert, lanes.reduce, lanes.extend)
+        self.vector, self.element, self.add, self.insert, self.reduce, self.extend, self.rref = (
+            lanes.vector, lanes.element, lanes.add, lanes.insert, lanes.reduce, lanes.extend,
+            lanes.rref)
         self.primitive = find_primitive(p, n, modulus)
         # mul/inv/pow left before the tables are built; 0 never counts down
         self._exp = self._log = None

@@ -97,11 +97,5 @@ def span(field: ExtensionField, elements) -> Subspace:
 
 def rref(field: ExtensionField, basis: dict) -> Subspace:
     """The subspace of `basis`, a pivot-indexed echelon basis built with the
-    field's `insert`, in canonical RREF: each row is reduced against the rows
-    already finished, in descending pivot order, and the rows are emitted by
-    ascending pivot, the reverse of that order."""
-    reduce = field.reduce
-    done: dict = {}
-    for piv in sorted(basis, reverse=True):
-        done[piv] = reduce(done, basis[piv])
-    return Subspace(field, tuple(map(field.element, reversed(done.values()))))
+    field's `insert`, in canonical RREF (see fields.LaneLayout)."""
+    return Subspace(field, field.rref(basis))

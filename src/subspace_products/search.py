@@ -216,27 +216,41 @@ def _orbit(field, rows) -> set:
     """Row tuples of the canonical subspaces span((x/a)^(p^k) : x in A) for
     nonzero a in A and 0 <= k < n, where A = span(rows) contains 1: A's orbit
     under the unit scalings that keep 1 inside and under Frobenius.  a and c*a
-    for c in F_p^* give the same image, so a runs over one point per line."""
-    p, n = field.p, field.n
-    vector, element, add = field.vector, field.element, field.add
+    for c in F_p^* give the same image, so a runs over one point per line.
+    With exp/log tables, (x/a)^(p^k) is exp[log x * p^k - log a * p^k], each
+    product mod q - 1 and a negative index wrapping as in _scan, so one
+    field.extend builds an image from A's logs; else inv, mul and pow do."""
+    p, n, vector, add, rref = field.p, field.n, field.vector, field.add, field.rref
     # a line's point: its first nonzero row with coefficient 1, plus any
     # combination of the rows after it
     points, tail = [], [0]
     for v in map(vector, reversed(rows)):
         points += [add(v, t) for t in tail]
         tail = [add(t, c * v) for c in range(p) for t in tail]
+    tables, qm1 = field.log_tables(), field.q - 1
+    if tables is not None:
+        exp, log = tables
+        logs = [[log[x] * p ** k % qm1 for x in rows] for k in range(n)]
     orbit: set = set()
-    for a in points:
-        a_inv = field.inv(element(a))
-        image = [field.mul(x, a_inv) for x in rows]
+    for a in map(field.element, points):
+        if tables is None:
+            a_inv = field.inv(a)
+            image = [field.mul(x, a_inv) for x in rows]
         # `orbit` holds whole Frobenius cycles, so an image already in it
         # ends the cycle: it is a^-1*A itself or its cycle is complete
-        for _ in range(n):
-            key = span(field, image).rows
+        for k in range(n):
+            basis: dict = {}
+            if tables is None:
+                for v in map(vector, image):
+                    field.insert(basis, v)
+            else:
+                field.extend(basis, exp, logs[k], -(log[a] * p ** k % qm1), 0, n)
+            key = rref(basis)
             if key in orbit:
                 break
             orbit.add(key)
-            image = [field.pow(x, p) for x in image]
+            if tables is None:
+                image = [field.pow(x, p) for x in image]
     return orbit
 
 

@@ -21,6 +21,11 @@ pivot-indexed echelon basis: an ascending-pivot list of rows, kept sorted by
 insertion.  It checks `span` and `Subspace.reduce`, and gives `intersect` an
 elimination that is not the one under test.
 
+A subspace's orbit under scaling and Frobenius, `orbit_brute`, scales by
+every nonzero element of it with the field arithmetic below.  It checks the
+library's orbits, which scale by one point per line and read each image from
+the exp/log tables.
+
 Subgroup orders by trying every subset for closure under the product, which
 checks the library's generator-by-generator closure search.
 
@@ -283,6 +288,24 @@ def power(field, a, e):
         e >>= 1
         a = mul(field, a, a)
     return result
+
+
+def orbit_brute(field, rows) -> set:
+    """Canonical RREF rows (by `rref_rows`) of every image (x/a)^(p^k), x in
+    A = span(rows), for every nonzero a of A, listed by its coordinates, and
+    0 <= k < n; each image is multiplied with `mul` and raised with `power`."""
+    p, q = field.p, field.q
+    elements = [0]
+    for row in rows:
+        elements = [add(field, e, scale(field, c, row)) for e in elements for c in range(p)]
+    images = set()
+    for a in elements[1:]:
+        a_inv = power(field, a, q - 2)
+        image = [mul(field, x, a_inv) for x in rows]
+        for _ in range(field.n):
+            images.add(rref_rows(field, image))
+            image = [power(field, x, p) for x in image]
+    return images
 
 
 def trace(field, x):

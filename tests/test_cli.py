@@ -204,6 +204,20 @@ def test_mu_field_entropy_seed_echoed(capsys):
     assert again["results"] == rep["results"]
 
 
+@pytest.mark.parametrize("argv, code", [
+    (("kappa-table", "--n", "200"), 0),     # 160 KB, more than the pipe holds
+    (("kappa", "--r", "2", "--s", "3", "--n", "6"), 0),
+    (("mu-field", "--field", "2^6", "--r", "3", "--s", "3", "--exhaustive", "--budget", "10"), 3),
+], ids=("kappa-table", "kappa", "mu-field-budget"))
+def test_closed_stdout_ends_quietly_with_the_command_code(run_python, argv, code):
+    # the reader closes its end before reading, as `| head -1` may: no
+    # traceback, and the command's own exit code
+    proc = run_python("-c", "import subprocess, sys; child = subprocess.Popen("
+                            f"[sys.executable, '-m', 'subspace_products.cli', *{argv!r}], "
+                            "stdout=subprocess.PIPE); child.stdout.close(); sys.exit(child.wait())")
+    assert (proc.returncode, proc.stderr) == (code, "")
+
+
 def test_cli_import_leaves_hashlib_unloaded(run_python):
     # the entropy seed needs no hashlib, whose OpenSSL load costs every
     # process that imports the CLI a few MB of RSS

@@ -112,6 +112,21 @@ def test_span_matches_reference_elimination(field_cache, p, n):
     assert span(f, []).rows == rref_rows(f, []) == ()
 
 
+@pytest.mark.parametrize("p, n", ((2, 8), (2, 40), (3, 5), (3, 11), (5, 3), (7, 3)))
+def test_rref_kernel_matches_reference_elimination(field_cache, p, n):
+    # seeded random echelon bases of every rank, the whole field's included
+    f = field_cache(p, n)
+    rng = random.Random(p * 1000 + n)
+    for rank in range(n + 1):
+        for _ in range(20):
+            basis, elems = {}, []
+            while len(basis) < rank:
+                e = rng.randrange(f.q)
+                if f.insert(basis, f.vector(e)):
+                    elems.append(e)
+            assert f.rref(basis) == rref_rows(f, elems), (p, n, elems)
+
+
 def test_contains_every_generator(field_cache):
     for p, n in ((2, 6), (3, 4)):
         f = field_cache(p, n)

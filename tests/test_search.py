@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import subspace_products.search as search
 
-from oracle import mu_field_brute
+from oracle import mu_field_brute, orbit_brute
 from subspace_products.fields import ExtensionField
 from subspace_products.kappa import divisors, kappa_rs
 from subspace_products.linalg import Subspace, rref, span
@@ -236,6 +236,34 @@ def test_subfield_is_its_own_orbit(field_cache):
 def test_orbit_representative_counts(fresh_field):
     assert (len(_orbit_reps(fresh_field(2, 6), 3)), gaussian_binomial(5, 2, 2)) == (7, 155)
     assert (len(_orbit_reps(fresh_field(2, 7), 3)), gaussian_binomial(6, 2, 2)) == (15, 651)
+
+
+@pytest.mark.parametrize("p, n", ((2, 5), (2, 6), (2, 7), (3, 4), (5, 3)))
+def test_orbits_match_the_oracle(fresh_field, p, n):
+    # every representative's orbit, read from the tables and, with the tables
+    # withheld, taken with mul and pow, is the oracle's; both fields keep the
+    # same runs of skipped A
+    tabled, untabled = fresh_field(p, n), fresh_field(p, n)
+    for r in range(1, n + 1):
+        for rows in _orbit_reps(tabled, r):
+            expected = orbit_brute(tabled, rows)
+            assert search._orbit(tabled, rows) == expected, (p, n, rows)
+            with pytest.MonkeyPatch.context() as m:
+                _withheld(m)
+                assert search._orbit(untabled, rows) == expected, (p, n, rows)
+        with pytest.MonkeyPatch.context() as m:
+            _withheld(m)
+            assert _orbit_reps(untabled, r)
+        assert untabled.orbit_skips[r] == tabled.orbit_skips[r], (p, n, r)
+
+
+def test_orbits_match_the_oracle_above_the_table_limit(fresh_field):
+    # GF(2^17) has no tables, so its orbits are taken with mul and pow
+    f = fresh_field(2, 17)
+    reps = [rows for _, rows in itertools.islice(search._a_rows(f, 2), 4)]
+    assert len(reps) == 4 and f.log_tables() is None
+    for rows in reps:
+        assert search._orbit(f, rows) == orbit_brute(f, rows), rows
 
 
 def _count_orbits(monkeypatch):
@@ -561,24 +589,29 @@ def test_node_paths_agree(fresh_field):
     assert f._log is None
 
 
-def test_scan_on_a_tabled_field_makes_no_mul_call(fresh_field, monkeypatch):
-    # once the walked A are kept (building orbits multiplies), a scan of a
-    # tabled field reads every product from its tables; withholding them
-    # sends the same scan through mul
+def test_scan_on_a_tabled_field_makes_no_mul_call(fresh_field):
+    # a scan of a tabled field, its first included, reads every product and
+    # every orbit image from its tables; withholding them sends the same scan
+    # through mul
     calls = []
-    mul = ExtensionField.mul
 
-    def counted(self, a, b):
-        calls.append((a, b))
-        return mul(self, a, b)
+    def counted(name):
+        method = getattr(ExtensionField, name)
+
+        def call(self, *args):
+            calls.append((name, args))
+            return method(self, *args)
+        return call
 
     opts = SearchOptions(use_kappa_floor=False)
     for p, n, r, s in ((2, 6, 3, 4), (3, 4, 2, 3)):
+        reference = _fields_of(mu_exact(fresh_field(p, n), r, s, opts))
         f = fresh_field(p, n)
-        reference = _fields_of(mu_exact(f, r, s, opts))
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(ExtensionField, "mul", counted)
-            assert _fields_of(mu_exact(f, r, s, opts)) == reference and not calls, (p, n)
+            for name in ("mul", "inv", "pow"):
+                m.setattr(ExtensionField, name, counted(name))
+            for _ in range(2):      # cold, then with the walked A kept
+                assert _fields_of(mu_exact(f, r, s, opts)) == reference and not calls, (p, n)
             _withheld(m)
             assert _fields_of(mu_exact(f, r, s, opts)) == reference and calls, (p, n)
         calls.clear()
