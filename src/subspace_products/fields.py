@@ -72,8 +72,6 @@ def prime_factors(m: int) -> tuple[int, ...]:
     stack, rng = ([m], random.Random(0xFAC70)) if m > 1 else ([], None)
     while stack:
         v = stack.pop()
-        if v == 1:
-            continue
         if is_prime(v):
             factors.add(v)
             continue
@@ -551,11 +549,8 @@ class ExtensionField:
         if log is not None:
             if a == 0 or b == 0:
                 return 0
-            k = log[a] + log[b]
-            qm1 = self.q - 1
-            if k >= qm1:
-                k -= qm1
-            return self._exp[k]
+            # log a + log b - (q - 1): a negative index wraps (see search._scan)
+            return self._exp[log[a] + log[b] + 1 - self.q]
         if self._untabled:
             self._count_untabled()
         return self._mul_raw(a, b)

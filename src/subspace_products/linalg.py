@@ -2,9 +2,9 @@
 
 Basis rows are stored as element indices of the ambient field, so a row is
 simultaneously a field element and its coordinate vector.  Elimination runs
-on the field's echelon bases and row kernels (see fields.LaneLayout), and
-the canonical RREF is finished from them (see rref), so two subspaces are
-equal as sets iff their row tuples are identical.
+on the field's echelon bases and row kernels, the canonical RREF finish
+included (see fields.LaneLayout), so two subspaces are equal as sets iff
+their row tuples are identical.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ from .fields import ExtensionField, parse_ints
 class Subspace:
     """An F_p-subspace of GF(p^n) held by its canonical RREF basis.
 
-    Immutable value type: span() builds one from any elements, and rref,
-    mu_exact, enumerate_subspaces and optimal_pair build one directly from
-    canonical RREF rows, element indices sorted by ascending pivot column.
+    Immutable value type: span() builds one from any elements, and
+    random_subspace, mu_exact, enumerate_subspaces and optimal_pair build one
+    directly from canonical RREF rows, element indices by ascending pivot.
     The pivot-indexed basis that reduce() works on is built on first use.
     """
 
@@ -92,10 +92,4 @@ def span(field: ExtensionField, elements) -> Subspace:
     for e in elements:
         if insert(basis, vector(e)) and len(basis) == n:
             break
-    return rref(field, basis)
-
-
-def rref(field: ExtensionField, basis: dict) -> Subspace:
-    """The subspace of `basis`, a pivot-indexed echelon basis built with the
-    field's `insert`, in canonical RREF (see fields.LaneLayout)."""
     return Subspace(field, field.rref(basis))

@@ -35,7 +35,7 @@ from typing import Any
 
 from .fields import ExtensionField
 from .kappa import check_rs, divisors, kappa_rs
-from .linalg import Subspace, rref, span
+from .linalg import Subspace, span
 
 
 def gaussian_binomial(n: int, r: int, p: int) -> int:
@@ -129,24 +129,23 @@ def random_subspace(field: ExtensionField, r: int, rng: random.Random) -> Subspa
     uniformly (see _draw)."""
     if not 0 <= r <= field.n:
         raise ValueError(f"r={r} out of range [0, {field.n}]")
-    return rref(field, _draw(field, [], r, rng)[1])
+    return Subspace(field, field.rref(_draw(field, [], r, rng)[1]))
 
 
-def _capped(field: ExtensionField, basis: dict, rank: int, arows, brows, cap: int) -> int:
-    """min(cap, rank of `basis`, given as `rank`, once x*y = mul(x, y) for x in
-    arows, y in brows are inserted y by y); stops when the rank reaches cap."""
+def product_dim_capped(field: ExtensionField, arows, brows, cap: int, basis=None,
+                       rank: int = 0) -> int:
+    """min(cap, rank of `basis`, given as `rank` and empty when omitted, once
+    x*y = mul(x, y) for x in arows, y in brows are inserted y by y); stops
+    when the rank reaches cap.  `basis` is extended in place."""
     mul, vector, insert = field.mul, field.vector, field.insert
+    if basis is None:
+        basis = {}
     for y in brows:
         for x in arows:
             if rank >= cap:
                 return cap
             rank += insert(basis, vector(mul(x, y)))
     return min(rank, cap)
-
-
-def product_dim_capped(field: ExtensionField, arows, brows, cap: int) -> int:
-    """min(dim span{a*b}, cap) (see _capped); kept for perfbench, which times it."""
-    return _capped(field, {}, 0, arows, brows, cap)
 
 
 @dataclass(frozen=True)
@@ -316,8 +315,8 @@ def _scan(field, r, s, cap, floor, budget):
     the leaf when s = 1.
 
     On a field without exp/log tables (q > 2^16) a node is one capped insert
-    loop (see _capped).  Otherwise each walked A's rows are taken to their
-    logs once, and a node is one field.extend call with x*y =
+    loop (see product_dim_capped).  Otherwise each walked A's rows are taken
+    to their logs once, and a node is one field.extend call with x*y =
     exp[log x + log y - (q - 1)]: the index lies in [-(q - 1), q - 3], and a
     negative one wraps to the same power of the primitive element.
 
@@ -363,7 +362,7 @@ def _scan(field, r, s, cap, floor, budget):
                         path[depth] = y
                         basis = ech.copy()
                         if tables is None:
-                            rank = _capped(field, basis, len(basis), ar, (y,), best)
+                            rank = product_dim_capped(field, ar, (y,), best, basis, len(basis))
                         else:
                             rank = extend(basis, exp, logs, log[y] - qm1, len(basis), best)
                         if rank >= best:
@@ -414,8 +413,9 @@ def mu_randomized(field: ExtensionField, r: int, s: int, trials: int,
     """Minimum of dim<AB> over `trials` uniformly sampled pairs of subspaces
     containing 1, each drawn by _draw as a spanning list of 1 and independent
     uniform elements.  A's drawn basis spans A*1 and is the root that B's
-    later rows extend (see _capped); only the reported witnesses are put in
-    RREF.  Upper bound only; seed-reproducible; `pairs_examined` is `trials`."""
+    later rows extend (see product_dim_capped); only the reported witnesses
+    are put in RREF.  Upper bound only; seed-reproducible; `pairs_examined`
+    is `trials`."""
     check_rs(r, s, field.n)
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -424,7 +424,7 @@ def mu_randomized(field: ExtensionField, r: int, s: int, trials: int,
     for _ in range(trials):
         a, a_basis = _draw(field, [1], r - 1, rng)
         b = _draw(field, [1], s - 1, rng)[0]
-        d = _capped(field, a_basis, r, a, b[1:], best)
+        d = product_dim_capped(field, a, b[1:], best, a_basis, r)
         if d < best:
             best, best_a, best_b = d, a, b
     return MuResult(value=best, witness_a=span(field, best_a), witness_b=span(field, best_b),

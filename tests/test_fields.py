@@ -412,6 +412,19 @@ def test_fixed_multiplier_matches_mul_raw(field_cache, p, n):
             assert got == f._mul_raw(g, x) == mul(f, g, x), (g, x)
 
 
+@pytest.mark.parametrize("p, n", ((2, 5), (3, 3)))
+def test_tabled_mul_matches_mul_raw_on_every_pair(p, n):
+    # tabled mul reads exp[log a + log b - (q - 1)], a negative index wrapping:
+    # the log sums of all pairs of units run over 0..2q - 4, so both sides of
+    # the wrap at q - 1 are met, and every product is the table-free one
+    f = ExtensionField(p, n)
+    assert f.log_tables() is not None
+    units = range(1, f.q)
+    for a in units:
+        assert [f.mul(a, b) for b in units] == [f._mul_raw(a, b) for b in units], a
+        assert f.mul(a, 0) == f.mul(0, a) == 0
+
+
 @pytest.mark.parametrize("p, n", ((2, 1), (2, 4), (2, 8), (3, 1), (3, 4), (5, 3)))
 def test_extend_matches_the_insert_loop(field_cache, p, n):
     # extend inserts exp[lx + ly] for each lx until the rank reaches cap: the

@@ -11,7 +11,7 @@ import subspace_products.search as search
 from oracle import mu_field_brute, orbit_brute
 from subspace_products.fields import ExtensionField
 from subspace_products.kappa import divisors, kappa_rs
-from subspace_products.linalg import Subspace, rref, span
+from subspace_products.linalg import Subspace, span
 from subspace_products.products import product_span
 from subspace_products.search import (SearchOptions, enumerate_subspaces,
                                       gaussian_binomial, mu_exact, mu_randomized,
@@ -75,13 +75,13 @@ def test_random_subspace_dimension_and_membership(field_cache):
     for _ in range(100):
         sp = random_subspace(f, 3, rng)
         assert sp.dim == 3
-        sp1 = rref(f, search._draw(f, [1], 2, rng)[1])
+        sp1 = Subspace(f, f.rref(search._draw(f, [1], 2, rng)[1]))
         assert sp1.dim == 3 and sp1.contains(1)
     assert random_subspace(f, 0, rng).dim == 0
     for r in (-1, 9):
         with pytest.raises(ValueError, match=r"out of range \[0, 8\]"):
             random_subspace(f, r, rng)
-    assert rref(f, search._draw(f, [1], 7, rng)[1]).dim == 8
+    assert Subspace(f, f.rref(search._draw(f, [1], 7, rng)[1])).dim == 8
 
 
 def test_raw_draw_matches_random_subspace(field_cache):
@@ -107,8 +107,8 @@ def test_raw_draw_matches_random_subspace(field_cache):
                 for seed in range(seeds):
                     rng_raw, rng_sub, rng_ref = (random.Random(seed) for _ in range(3))
                     rows, _ = search._draw(f, fixed, r - len(fixed), rng_raw)
-                    sp = (rref(f, search._draw(f, fixed, r - 1, rng_sub)[1]) if one
-                          else random_subspace(f, r, rng_sub))
+                    sp = (Subspace(f, f.rref(search._draw(f, fixed, r - 1, rng_sub)[1]))
+                          if one else random_subspace(f, r, rng_sub))
                     assert len(rows) == r and rows[:len(fixed)] == fixed
                     assert span(f, rows) == sp == reference(f, fixed, r, rng_ref)
                     assert rng_raw.getstate() == rng_sub.getstate() == rng_ref.getstate()
@@ -116,10 +116,11 @@ def test_raw_draw_matches_random_subspace(field_cache):
 
 @pytest.mark.parametrize("p, n, tabled", [(2, 6, True), (3, 4, False), (2, 40, False)])
 def test_capped_insert_loop_matches_product_span(fresh_field, p, n, tabled):
-    # the capped insert loop, from the empty basis (product_dim_capped on RREF
-    # rows) and from A's drawn basis at rank r (B's rows after b_0 = 1, as
-    # mu_randomized runs it), gives min(dim<AB>, cap) for every cap up to
-    # n + 1; a one-trial mu_randomized reports its pair's dim<AB> uncapped
+    # product_dim_capped, from the empty basis (omitted, on RREF rows) and
+    # from A's drawn basis at rank r (B's rows after b_0 = 1, as mu_randomized
+    # runs it), gives min(dim<AB>, cap) for every cap up to n + 1 and extends
+    # the given basis in place; a one-trial mu_randomized reports its pair's
+    # dim<AB> uncapped
     f = fresh_field(p, n)
     if tabled:
         assert f.log_tables() is not None
@@ -132,8 +133,9 @@ def test_capped_insert_loop_matches_product_span(fresh_field, p, n, tabled):
             dim = product_span(a, b).dim
             for cap in range(1, n + 2):
                 assert search.product_dim_capped(f, a.rows, b.rows, cap) == min(dim, cap)
-                root = search._capped(f, dict(a_basis), r, a_rows, b_rows[1:], cap)
-                assert root == min(dim, cap), (r, s, cap)
+                basis = dict(a_basis)
+                root = search.product_dim_capped(f, a_rows, b_rows[1:], cap, basis, r)
+                assert root == min(dim, cap) and len(basis) == max(root, r), (r, s, cap)
         res = mu_randomized(f, r, s, 1, seed=r * n + s)
         assert res.value == product_span(res.witness_a, res.witness_b).dim, (r, s)
 
@@ -615,6 +617,45 @@ def test_scan_on_a_tabled_field_makes_no_mul_call(fresh_field):
             _withheld(m)
             assert _fields_of(mu_exact(f, r, s, opts)) == reference and calls, (p, n)
         calls.clear()
+
+
+def test_every_untabled_product_runs_product_dim_capped(fresh_field):
+    # a scan whose tables are withheld and mu_randomized multiply only inside
+    # search.product_dim_capped, called with positional arguments only, as
+    # perfbench's tracer forwards them, and their results are unchanged; each
+    # cell has kappa > max(r, s), so a floor-free scan runs to its end and
+    # keeps its orbits, and in a second scan only the nodes multiply
+    counts = collections.Counter()
+    mul, capped = ExtensionField.mul, search.product_dim_capped
+
+    def counted_mul(self, a, b):
+        counts["inside" if counts["open"] else "outside"] += 1
+        return mul(self, a, b)
+
+    def counted_capped(*args):
+        counts["calls"] += 1
+        counts["open"] += 1
+        try:
+            return capped(*args)
+        finally:
+            counts["open"] -= 1
+
+    opts = SearchOptions(use_kappa_floor=False)
+    for p, n, r, s in ((2, 5, 2, 3), (3, 3, 2, 2), (3, 4, 2, 3)):
+        exact = _fields_of(mu_exact(fresh_field(p, n), r, s, opts))
+        randomized = _fields_of(mu_randomized(fresh_field(p, n), r, s, 50, seed=n))
+        f, g = fresh_field(p, n), fresh_field(p, n)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(ExtensionField, "mul", counted_mul)
+            m.setattr(search, "product_dim_capped", counted_capped)
+            _withheld(m)
+            assert _fields_of(mu_exact(f, r, s, opts)) == exact, (p, n)
+            counts.clear()
+            assert _fields_of(mu_exact(f, r, s, opts)) == exact, (p, n)
+            assert counts["calls"] and counts["inside"] and not counts["outside"], (p, n)
+            counts.clear()
+            assert _fields_of(mu_randomized(g, r, s, 50, seed=n)) == randomized, (p, n)
+            assert counts["calls"] == 50 and counts["inside"] and not counts["outside"], (p, n)
 
 
 def test_scan_started_at_a_cap(field_cache):
