@@ -2,17 +2,17 @@
 
 Subspaces are enumerated through their RREF profiles, each exactly once (see
 _row_tables).  The pair search normalizes both subspaces to contain 1 --
-multiplying A by a^-1 and B by b^-1 is an F_p-linear bijection that
-preserves dim<AB> -- and, for each A, walks B depth first over its rows: the
-echelon basis of A*b_0 + ... + A*b_i is shared by every B that starts with
+multiplying A by a^-1 and B by b^-1 is an F_p-linear bijection that preserves
+dim<AB> -- and, for each A, walks B depth first over its rows (see _walk_b):
+the echelon basis of A*b_0 + ... + A*b_i is shared by every B that starts with
 b_0..b_i, and a prefix whose rank already reaches the best value found is
 skipped with all its completions, since dim<AB> only grows with B.  Every
 prefix of the first minimal pair has rank at most its value, so that pair is
 never skipped, and skipped pairs count as examined: the value, witnesses and
 pair count are those of a pair-by-pair scan.  The search stops at a proven
-lower bound, so early exit never changes the reported minimum.  When the
-pair count exceeds the budget the run is truncated: it decides the A-major
-prefix of `budget` pairs and is exact only if it reaches the proven floor.
+lower bound, so early exit never changes the reported minimum.  When the pair
+count exceeds the budget the run is truncated: it decides the A-major prefix of
+`budget` pairs and is exact only if it reaches the proven floor.
 
 The least dim<AB> over B does not change when A, containing 1, becomes
 a^-1*A for a nonzero a in A, again a subspace containing 1 with <a^-1*A*B> =
@@ -301,24 +301,73 @@ def _runs(field, r, skip):
         field.orbit_skips[r] = runs
 
 
-def _scan(field, r, s, cap, floor, budget):
-    """First pair, in A-major order, of r-dim A and s-dim B containing 1 with
-    the least capped product dimension, by the walk of the module docstring:
-    each walked A after its run of skipped A (see _a_rows), B over the
-    profiles the field keeps (see _profiles).
+def _walk_b(field, ar, s, best, floor, budget, processed):
+    """Walk every s-dim B containing 1 (see _profiles) for one walked A with
+    rows `ar`, containing 1; returns (best, b_rows, processed) updated, with
+    b_rows the first B at the returned best, or None if none went below
+    `best`.  It stops once best reaches `floor` or processed `budget`.
 
     A node at depth i holds its parent's basis extended by A*b_i alone,
     built with cap = the best value found; a node that reaches it is cut and
     its sizes[i] pairs count as examined.  The root, b_0 = 1, holds A's own
-    basis, of rank r, built once per walked A and copied by every row-1 node
-    of every profile; the root is cut when r reaches the best value, and is
-    the leaf when s = 1.
+    basis, of rank r, built once and copied by every row-1 node of every
+    profile; the root is cut when r reaches the best value, and is the leaf
+    when s = 1.
 
     On a field without exp/log tables (q > 2^16) a node is one capped insert
-    loop (see product_dim_capped).  Otherwise each walked A's rows are taken
-    to their logs once, and a node is one field.extend call with x*y =
+    loop (see product_dim_capped).  Otherwise A's rows are taken to their
+    logs once, and a node is one field.extend call with x*y =
     exp[log x + log y - (q - 1)]: the index lies in [-(q - 1), q - 3], and a
-    negative one wraps to the same power of the primitive element.
+    negative one wraps to the same power of the primitive element."""
+    r, b_rows, tables = len(ar), None, field.log_tables()
+    if tables is not None:
+        exp, log = tables
+        extend, qm1 = field.extend, field.q - 1
+        logs = [log[x] for x in ar]
+    a_basis: dict = {}
+    for v in map(field.vector, ar):
+        field.insert(a_basis, v)
+    path = [1] * s                  # b_0 = 1 in every profile
+    for rows, sizes, _ in _profiles(field, s):
+        if r >= best:
+            processed += sizes[0]
+        elif s == 1:
+            processed += 1
+            best, b_rows = r, (1,)
+        else:
+            # a frame walks row `depth` from its parent's basis
+            stack = [(a_basis, iter(rows[1]))]
+            while stack:
+                ech, values = stack[-1]
+                depth = len(stack)
+                for y in values:
+                    path[depth] = y
+                    basis = ech.copy()
+                    if tables is None:
+                        rank = product_dim_capped(field, ar, (y,), best, basis, len(basis))
+                    else:
+                        rank = extend(basis, exp, logs, log[y] - qm1, len(basis), best)
+                    if rank >= best:
+                        processed += sizes[depth]
+                    elif depth < s - 1:
+                        stack.append((basis, iter(rows[depth + 1])))
+                        break
+                    else:
+                        processed += 1
+                        best, b_rows = rank, tuple(path)
+                    if best <= floor or processed >= budget:
+                        return best, b_rows, processed
+                else:
+                    stack.pop()
+        if best <= floor or processed >= budget:
+            break
+    return best, b_rows, processed
+
+
+def _scan(field, r, s, cap, floor, budget):
+    """First pair, in A-major order, of r-dim A and s-dim B containing 1 with
+    the least capped product dimension: each walked A after its run of
+    skipped A (see _a_rows), then each B against it (see _walk_b).
 
     Returns (value, a_rows, b_rows, pairs examined, exhaustive), with `cap`
     as the best value at the start: a scan that returns cap with no witness
@@ -328,60 +377,15 @@ def _scan(field, r, s, cap, floor, budget):
     exhaustive is False only when the budget stops it first."""
     a_count, b_count = (gaussian_binomial(field.n - 1, k - 1, field.p) for k in (r, s))
     whole = a_count * b_count <= budget
-    vector, insert, tables = field.vector, field.insert, field.log_tables()
-    if tables is not None:
-        exp, log = tables
-        extend, qm1 = field.extend, field.q - 1
-    best, best_a, best_b = cap, None, None
-    processed = 0
-    path = [1] * s                  # b_0 = 1 in every profile
+    best, best_a, best_b, processed = cap, None, None, 0
     for skipped, ar in _a_rows(field, r):
         processed += skipped * b_count
-        if processed >= budget:
-            return best, best_a, best_b, budget, whole
-        if ar is None:              # asking past the last entry keeps the list
-            continue
-        if tables is not None:
-            logs = [log[x] for x in ar]
-        a_basis: dict = {}
-        for v in map(vector, ar):
-            insert(a_basis, v)
-        for rows, sizes, _ in _profiles(field, s):
-            if r >= best:
-                processed += sizes[0]
-            elif s == 1:
-                processed += 1
-                best, best_a, best_b = r, ar, tuple(path)
-            else:
-                # a frame walks row `depth` from its parent's basis
-                stack = [(a_basis, iter(rows[1]))]
-                while stack:
-                    ech, values = stack[-1]
-                    depth = len(stack)
-                    for y in values:
-                        path[depth] = y
-                        basis = ech.copy()
-                        if tables is None:
-                            rank = product_dim_capped(field, ar, (y,), best, basis, len(basis))
-                        else:
-                            rank = extend(basis, exp, logs, log[y] - qm1, len(basis), best)
-                        if rank >= best:
-                            processed += sizes[depth]
-                        elif depth < s - 1:
-                            stack.append((basis, iter(rows[depth + 1])))
-                            break
-                        else:
-                            processed += 1
-                            best, best_a, best_b = rank, ar, tuple(path)
-                        if best <= floor or processed >= budget:
-                            return (best, best_a, best_b, min(processed, budget),
-                                    whole or best <= floor)
-                    else:
-                        stack.pop()
-            # a walk that runs to its end met neither stop, so only the root's
-            # cut or leaf can stop the scan here
-            if best <= floor or processed >= budget:
-                return best, best_a, best_b, min(processed, budget), whole or best <= floor
+        if ar is not None and processed < budget:   # None: the last entry (see _a_rows)
+            best, b_rows, processed = _walk_b(field, ar, s, best, floor, budget, processed)
+            if b_rows is not None:
+                best_a, best_b = ar, b_rows
+        if best <= floor or processed >= budget:
+            return best, best_a, best_b, min(processed, budget), whole or best <= floor
     return best, best_a, best_b, processed, True   # every pair decided
 
 

@@ -24,7 +24,8 @@ elimination that is not the one under test.
 A subspace's orbit under scaling and Frobenius, `orbit_brute`, scales by
 every nonzero element of it with the field arithmetic below.  It checks the
 library's orbits, which scale by one point per line and read each image from
-the exp/log tables.
+the exp/log tables.  For prime n, `burnside_count` counts those orbits by
+Burnside's lemma, with no orbit built, which checks how many A the scan walks.
 
 Subgroup orders by trying every subset for closure under the product, which
 checks the library's generator-by-generator closure search.
@@ -306,6 +307,31 @@ def orbit_brute(field, rows) -> set:
             images.add(rref_rows(field, image))
             image = [power(field, x, p) for x in image]
     return images
+
+
+def burnside_count(p, n, r):
+    """The number of orbits of the r-dim subspaces of F_q, q = p^n with n prime
+    and 0 < r < n, under G = F_q^* x| Gal(F_q/F_p), by Burnside's lemma:
+
+        [(p - 1)*[n, r]_p + (n - 1)*(q - 1)/(p - 1)*sum_c D_r(t^n - c)] / (n*(q - 1))
+
+    over c in F_p^*.  A unit in F_p fixes all [n, r]_p subspaces, and one
+    outside F_p none, as it generates F_q.  x*sigma^k with 0 < k < n is a
+    cyclic operator T with T^n = N(x), so its invariant subspaces of
+    dimension r are the kernels of g(T) for the D_r(t^n - N(x)) monic
+    degree-r divisors g of t^n - N(x), found here by dividing by every monic
+    polynomial of degree r; each c is the norm of (q - 1)/(p - 1) units."""
+    q = p ** n
+    num = den = 1
+    for i in range(r):
+        num, den = num * (q - p ** i), den * (p ** r - p ** i)
+    divisors = sum(not any(poly_mul_mod([-c % p] + [0] * (n - 1) + [1], [1],
+                                        _digits(v, p, r) + [1], p))
+                   for c in range(1, p) for v in range(p ** r))
+    count, rem = divmod((p - 1) * num // den + (n - 1) * (q - 1) // (p - 1) * divisors,
+                        n * (q - 1))
+    assert not rem, (p, n, r)
+    return count
 
 
 def trace(field, x):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import subspace_products.search as search
 
-from oracle import mu_field_brute, orbit_brute
+from oracle import burnside_count, mu_field_brute, orbit_brute
 from subspace_products.fields import ExtensionField
 from subspace_products.kappa import divisors, kappa_rs
 from subspace_products.linalg import Subspace, span
@@ -257,6 +257,16 @@ def test_orbits_match_the_oracle(fresh_field, p, n):
             _withheld(m)
             assert _orbit_reps(untabled, r)
         assert untabled.orbit_skips[r] == tabled.orbit_skips[r], (p, n, r)
+
+
+@pytest.mark.parametrize("p, n, r, walked", [
+    (2, 5, 2, 1), (2, 5, 3, 1), (2, 7, 2, 3), (2, 7, 3, 15), (2, 7, 4, 15), (3, 5, 2, 2),
+    (3, 5, 3, 2), (5, 5, 2, 6), (2, 11, 2, 31), (3, 7, 2, 13), (3, 7, 3, 121), (2, 13, 2, 105)])
+def test_walked_a_match_the_burnside_count(fresh_field, p, n, r, walked):
+    # for prime n the scan walks one A per orbit, and Burnside's lemma counts
+    # the orbits with none of them built
+    assert burnside_count(p, n, r) == walked
+    assert len(_orbit_reps(fresh_field(p, n), r)) == walked
 
 
 def test_orbits_match_the_oracle_above_the_table_limit(fresh_field):
@@ -717,6 +727,28 @@ def test_scan_root_nodes(fresh_field, p, n, r, s, cap, floor, budget, expected):
     # the root of every B profile, the cut at r >= best, the s = 1 leaf and
     # the floor/budget stop after either, pinned as whole _scan results
     assert search._scan(fresh_field(p, n), r, s, cap, floor, budget) == expected
+
+
+@pytest.mark.parametrize("p, n, r, s", [(2, 6, 3, 3), (3, 4, 2, 3)])
+@pytest.mark.parametrize("tabled", [True, False])
+def test_walk_b_per_a(fresh_field, p, n, r, s, tabled):
+    # for every walked A, on either node path: started above n, the walk meets
+    # every B and returns the least dim<AB> with a B at it; started at that
+    # value, it cuts every B, returns none and counts every B as examined
+    f = fresh_field(p, n)
+    bs = list(enumerate_subspaces(f, s, containing_one=True))
+    b_spaces = {b.rows for b in bs}
+    with pytest.MonkeyPatch.context() as m:
+        if not tabled:
+            _withheld(m)
+        for ar in _orbit_reps(f, r):
+            a = Subspace(f, ar)
+            least = min(product_span(a, b).dim for b in bs)
+            best, b_rows, processed = search._walk_b(f, ar, s, n + 1, 0, 10 ** 9, 0)
+            assert (best, processed) == (least, len(bs)), ar
+            assert b_rows in b_spaces, ar
+            assert product_span(a, Subspace(f, b_rows)).dim == least, ar
+            assert search._walk_b(f, ar, s, least, 0, 10 ** 9, 0) == (least, None, len(bs)), ar
 
 
 def test_mu_randomized_is_reproducible_and_upper_bound(field_cache):
